@@ -1,18 +1,15 @@
-// Extension E12: overload governor + self-healing shard workers.
+// Extension E12: overload governor.
 //
 // The paper's pitch is guardrails cheap enough to leave always-on; this
 // extension measures what happens when the *guardrail plane itself* is the
 // thing under attack — a callout storm that would otherwise scale monitor
-// cost without bound, and shard workers that stall or die mid-batch:
+// cost without bound:
 //
 //   (a) storm shedding: evaluation counts and per-callout wall latency
 //       (p50/p99) through a calm -> storm -> tail cycle, governed vs
 //       ungoverned, plus the ladder depth reached and the shed breakdown;
 //   (b) recovery latency: callouts from the end of the storm until the
-//       ladder is back at full service, across de-escalation dwell settings;
-//   (c) watchdog containment: sharded wall time and healing counters
-//       (timeouts, steals, respawns, re-admissions) with worker-death and
-//       worker-stall chaos armed, against the same run with the sites off.
+//       ladder is back at full service, across de-escalation dwell settings.
 
 #include <algorithm>
 #include <chrono>
@@ -21,9 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "src/chaos/chaos.h"
 #include "src/runtime/governor/governor.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/kernel.h"
 #include "src/support/logging.h"
 #include "src/wl/stormgen.h"
@@ -185,82 +180,11 @@ void RecoveryLatency() {
   }
 }
 
-// Parallel-eligible spec so the sharded engine batches onto workers.
-constexpr char kParallelSpec[] = R"(
-  guardrail w0 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(a.v, 0) <= 50 },
-                 action: { REPORT("w0") } }
-  guardrail w1 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(b.v, 0) <= 50 },
-                 action: { REPORT("w1") } }
-  guardrail w2 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(c.v, 0) <= 50 },
-                 action: { REPORT("w2") } }
-  guardrail w3 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(d.v, 0) <= 50 },
-                 action: { REPORT("w3") } }
-)";
-
-// (c) watchdog containment under worker faults.
-void WatchdogContainment() {
-  std::printf("\n# (c) watchdog: worker faults contained, wall cost of healing\n");
-  std::printf("%-22s %10s %9s %8s %9s %9s %10s\n", "regime", "wall_ms",
-              "timeouts", "stolen", "respawns", "readmits", "quarantine");
-  struct Regime {
-    const char* label;
-    const char* chaos;
-  };
-  const Regime regimes[] = {
-      {"no faults", nullptr},
-      {"worker death p=0.2",
-       "chaos { site shard.worker_die { mode = bernoulli, p = 0.2 } }"},
-      {"worker stall p=0.2",
-       "chaos { site shard.worker_stall { mode = bernoulli, p = 0.2, value = 1.0 } }"},
-  };
-  for (const Regime& regime : regimes) {
-    EngineOptions options;
-    options.measure_wall_time = false;
-    ShardingOptions sharding;
-    sharding.enabled = true;
-    sharding.shards = 2;
-    sharding.telemetry = false;
-    sharding.watchdog_ns = Milliseconds(2);
-    sharding.probe_batches = 2;
-    sharding.probe_every = 2;
-    Kernel kernel(options, sharding);
-    ChaosEngine chaos(4242);
-    if (regime.chaos != nullptr) {
-      kernel.AttachChaos(&chaos);
-    }
-    (void)kernel.LoadGuardrails(kParallelSpec);
-    if (regime.chaos != nullptr) {
-      (void)kernel.LoadGuardrails(regime.chaos);
-    }
-    const int64_t start = WallNs();
-    SimTime t = Milliseconds(1);
-    for (int i = 0; i < 60; ++i) {
-      kernel.Run(t);
-      kernel.store().Save("a.v", Value(int64_t{i % 80}));
-      kernel.Callout("f");
-      t += Milliseconds(1);
-    }
-    const double wall_ms = static_cast<double>(WallNs() - start) / 1e6;
-    const ShardedStats stats = kernel.sharded_engine()->stats();
-    std::printf("%-22s %10.1f %9llu %8llu %9llu %9llu %10llu\n", regime.label,
-                wall_ms,
-                static_cast<unsigned long long>(stats.watchdog_timeouts),
-                static_cast<unsigned long long>(stats.stolen_evals),
-                static_cast<unsigned long long>(stats.worker_respawns),
-                static_cast<unsigned long long>(stats.readmissions),
-                static_cast<unsigned long long>(stats.quarantine_evals));
-  }
-  std::printf(
-      "# every regime's snapshot stays byte-identical to the serial oracle —\n"
-      "# pinned by tests/governor_test.cc and the governor_diff_test campaign.\n");
-}
-
 int Main() {
   Logger::Global().set_level(LogLevel::kOff);
-  std::printf("# E12: overload governor + self-healing shard workers\n");
+  std::printf("# E12: overload governor\n");
   StormShedding();
   RecoveryLatency();
-  WatchdogContainment();
   return 0;
 }
 

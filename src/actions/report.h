@@ -36,8 +36,8 @@ struct ReportRecord {
   // Reporter::Report at emission time, strictly increasing, never reused
   // (a warm restart resumes from the persisted next_sequence). Emission
   // order is explicitly deterministic — not incidental — at every engine
-  // site, which is what makes the sharded engine's shard-then-sequence
-  // merge reproduce the serial stream bit-identically:
+  // site, which is what lets replays and warm restarts reproduce the stream
+  // bit-identically:
   //   * within a callout, monitors fire in the hook index's registration
   //     order (sorted monitor-name order, rebuilt on every topology change);
   //   * a monitor's own records (violation / satisfied / error, then any
@@ -45,7 +45,8 @@ struct ReportRecord {
   //     protocol order inside FinishRuleEval;
   //   * replace/rollback records are emitted at callout boundaries in
   //     rollback-queue insertion order, which is evaluation order — NOT
-  //     name order (pinned by tests/shard_test.cc, RollbackReportOrder).
+  //     name order (pinned by tests/supervisor_test.cc,
+  //     RollbackReportOrderTest).
   // Consumers that need a total order over records sort by `sequence` alone;
   // `time` is simulation time and routinely carries ties.
   uint64_t sequence = 0;

@@ -80,21 +80,9 @@ inline constexpr char kChaosSitePersistSnapshotFail[] = "persist.snapshot_fail";
 //                       modeling a session-id collision in the event bus
 inline constexpr char kChaosSiteAgentEventDrop[] = "agent.event_drop";
 inline constexpr char kChaosSiteAgentDupSession[] = "agent.dup_session";
-// Sharded-engine worker faults (osguard::ShardedEngine). Drawn by the
-// coordinator once per flushed shard, in shard-index order, so the draw
-// sequence replays deterministically; the injection itself only perturbs
-// *scheduling* (the watchdog steals the stranded tasks and re-runs them
-// inline), never results — state stays bit-identical to the serial oracle:
-//   shard.worker_stall — the shard's worker sleeps past the watchdog deadline
-//                        before claiming this batch's tasks (decision value in
-//                        (0,1] scales the stall; full deadline x4 when unset)
-//   shard.worker_die   — the shard's worker thread exits before claiming
-inline constexpr char kChaosSiteShardWorkerStall[] = "shard.worker_stall";
-inline constexpr char kChaosSiteShardWorkerDie[] = "shard.worker_die";
-
-// Store retention sites (docs/STORE.md), sampled once per callout boundary on
-// the coordinator — reclamation is itself a boundary-only, coordinator-only
-// mechanism, so injected storms replay identically in serial and sharded runs:
+// Store retention sites (docs/STORE.md), sampled once per callout boundary —
+// reclamation is itself a boundary-only mechanism, so injected storms replay
+// identically:
 //   store.evict_storm  — this boundary reclaims every unpinned idle key in
 //                        governed namespaces regardless of TTL (cardinality
 //                        flood flushing the store)

@@ -194,7 +194,6 @@ Engine::Monitor* Engine::ResolveEntry(const TimerEntry& entry) const {
 }
 
 void Engine::RebuildFunctionIndex() {
-  ++topology_version_;  // invalidates the sharded engine's cached plan
   function_hooks_.clear();
   watch_hooks_.assign(store_->key_count(), {});
   watch_hook_count_ = 0;
@@ -849,8 +848,7 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
   RuleEvalPrep prep;
   if (governor_.enabled()) {
     // Overload ladder first: a shed evaluation must cost nothing, so it
-    // skips even the supervisor gate (identically in serial and sharded
-    // runs — Begin order is hook order in both).
+    // skips even the supervisor gate.
     const GovernorDecision decision =
         governor_.Admit(monitor.guardrail.meta.criticality, ++monitor.gov_attempts,
                         monitor.gov_static_epoch);

@@ -279,13 +279,6 @@ class Engine {
   std::string EncodeReportRing() const;
 
  private:
-  // The sharded engine is a scheduling layer over this engine: it borrows the
-  // monitor table, runs BeginRuleEval / rule execution / FinishRuleEval
-  // itself (rule exec on worker threads, everything else on the coordinator),
-  // and needs the private evaluation surface to do so. See
-  // src/runtime/sharded_engine.h and docs/SHARDING.md.
-  friend class ShardedEngine;
-
   struct Monitor {
     CompiledGuardrail guardrail;
     MonitorStats stats;
@@ -349,12 +342,8 @@ class Engine {
   void Evaluate(Monitor& monitor, SimTime t);
   void EvaluateInner(Monitor& monitor, SimTime t);
 
-  // One rule evaluation, split around the rule-program execution so the
-  // sharded engine can run the execution on a worker thread while keeping
-  // every side effect (stats, supervisor protocol, reports, actions) on the
-  // coordinator in serial order. The serial path is EvaluateInner ==
-  // BeginRuleEval -> execute -> FinishRuleEval, bit-identical to the
-  // pre-split engine.
+  // One rule evaluation in three stages: EvaluateInner == BeginRuleEval
+  // (gate) -> rule-program execution -> FinishRuleEval (verdict).
   struct RuleEvalPrep {
     GateDecision gate = GateDecision::kEvaluate;
     bool skip = false;             // gated off / rollback pending: no eval
@@ -363,9 +352,7 @@ class Engine {
     int64_t budget_deadline_ns = 0;  // absolute wall deadline; 0 = none
   };
   // Gate, rollback check, stats/uptime increments, tier promotion, budget
-  // setup and the chaos budget-exhaust draw. Mutates engine state — must run
-  // on the coordinator, and (in a batch) before any worker starts reading
-  // the store.
+  // setup and the chaos budget-exhaust draw.
   RuleEvalPrep BeginRuleEval(Monitor& monitor, SimTime t);
   // Everything after the rule program ran: wall accounting, supervisor
   // OnEvalResult, the error / satisfied / violation protocol (reports +
@@ -460,10 +447,6 @@ class Engine {
   // (name, generation) of monitors whose probation deploy must roll back.
   std::vector<std::pair<std::string, uint64_t>> pending_rollbacks_;
   EngineStats stats_;
-  // Bumped whenever the monitor topology changes (load / unload / rollback
-  // swap). The sharded engine caches a partition + eligibility plan keyed on
-  // this counter and rebuilds it lazily on mismatch.
-  uint64_t topology_version_ = 0;
 
   // --- Native tier ---
   std::unique_ptr<NativeAot> aot_;  // null unless options_.tier.enabled

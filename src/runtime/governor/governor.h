@@ -22,12 +22,11 @@
 //
 // Determinism contract (docs/GOVERNOR.md): in the default configuration the
 // cost signal is the *evaluation count* and the time base is *simulated*
-// time, so a governed run replays bit-identically and the serial engine
-// remains a valid differential oracle for the sharded engine with the
-// governor on — transitions, shed decisions, and the engine.governor.* store
-// keys are part of the compared state. The optional wall-clock mode
+// time, so a governed run replays bit-identically — transitions, shed
+// decisions, and the engine.governor.* store keys are part of the state the
+// differential tests compare. The optional wall-clock mode
 // (GovernorOptions::wall_cost) keys the cost signal off host nanoseconds and
-// is excluded from differentials, the same discipline as shard telemetry.
+// is excluded from differentials.
 //
 // Off == absent: with `enabled = false` (the default) the engine pays one
 // branch per evaluation and nothing else; no keys are interned, no state

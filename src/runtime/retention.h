@@ -26,11 +26,10 @@
 //                          Save path so ONCHANGE guardrails can react to
 //                          breaches (the quota-exceeded corrective hook).
 //
-// Determinism contract: reclamation runs ONLY at callout boundaries, ONLY on
-// the coordinator (the sharded engine replicates the serial boundary
-// sequence), and is a pure function of simulated state — so serial and
-// sharded runs with retention enabled stay bit-identical, and the chaos
-// sites `store.evict_storm` / `store.quota_breach` replay exactly.
+// Determinism contract: reclamation runs ONLY at callout boundaries and is a
+// pure function of simulated state — so runs with retention enabled replay
+// bit-identically, and the chaos sites `store.evict_storm` /
+// `store.quota_breach` replay exactly.
 //
 // Self-correction: bookkeeping (namespace counts, byte gauges, membership
 // lists) tolerates reclamations it did not perform (agent session teardown
@@ -76,11 +75,15 @@ struct RetentionStats {
   uint64_t stale_tracks_fixed = 0;  // externally reclaimed slots untracked lazily
 };
 
-// Full retention state for the persisted engine image: a panic landing
-// mid-scan must warm-restart with the same cursor, counters, and publish
-// trackers so the post-restore trajectory matches in serial and sharded
-// runs. Membership, stamps, and byte gauges are NOT imaged — they are
-// rebuilt exactly by ResyncAfterRestore from the restored store.
+// Retention state carried by the persisted engine image: a panic landing
+// mid-scan warm-restarts with the same cursor, counters, and publish
+// trackers. Membership, stamps, and byte gauges are NOT imaged, and
+// ResyncAfterRestore rebuilds them only approximately: membership and byte
+// gauges come back from the restored store, but every governed key's
+// last-write stamp becomes the reboot time and the tracking table is sized
+// to the whole slot table. A warm restart with retention on therefore
+// replays deterministically but does not continue the uninterrupted run's
+// reclamation trajectory (docs/STORE.md, docs/PERSIST.md).
 struct RetentionImage {
   uint64_t cursor = 0;
   RetentionStats stats;
@@ -112,9 +115,8 @@ class RetentionManager {
   // tenants into namespaces, and maintains per-namespace key/byte gauges.
   void OnWrite(const StoreWriteInfo& info, const std::string& key, SimTime now);
 
-  // Callout boundary (coordinator only): chaos sampling, incremental TTL
-  // scan, quota enforcement, telemetry publish. The only place reclamation
-  // happens.
+  // Callout boundary: chaos sampling, incremental TTL scan, quota
+  // enforcement, telemetry publish. The only place reclamation happens.
   void RunAtBoundary(SimTime now);
 
   // Places an already-live, unpinned slot under governance (stamped with
@@ -126,15 +128,17 @@ class RetentionManager {
 
   // Eagerly reclaims every governed, unpinned live key with the given
   // prefix (agent session teardown). Returns the number reclaimed. Unlike
-  // boundary reclamation this may run mid-callout, but only from serial
-  // coordinator-side effect paths, so determinism is preserved.
+  // boundary reclamation this may run mid-callout, but only at fixed points
+  // of the event sequence (Kernel::OnSessionEnd), so determinism is
+  // preserved.
   uint64_t ReclaimPrefix(std::string_view prefix);
 
   RetentionImage ExportState() const;
   void RestoreState(const RetentionImage& image);
   // Rebuilds membership, counts, and byte gauges from the restored store and
-  // stamps every tracked slot with `now` (restore time). Deterministic: both
-  // sides of a differential restore the same store and resync identically.
+  // stamps every tracked slot with `now` (restore time). Deterministic: two
+  // restores of the same store resync identically, but the stamps differ
+  // from the crashed run's (see RetentionImage).
   void ResyncAfterRestore(SimTime now);
 
  private:

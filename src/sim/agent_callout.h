@@ -14,8 +14,8 @@
 //
 // Every piece of governance state lives in the feature store, never in
 // kernel RAM: publication is expressed entirely through Save / Increment /
-// Observe, so crash consistency (persist journal) and serial-vs-sharded
-// bit-identity fall out of the existing infrastructure. The governor object
+// Observe, so crash consistency (persist journal) and bit-identical replay
+// fall out of the existing infrastructure. The governor object
 // itself is stateless apart from configuration and chaos site ids, which is
 // what makes Kernel::Reboot's store Reset() safe — there are no cached
 // KeyIds to go stale.

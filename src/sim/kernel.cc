@@ -7,31 +7,11 @@
 
 namespace osguard {
 
-Kernel::Kernel(EngineOptions engine_options, ShardingOptions sharding)
-    : engine_options_(engine_options), sharding_options_(sharding) {
+Kernel::Kernel(EngineOptions engine_options) : engine_options_(engine_options) {
   BuildEngine();
-  BuildSharding();
-}
-
-void Kernel::BuildSharding() {
-  if (sharding_options_.enabled) {
-    sharded_ = std::make_unique<ShardedEngine>(engine_.get(), sharding_options_);
-    if (sharding_options_.telemetry) {
-      // Fold the shard rings' high-water mark into the governor's queue-depth
-      // signal. Ring occupancy depends on flush timing (wall-clock state), so
-      // this wiring rides the telemetry switch: differential runs keep the
-      // pure sim-queue probe and stay bit-identical, production runs let ring
-      // pressure feed the overload ladder.
-      engine_->governor().SetQueueProbe(
-          [this] { return queue_.size() + sharded_->RingHighWaterMark(); });
-    }
-  }
 }
 
 void Kernel::BuildEngine() {
-  // The sharded layer borrows the engine, so it must die before the engine
-  // it is wrapping is replaced.
-  sharded_.reset();
   engine_ = std::make_unique<Engine>(&store_, &registry_, &task_control_shim_, engine_options_);
   // Route store writes to the engine: the retention manager stamps the
   // slot's last-write clock, then ONCHANGE triggers fire.
@@ -88,15 +68,6 @@ void Kernel::Panic() {
 }
 
 Result<RecoveryInfo> Kernel::Reboot() {
-  auto result = RebootInner();
-  // (Re)create the sharded layer only after recovery settled: Restore swaps
-  // the store's slot table wholesale, so telemetry keys interned earlier
-  // would go stale. Interning here reuses the restored ids when present.
-  BuildSharding();
-  return result;
-}
-
-Result<RecoveryInfo> Kernel::RebootInner() {
   panicked_ = false;
   // Honest crash semantics: a rebooted kernel does not remember interning
   // order, monitor generations, or anything else held in RAM.
@@ -153,13 +124,7 @@ AgentAdmitVerdict Kernel::OnToolCall(const agent::ToolCallEvent& event) {
     return AgentAdmitVerdict::kKill;
   }
   const SimTime t = std::max(queue_.now(), event.at);
-  const auto fire_callout = [&] {
-    if (sharded_ != nullptr) {
-      sharded_->OnFunctionCall(kAgentCalloutFunction, t);
-    } else {
-      engine_->OnFunctionCall(kAgentCalloutFunction, t);
-    }
-  };
+  const auto fire_callout = [&] { engine_->OnFunctionCall(kAgentCalloutFunction, t); };
   if (chaos_ != nullptr) {
     // Drop first (a lost event cannot be duplicated). Unarmed sites consume
     // no randomness, preserving the chaos-off == chaos-absent differential.
@@ -201,23 +166,13 @@ void Kernel::Run(SimTime until) {
     if (panicked_) {
       return;
     }
-    AdvanceEngineTo(*deadline);
+    engine_->AdvanceTo(*deadline);
   }
   queue_.RunUntil(until);
   if (panicked_) {
     return;
   }
-  AdvanceEngineTo(until);
-}
-
-void Kernel::AdvanceEngineTo(SimTime t) {
-  // Timer callouts route through the sharded layer (which batches same-
-  // deadline fires) exactly like function callouts do.
-  if (sharded_ != nullptr) {
-    sharded_->AdvanceTo(t);
-  } else {
-    engine_->AdvanceTo(t);
-  }
+  engine_->AdvanceTo(until);
 }
 
 }  // namespace osguard

@@ -25,7 +25,6 @@
 #include "src/chaos/chaos.h"
 #include "src/persist/persist.h"
 #include "src/runtime/engine.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/agent_callout.h"
 #include "src/sim/event_queue.h"
 #include "src/store/feature_store.h"
@@ -34,10 +33,7 @@ namespace osguard {
 
 class Kernel {
  public:
-  // `sharding.enabled` routes FUNCTION callouts through the multi-core
-  // sharded engine (bit-identical outputs; see docs/SHARDING.md). The
-  // sharded layer is rebuilt alongside the engine on Reboot().
-  explicit Kernel(EngineOptions engine_options = {}, ShardingOptions sharding = {});
+  explicit Kernel(EngineOptions engine_options = {});
 
   // Registers the task-control implementation (usually the scheduler) for
   // DEPRIORITIZE. Must be called before guardrails that use A4 fire; the
@@ -96,8 +92,6 @@ class Kernel {
   PolicyRegistry& registry() { return registry_; }
   EventQueue& queue() { return queue_; }
   Engine& engine() { return *engine_; }
-  // Null unless sharding was enabled at construction.
-  ShardedEngine* sharded_engine() { return sharded_.get(); }
   SimTime now() const { return queue_.now(); }
 
   // Loads guardrail specs (DSL source) into the engine. Successfully loaded
@@ -138,11 +132,7 @@ class Kernel {
     if (panicked_) {
       return;
     }
-    if (sharded_ != nullptr) {
-      sharded_->OnFunctionCall(function, queue_.now());
-    } else {
-      engine_->OnFunctionCall(function, queue_.now());
-    }
+    engine_->OnFunctionCall(function, queue_.now());
   }
 
  private:
@@ -162,15 +152,9 @@ class Kernel {
 
   // Builds a fresh engine wired to this kernel's store/registry/task-control
   // and re-attaches chaos + persist. Shared by the constructor and Reboot().
-  // Drops any live sharded layer; BuildSharding() recreates it afterwards.
   void BuildEngine();
-  void BuildSharding();
-  // Timer callout, routed through the sharded layer when one is live.
-  void AdvanceEngineTo(SimTime t);
-  Result<RecoveryInfo> RebootInner();
 
   EngineOptions engine_options_;
-  ShardingOptions sharding_options_;
   FeatureStore store_;
   PolicyRegistry registry_;
   EventQueue queue_;
@@ -179,9 +163,6 @@ class Kernel {
   AgentGovernor agent_governor_{&store_};
   TaskControlShim task_control_shim_;
   std::unique_ptr<Engine> engine_;
-  // Scheduling layer borrowing engine_; declared after it so the workers
-  // join before the engine goes away.
-  std::unique_ptr<ShardedEngine> sharded_;
   ChaosEngine* chaos_ = nullptr;
   PersistManager* persist_ = nullptr;
   std::vector<std::string> guardrail_sources_;

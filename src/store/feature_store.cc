@@ -94,7 +94,6 @@ KeyId FeatureStore::FindLocked(std::string_view key) const {
 
 KeyId FeatureStore::InternKey(std::string_view key) {
   std::lock_guard<std::mutex> lock(mu_);
-  SeqWriteGuard seq(this);
   return InternLocked(key);
 }
 
@@ -141,7 +140,7 @@ bool FeatureStore::IsPinned(KeyId id) const {
 
 uint32_t FeatureStore::GenerationOf(KeyId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return GenerationOfUnlocked(id);
+  return id < slots_.size() ? slots_[id].generation : 0;
 }
 
 bool FeatureStore::IsLive(KeyId id) const {
@@ -164,7 +163,6 @@ Status FeatureStore::ReclaimLocked(KeyId id, StoreMutation* m, bool* capture,
     m->reclaim = true;
     *name = slot.key;  // the slot's copy is cleared below
   }
-  SeqWriteGuard seq(this);
   index_.erase(slot.key);
   // Drop the tenant name too: a dead slot must account (and dump) exactly
   // like a restored dead slot, or byte telemetry diverges across restarts.
@@ -219,7 +217,7 @@ Value FeatureStore::LoadOrTagged(KeyId id, uint32_t gen, Value fallback) const {
     }
     return fallback;
   }
-  return LoadOrUnlocked(id, fallback);
+  return LoadOrLocked(id, fallback);
 }
 
 bool FeatureStore::ContainsTagged(KeyId id, uint32_t gen) const {
@@ -230,7 +228,7 @@ bool FeatureStore::ContainsTagged(KeyId id, uint32_t gen) const {
     }
     return false;
   }
-  return ContainsUnlocked(id);
+  return ContainsLocked(id);
 }
 
 Result<double> FeatureStore::AggregateTagged(KeyId id, uint32_t gen, AggKind kind,
@@ -242,7 +240,7 @@ Result<double> FeatureStore::AggregateTagged(KeyId id, uint32_t gen, AggKind kin
     }
     return NotFoundError("stale or reclaimed slot " + std::to_string(id));
   }
-  return AggregateUnlocked(id, kind, window, now);
+  return AggregateLocked(id, kind, window, now);
 }
 
 uint64_t FeatureStore::approx_bytes() const {
@@ -268,7 +266,6 @@ void FeatureStore::Save(std::string_view key, Value value) {
   StoreMutation m;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SeqWriteGuard seq(this);
     id = InternLocked(key);
     if (capture) {
       m.kind = StoreMutation::Kind::kSave;
@@ -293,7 +290,6 @@ void FeatureStore::Save(KeyId id, Value value) {
     if (!slots_[id].live) {
       return;  // a stale cached id cannot resurrect a reclaimed slot
     }
-    SeqWriteGuard seq(this);
     if (capture) {
       m.kind = StoreMutation::Kind::kSave;
       m.id = id;
@@ -337,10 +333,10 @@ Value FeatureStore::LoadOr(std::string_view key, Value fallback) const {
 
 Value FeatureStore::LoadOr(KeyId id, Value fallback) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return LoadOrUnlocked(id, fallback);
+  return LoadOrLocked(id, fallback);
 }
 
-Value FeatureStore::LoadOrUnlocked(KeyId id, const Value& fallback) const {
+Value FeatureStore::LoadOrLocked(KeyId id, const Value& fallback) const {
   if (id >= slots_.size() || !slots_[id].has_scalar) {
     return fallback;
   }
@@ -355,10 +351,10 @@ bool FeatureStore::Contains(std::string_view key) const {
 
 bool FeatureStore::Contains(KeyId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ContainsUnlocked(id);
+  return ContainsLocked(id);
 }
 
-bool FeatureStore::ContainsUnlocked(KeyId id) const {
+bool FeatureStore::ContainsLocked(KeyId id) const {
   return id < slots_.size() && slots_[id].has_scalar;
 }
 
@@ -370,7 +366,6 @@ Status FeatureStore::Erase(std::string_view key) {
     if (id == kInvalidKeyId || !slots_[id].has_scalar) {
       return NotFoundError("feature store has no key '" + std::string(key) + "'");
     }
-    SeqWriteGuard seq(this);
     slots_[id].has_scalar = false;
     slots_[id].scalar = Value();
     RefreshBytesLocked(slots_[id]);
@@ -390,7 +385,6 @@ double FeatureStore::Increment(std::string_view key, double delta) {
   const bool capture = WantMutations();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SeqWriteGuard seq(this);
     id = InternLocked(key);
     Slot& slot = slots_[id];
     if (slot.has_scalar) {
@@ -420,7 +414,6 @@ double FeatureStore::Increment(KeyId id, double delta) {
     if (!slot.live) {
       return 0.0;  // stale cached id: no resurrection, no observer
     }
-    SeqWriteGuard seq(this);
     if (slot.has_scalar) {
       next += slot.scalar.NumericOr(0.0);
     }
@@ -492,7 +485,6 @@ void FeatureStore::Observe(std::string_view key, SimTime now, double sample) {
   KeyId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SeqWriteGuard seq(this);
     id = InternLocked(key);
     if (slots_[id].series == nullptr) {
       slots_[id].series = std::make_unique<Series>();
@@ -517,7 +509,6 @@ void FeatureStore::Observe(KeyId id, SimTime now, double sample) {
     if (!slots_[id].live) {
       return;  // stale cached id: no resurrection, no observer
     }
-    SeqWriteGuard seq(this);
     if (slots_[id].series == nullptr) {
       slots_[id].series = std::make_unique<Series>();
     }
@@ -539,7 +530,6 @@ void FeatureStore::SetSeriesOptions(std::string_view key, SeriesOptions options)
   KeyId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SeqWriteGuard seq(this);
     id = InternLocked(key);
     if (slots_[id].series == nullptr) {
       slots_[id].series = std::make_unique<Series>();
@@ -594,11 +584,11 @@ WindowRange FindWindow(const Deque& samples, SimTime cutoff, SimTime now) {
 Result<double> FeatureStore::Aggregate(KeyId id, AggKind kind, Duration window,
                                        SimTime now) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return AggregateUnlocked(id, kind, window, now);
+  return AggregateLocked(id, kind, window, now);
 }
 
-Result<double> FeatureStore::AggregateUnlocked(KeyId id, AggKind kind, Duration window,
-                                               SimTime now) const {
+Result<double> FeatureStore::AggregateLocked(KeyId id, AggKind kind, Duration window,
+                                             SimTime now) const {
   const bool empty_ok =
       kind == AggKind::kCount || kind == AggKind::kSum || kind == AggKind::kRate;
   const Series* series = id < slots_.size() ? slots_[id].series.get() : nullptr;
@@ -694,12 +684,7 @@ Result<double> FeatureStore::Aggregate(std::string_view key, AggKind kind, Durat
 Result<double> FeatureStore::AggregateQuantile(KeyId id, double q, Duration window,
                                                SimTime now) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return AggregateQuantileUnlocked(id, q, window, now);
-}
-
-Result<double> FeatureStore::AggregateQuantileUnlocked(KeyId id, double q, Duration window,
-                                                       SimTime now) const {
-  std::vector<double> samples = WindowSamplesUnlocked(id, window, now);
+  std::vector<double> samples = WindowSamplesLocked(id, window, now);
   if (samples.empty()) {
     return NotFoundError("window for slot " + std::to_string(id) + " is empty");
   }
@@ -717,11 +702,11 @@ Result<double> FeatureStore::AggregateQuantile(std::string_view key, double q, D
 
 std::vector<double> FeatureStore::WindowSamples(KeyId id, Duration window, SimTime now) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return WindowSamplesUnlocked(id, window, now);
+  return WindowSamplesLocked(id, window, now);
 }
 
-std::vector<double> FeatureStore::WindowSamplesUnlocked(KeyId id, Duration window,
-                                                        SimTime now) const {
+std::vector<double> FeatureStore::WindowSamplesLocked(KeyId id, Duration window,
+                                                      SimTime now) const {
   std::vector<double> out;
   const Series* series = id < slots_.size() ? slots_[id].series.get() : nullptr;
   if (series == nullptr) {
@@ -786,7 +771,6 @@ std::vector<std::string> FeatureStore::ScalarKeys() const {
 
 void FeatureStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  SeqWriteGuard seq(this);
   for (Slot& slot : slots_) {
     slot.has_scalar = false;
     slot.scalar = Value();
@@ -811,7 +795,6 @@ void FeatureStore::Clear() {
 
 void FeatureStore::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  SeqWriteGuard seq(this);
   slots_.clear();
   index_.clear();
   free_slots_.clear();
@@ -868,7 +851,6 @@ std::vector<StoreSlotDump> FeatureStore::DumpSlots() const {
 
 void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
   std::lock_guard<std::mutex> lock(mu_);
-  SeqWriteGuard seq(this);
   // Positional restore: dump index i describes slot i. This preserves the
   // generation map, so a monitor's (id, generation) tag minted before a
   // snapshot reads identically after warm restart.
@@ -936,58 +918,6 @@ void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
     (void)rank;
     free_slots_.push_back(id);
   }
-}
-
-// --- ReadView (epoch-validated lock-free reads) ---
-
-FeatureStore::ReadView::ReadView(const FeatureStore* store) : store_(store) {
-  key_count_ = store_->key_count();
-}
-
-// Seqlock read recipe: sample the epoch (acquire), bail if a write is in
-// flight (odd), run the read body, then re-sample — an acquire fence keeps
-// the body's loads from sinking below the second sample. A stable even pair
-// means no write overlapped. The bounded loop + mutex fallback means a
-// protocol violation degrades to a locked read rather than a livelock.
-template <typename Fn>
-auto FeatureStore::ReadView::Validated(Fn&& fn) const {
-  constexpr int kMaxAttempts = 8;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const uint64_t e1 = store_->epoch_.load(std::memory_order_acquire);
-    if ((e1 & 1) == 0) {
-      auto result = fn();
-      std::atomic_thread_fence(std::memory_order_acquire);
-      const uint64_t e2 = store_->epoch_.load(std::memory_order_relaxed);
-      if (e1 == e2) {
-        return result;
-      }
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(store_->mu_);
-  return fn();
-}
-
-Value FeatureStore::ReadView::LoadOr(KeyId id, const Value& fallback) const {
-  return Validated([&] { return store_->LoadOrUnlocked(id, fallback); });
-}
-
-bool FeatureStore::ReadView::Contains(KeyId id) const {
-  return Validated([&] { return store_->ContainsUnlocked(id); });
-}
-
-uint32_t FeatureStore::ReadView::GenerationOf(KeyId id) const {
-  return Validated([&] { return store_->GenerationOfUnlocked(id); });
-}
-
-Result<double> FeatureStore::ReadView::Aggregate(KeyId id, AggKind kind, Duration window,
-                                                 SimTime now) const {
-  return Validated([&] { return store_->AggregateUnlocked(id, kind, window, now); });
-}
-
-Result<double> FeatureStore::ReadView::AggregateQuantile(KeyId id, double q, Duration window,
-                                                         SimTime now) const {
-  return Validated([&] { return store_->AggregateQuantileUnlocked(id, q, window, now); });
 }
 
 }  // namespace osguard

@@ -23,12 +23,6 @@
 // the store would be per-CPU sharded; a single lock is faithful enough for a
 // simulator and keeps the semantics (strict serializability of SAVE/LOAD)
 // simple to reason about.
-//
-// The sharded engine adds one refinement on top of the mutex: an epoch
-// counter (seqlock discipline) that every write path bumps twice — odd while
-// a mutation is in flight, even when quiescent. ReadView exploits it for
-// lock-free reads during the engine's writer-quiescent drain phases; see the
-// class comment below and docs/SHARDING.md for the protocol.
 
 #ifndef SRC_STORE_FEATURE_STORE_H_
 #define SRC_STORE_FEATURE_STORE_H_
@@ -352,63 +346,6 @@ class FeatureStore {
   // untouched. Observers do not fire.
   void RestoreSlots(const std::vector<StoreSlotDump>& dump);
 
-  // --- Epoch snapshot publication (sharded engine) ---
-
-  // Write-epoch counter: even = quiescent, odd = a mutation is in flight.
-  // Every mutating method bumps it twice (under the mutex, with seqlock
-  // ordering), so a reader that observes the same even value before and
-  // after a read knows no write overlapped it.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  // Lock-free read-only view over interned slots, for the sharded engine's
-  // worker threads. Only the KeyId fast paths are exposed — a parallel rule
-  // has every store call pre-resolved to a slot id at load time.
-  //
-  // Protocol contract: a ReadView is only meaningful while the store is
-  // writer-quiescent (the sharded engine's batch-drain phase — the
-  // coordinator enqueues, kicks the workers, and touches the store again
-  // only after the completion barrier; the ring publish / barrier edges
-  // provide the cross-thread happens-before). The epoch validation converts
-  // a protocol violation (a write slipping into a drain phase) into a
-  // bounded retry and then a mutex-guarded fallback read instead of a torn
-  // result. Results are bit-identical to the locked accessors.
-  class ReadView {
-   public:
-    explicit ReadView(const FeatureStore* store);
-
-    // Slot-id space captured at construction; ids >= key_count() were not
-    // interned when the view was taken.
-    size_t key_count() const { return key_count_; }
-    // Re-stamps the slot-id space without touching the store: the sharded
-    // coordinator reads key_count() once per batch (while quiescent) and
-    // hands it to the workers through their tasks, so the per-eval hot path
-    // never takes the store mutex.
-    void set_key_count(size_t n) { key_count_ = n; }
-
-    Value LoadOr(KeyId id, const Value& fallback) const;
-    bool Contains(KeyId id) const;
-    Result<double> Aggregate(KeyId id, AggKind kind, Duration window, SimTime now) const;
-    Result<double> AggregateQuantile(KeyId id, double q, Duration window,
-                                     SimTime now) const;
-    // Slot generation under the same epoch validation — the sharded engine
-    // checks pre-resolved slots against their load-time generation before
-    // trusting a keyed fast path (a reclaimed/recycled slot falls back to
-    // the by-name slow path, which is correct by construction).
-    uint32_t GenerationOf(KeyId id) const;
-
-    // Epoch-validation failures observed through this view (telemetry; 0 in
-    // a correctly quiescent drain phase).
-    uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
-
-   private:
-    template <typename Fn>
-    auto Validated(Fn&& fn) const;
-
-    const FeatureStore* store_;
-    size_t key_count_ = 0;
-    mutable std::atomic<uint64_t> retries_{0};
-  };
-
  private:
   struct Sample {
     SimTime time;
@@ -464,37 +401,13 @@ class FeatureStore {
   // slot's own copy is wiped as part of the reclaim).
   Status ReclaimLocked(KeyId id, StoreMutation* m, bool* capture, std::string* name);
 
-  // RAII seqlock write section: constructor bumps epoch_ to odd (release
-  // after the store so prior slot writes aren't reordered past the "write in
-  // flight" mark... the important edge is the *second* bump), destructor
-  // bumps it back to even with release so the mutation is fully visible
-  // before the epoch reads even again. Must be held while mu_ is held.
-  class SeqWriteGuard {
-   public:
-    explicit SeqWriteGuard(const FeatureStore* store) : store_(store) {
-      store_->epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~SeqWriteGuard() { store_->epoch_.fetch_add(1, std::memory_order_release); }
-    SeqWriteGuard(const SeqWriteGuard&) = delete;
-    SeqWriteGuard& operator=(const SeqWriteGuard&) = delete;
-
-   private:
-    const FeatureStore* store_;
-  };
-
-  // Read bodies shared by the mutex-guarded public accessors and ReadView's
-  // epoch-validated lock-free path. Callers must hold mu_ *or* be inside a
-  // ReadView validation loop.
-  Value LoadOrUnlocked(KeyId id, const Value& fallback) const;
-  bool ContainsUnlocked(KeyId id) const;
-  uint32_t GenerationOfUnlocked(KeyId id) const {
-    return id < slots_.size() ? slots_[id].generation : 0;
-  }
-  Result<double> AggregateUnlocked(KeyId id, AggKind kind, Duration window,
-                                   SimTime now) const;
-  std::vector<double> WindowSamplesUnlocked(KeyId id, Duration window, SimTime now) const;
-  Result<double> AggregateQuantileUnlocked(KeyId id, double q, Duration window,
-                                           SimTime now) const;
+  // Read bodies shared by the KeyId accessors and their generation-tagged
+  // variants. Callers must hold mu_.
+  Value LoadOrLocked(KeyId id, const Value& fallback) const;
+  bool ContainsLocked(KeyId id) const;
+  Result<double> AggregateLocked(KeyId id, AggKind kind, Duration window,
+                                 SimTime now) const;
+  std::vector<double> WindowSamplesLocked(KeyId id, Duration window, SimTime now) const;
   void NotifyWrite(KeyId id) const {
     if (observer_ && !observers_suppressed_) {
       const Slot& slot = slots_[id];
@@ -517,15 +430,12 @@ class FeatureStore {
   }
 
   mutable std::mutex mu_;
-  // Seqlock write epoch (see epoch() above). Mutated only under mu_, so
-  // writers never race each other; readers are ReadView's validation loops.
-  mutable std::atomic<uint64_t> epoch_{0};
   // deque: slots never move, so KeyName() references and the observer's key
   // strings stay valid across interning.
   std::deque<Slot> slots_;
   std::unordered_map<std::string, KeyId, TransparentStringHash, std::equal_to<>> index_;
   // Freed slots awaiting recycling, LIFO. Order is deterministic (reclaims
-  // happen at coordinator callout boundaries) and survives snapshots via
+  // happen at callout boundaries) and survives snapshots via
   // StoreSlotDump::free_rank, so warm restarts recycle identically.
   std::vector<KeyId> free_slots_;
   uint64_t approx_bytes_ = 0;  // incremental total of Slot::bytes

@@ -110,15 +110,6 @@ struct GuardHealth {
   KeyId state_key = kInvalidKeyId;
   KeyId health_key = kInvalidKeyId;
   KeyId cost_key = kInvalidKeyId;
-
-  // Shard owning this guardrail's rule evaluations when the sharded engine
-  // is active (0 otherwise). Observability only: it is set by the sharded
-  // engine's partitioner, is NOT part of the persisted image and is NOT
-  // exported to the store, so serial and sharded runs stay bit-identical.
-  // Quarantine isolation is structural — an open breaker skips the monitor
-  // at the gate, so its shard simply receives fewer tasks while every other
-  // shard keeps draining at full rate (pinned by tests/shard_test.cc).
-  uint32_t shard_id = 0;
 };
 
 // Supervisor-wide counters.

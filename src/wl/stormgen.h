@@ -6,7 +6,7 @@
 // path, a stampede of clients, a tracing bug). Arrivals are Poisson within
 // each phase, so the trace has realistic gap jitter while remaining a pure
 // function of (options, seed, start) — the differential campaigns replay it
-// bit-identically on the serial and sharded engines.
+// bit-identically on every run.
 //
 // The trace is just timestamps + phase tags; the consumer drives
 // Kernel::Callout with them (bench/ext12_overload_governor, the governor

@@ -1,33 +1,19 @@
-// Differential campaign for the agent callout path (docs/AGENT.md): the
-// serial engine is the oracle; the sharded engine and the panic+warm-restart
-// protocol must reproduce its observable state byte for byte. Each seed
-// derives a bursty multi-session tool-call workload (src/wl/sessiongen),
-// drives it through Kernel::OnToolCall on two kernels, and compares feature
-// store + report ring + engine image via the persist codec — the same
-// oracle shard_diff_test and persist_test use.
+// Warm-restart differential for the agent callout path (docs/AGENT.md): a
+// kernel that panics mid-trace and warm-restarts must end in the same
+// observable state as an uninterrupted run of the same seed. Each seed
+// derives a bursty multi-session tool-call workload (src/wl/sessiongen)
+// under the shipped ONCHANGE governance specs (deny/throttle/kill corrective
+// loops), drives it through Kernel::OnToolCall on two journaled kernels, and
+// compares feature store + report ring + engine image via the persist codec
+// — the same oracle persist_test uses.
 //
-// 1000 seeds per run, split across four regimes:
-//   * 400 clean seeds        (FUNCTION-only agent specs: the parallel path —
-//                             the campaign asserts parallel evals happened)
-//   * 300 chaos seeds        (agent.event_drop, agent.dup_session,
-//                             engine.callout_drop/delay armed)
-//   * 200 governance seeds   (the shipped ONCHANGE specs: deny/throttle/
-//                             kill corrective loops; the key-scoped
-//                             classifier keeps the FUNCTION monitors on
-//                             workers — their reads are disjoint from the
-//                             cascades' agent.ctl.* writes — and the
-//                             campaign asserts the parallel path stayed hot
-//                             with a >= 50% worker-eval fraction on the
-//                             governance + watch-monitor mix)
-//   * 100 persist seeds      (mid-trace panic + warm restart on both sides)
-// OSGUARD_CHAOS_SEED offsets the seed base so CI matrices explore fresh
-// seeds without code changes.
+// 100 seeds per run. OSGUARD_CHAOS_SEED offsets the seed base so CI matrices
+// explore fresh seeds without code changes.
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -35,9 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/harness.h"
-#include "src/chaos/chaos.h"
 #include "src/persist/persist.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/kernel.h"
 #include "src/support/logging.h"
 #include "src/support/rng.h"
@@ -64,51 +48,6 @@ std::string GovernanceSpec() {
   return buffer.str();
 }
 
-// Pure-read FUNCTION monitors over the agent feature keys: no ONCHANGE, no
-// rule writes, no dynamic keys — fully parallel-eligible, so this spec set
-// exercises the sharded fan-out on the OnToolCall path.
-constexpr char kFunctionOnlySpec[] = R"(
-  guardrail agent-flood-watch {
-    trigger: { FUNCTION(agent.tool_call) },
-    rule: { RATE(agent.calls.stream, 500ms) <= 150 },
-    action: { REPORT("agent call storm") }
-  }
-  guardrail agent-exec-watch {
-    trigger: { FUNCTION(agent.tool_call) },
-    rule: { LOAD_OR(agent.calls.exec, 0) <= 5 },
-    action: { REPORT("exec heavy") }
-  }
-  guardrail agent-taint-watch {
-    trigger: { FUNCTION(agent.tool_call) },
-    rule: { LOAD_OR(agent.taint.net_after_secret, 0) <= 0 },
-    action: { REPORT("exfiltration observed") }
-  }
-  guardrail agent-session-watch {
-    trigger: { FUNCTION(agent.tool_call) },
-    rule: { LOAD_OR(agent.rate.current, 0) <= 40 },
-    action: { REPORT("session storm") }
-  }
-)";
-
-constexpr char kAgentChaosSpec[] = R"(
-  chaos {
-    site agent.event_drop { mode = bernoulli, p = 0.1 },
-    site agent.dup_session { mode = bernoulli, p = 0.08 },
-    site engine.callout_drop { mode = bernoulli, p = 0.05 },
-    site engine.callout_delay { mode = bernoulli, p = 0.05, latency = 2ms }
-  }
-)";
-
-struct RunConfig {
-  bool sharded = false;
-  size_t shards = 3;
-  bool governance_specs = false;     // shipped ONCHANGE specs vs FUNCTION-only
-  bool mix_function_specs = false;   // add the FUNCTION-only watch monitors too
-  const char* chaos_spec = nullptr;  // extra source arming chaos sites
-  bool reboot = false;               // panic + warm restart mid-trace
-  std::string persist_dir;           // set iff reboot
-};
-
 // Per-seed workload shape: every parameter the generator exposes is varied
 // so the campaign sweeps arrival rates, burst tails, and tool mixes.
 SessionWorkloadOptions WorkloadFor(uint64_t seed) {
@@ -127,52 +66,26 @@ SessionWorkloadOptions WorkloadFor(uint64_t seed) {
   return options;
 }
 
-std::string RunWorkload(uint64_t seed, const RunConfig& config,
-                        ShardedStats* stats_out = nullptr,
-                        uint64_t* total_evals_out = nullptr) {
+// Drives the seed's trace through a kernel journaled into `persist_dir` and
+// returns the wire-encoded observable state. With `reboot`, the kernel
+// delivers half the trace, panics, warm-restarts, and resumes at the same
+// event index. Every OnToolCall commits a journal frame, so recovery
+// restores the state as of the last delivered event.
+std::string RunWorkload(uint64_t seed, const std::string& persist_dir, bool reboot) {
   EngineOptions engine_options;
   engine_options.measure_wall_time = false;
-  ShardingOptions sharding;
-  sharding.enabled = config.sharded;
-  sharding.shards = config.shards;
-  sharding.telemetry = false;
-  Kernel kernel(engine_options, sharding);
-
-  ChaosEngine chaos(seed);
-  if (config.chaos_spec != nullptr) {
-    kernel.AttachChaos(&chaos);
-  }
-  std::unique_ptr<PersistManager> persist;
-  if (config.reboot) {
-    PersistOptions persist_options;
-    persist_options.dir = config.persist_dir;
-    persist = std::make_unique<PersistManager>(persist_options);
-    kernel.AttachPersist(persist.get());
-  }
-  EXPECT_TRUE(kernel
-                  .LoadGuardrails(config.governance_specs
-                                      ? GovernanceSpec()
-                                      : std::string(kFunctionOnlySpec))
-                  .ok());
-  if (config.governance_specs && config.mix_function_specs) {
-    EXPECT_TRUE(kernel.LoadGuardrails(kFunctionOnlySpec).ok());
-  }
-  if (config.chaos_spec != nullptr) {
-    EXPECT_TRUE(kernel.LoadGuardrails(config.chaos_spec).ok());
-  }
-  if (persist != nullptr) {
-    EXPECT_TRUE(persist->Open().ok());
-  }
+  Kernel kernel(engine_options);
+  PersistOptions persist_options;
+  persist_options.dir = persist_dir;
+  PersistManager persist(persist_options);
+  kernel.AttachPersist(&persist);
+  EXPECT_TRUE(kernel.LoadGuardrails(GovernanceSpec()).ok());
+  EXPECT_TRUE(persist.Open().ok());
 
   const agent::Harness harness(WorkloadFor(seed), seed);
-  if (config.reboot) {
-    // Crash protocol: deliver half the trace, panic, warm-restart, resume at
-    // the same event index. Every OnToolCall commits a journal frame, so
-    // recovery restores the state as of the last delivered event; serial and
-    // sharded kernels crash at the same index and must land on the same
-    // bytes.
-    const size_t half = harness.events().size() / 2;
-    const std::span<const agent::ToolCallEvent> events(harness.events());
+  const std::span<const agent::ToolCallEvent> events(harness.events());
+  if (reboot) {
+    const size_t half = events.size() / 2;
     agent::ReplayTrace(kernel, events.first(half));
     kernel.Panic();
     auto recovery = kernel.Reboot();
@@ -182,15 +95,9 @@ std::string RunWorkload(uint64_t seed, const RunConfig& config,
     }
     agent::ReplayTrace(kernel, events, half);
   } else {
-    harness.Drive(kernel);
+    agent::ReplayTrace(kernel, events);
   }
 
-  if (stats_out != nullptr && kernel.sharded_engine() != nullptr) {
-    *stats_out = kernel.sharded_engine()->stats();
-  }
-  if (total_evals_out != nullptr) {
-    *total_evals_out = kernel.engine().stats().evaluations;
-  }
   Snapshot snapshot;
   snapshot.store = kernel.store().DumpSlots();
   snapshot.report_ring = kernel.engine().EncodeReportRing();
@@ -210,106 +117,22 @@ class AgentDiffTest : public ::testing::Test {
   }
 };
 
-TEST_F(AgentDiffTest, CleanSeedsSerialVsSharded) {
-  const uint64_t base = SeedBase();
-  uint64_t parallel_evals = 0;
-  for (uint64_t i = 0; i < 400; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    RunConfig sharded;
-    sharded.sharded = true;
-    ShardedStats stats;
-    const std::string expect = RunWorkload(seed, serial);
-    const std::string actual = RunWorkload(seed, sharded, &stats);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    parallel_evals += stats.parallel_evals;
-  }
-  // The equivalence is only meaningful if the agent callout actually took
-  // the parallel path (FUNCTION-only monitors are batch-eligible).
-  EXPECT_GT(parallel_evals, 0u);
-}
-
-TEST_F(AgentDiffTest, ChaosArmedSeeds) {
-  const uint64_t base = SeedBase() + 0x50000;
-  for (uint64_t i = 0; i < 300; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.chaos_spec = kAgentChaosSpec;
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    ASSERT_EQ(RunWorkload(seed, serial), RunWorkload(seed, sharded))
-        << "seed=" << seed;
-  }
-}
-
-TEST_F(AgentDiffTest, GovernanceSpecSeedsKeyScopedParallel) {
-  const uint64_t base = SeedBase() + 0x60000;
-  uint64_t parallel_evals = 0;
-  uint64_t serial_callouts = 0;
-  uint64_t total_evals = 0;
-  for (uint64_t i = 0; i < 200; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.governance_specs = true;
-    serial.mix_function_specs = true;
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    ShardedStats stats;
-    uint64_t evals = 0;
-    const std::string expect = RunWorkload(seed, serial);
-    const std::string actual = RunWorkload(seed, sharded, &stats, &evals);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    parallel_evals += stats.parallel_evals;
-    serial_callouts += stats.serial_callouts;
-    total_evals += evals;
-  }
-  // The ONCHANGE governance monitors used to force the whole-callout serial
-  // fallback. The key-scoped classifier sees their cascades write only
-  // agent.ctl.* — disjoint from every FUNCTION rule's reads — so the watch
-  // monitors stay on workers even with the corrective loops live, and the
-  // callouts never drop to global serial (the ONCHANGE evals themselves
-  // replay inline on external writes, exactly as the serial oracle runs
-  // them).
-  EXPECT_EQ(serial_callouts, 0u);
-  ASSERT_GT(total_evals, 0u);
-  const double worker_fraction =
-      static_cast<double>(parallel_evals) / static_cast<double>(total_evals);
-  EXPECT_GE(worker_fraction, 0.5) << "parallel=" << parallel_evals
-                                  << " total=" << total_evals;
-}
-
 TEST_F(AgentDiffTest, PersistWarmRestartSeeds) {
   const uint64_t base = SeedBase() + 0x80000;
-  const fs::path serial_dir = FreshDir("serial");
-  const fs::path sharded_dir = FreshDir("sharded");
+  const fs::path reference_dir = FreshDir("reference");
+  const fs::path restart_dir = FreshDir("restart");
   for (uint64_t i = 0; i < 100; ++i) {
     const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.governance_specs = true;
-    serial.reboot = true;
-    serial.persist_dir = (serial_dir / std::to_string(seed)).string();
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    sharded.persist_dir = (sharded_dir / std::to_string(seed)).string();
-    fs::create_directories(serial.persist_dir);
-    fs::create_directories(sharded.persist_dir);
-    ASSERT_EQ(RunWorkload(seed, serial), RunWorkload(seed, sharded))
+    const fs::path reference = reference_dir / std::to_string(seed);
+    const fs::path restart = restart_dir / std::to_string(seed);
+    fs::create_directories(reference);
+    fs::create_directories(restart);
+    ASSERT_EQ(RunWorkload(seed, reference.string(), /*reboot=*/false),
+              RunWorkload(seed, restart.string(), /*reboot=*/true))
         << "seed=" << seed;
   }
-  fs::remove_all(serial_dir);
-  fs::remove_all(sharded_dir);
-}
-
-TEST_F(AgentDiffTest, ShardWidthSweep) {
-  const uint64_t seed = SeedBase() + 0x70000;
-  RunConfig serial;
-  const std::string expect = RunWorkload(seed, serial);
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    RunConfig config;
-    config.sharded = true;
-    config.shards = shards;
-    ASSERT_EQ(expect, RunWorkload(seed, config)) << "shards=" << shards;
-  }
+  fs::remove_all(reference_dir);
+  fs::remove_all(restart_dir);
 }
 
 }  // namespace

@@ -1,43 +1,28 @@
-// Differential replay for the overload governor and the shard-worker
-// watchdog: the serial engine is the oracle, the sharded engine must stay
-// bit-identical while workers are stalled, killed, quarantined, respawned,
-// and re-admitted underneath it. Each seed drives the same storm-shaped
-// workload (osguard::wl::StormGenerator) through two kernels and compares
-// the full observable state (store slots, report ring, engine image —
-// including the governor ladder) byte for byte via the persist codec.
+// Warm-restart differential for the overload governor (docs/GOVERNOR.md):
+// a governed kernel that panics mid-storm and warm-restarts must end in the
+// same observable state as an uninterrupted run of the same seed. The panic
+// typically lands mid-ladder, so the restart must resume the same rung,
+// stride positions, and pinned fail-static episodes. Each seed drives a
+// storm-shaped workload (osguard::wl::StormGenerator) through two journaled
+// kernels and compares the full observable state (store slots, report ring,
+// engine image — including the governor ladder) byte for byte via the
+// persist codec. The governor runs on simulated-time signals only
+// (measure_wall_time = false), so its transitions replay bit-identically.
 //
-// The campaign covers 1000 seeds per run, split across five regimes:
-//   * 300 storm seeds        (governor walks the ladder up and back down)
-//   * 250 worker-stall seeds (chaos-stalled workers, watchdog steals)
-//   * 250 worker-die seeds   (chaos-killed workers, respawn + re-admission)
-//   * 150 restart seeds      (panic + warm restart mid-storm: the ladder
-//                             state, stride positions, and pinned episodes
-//                             must resume identically)
-//   *  50 combined seeds     (storm + stall + death at once)
-// OSGUARD_CHAOS_SEED offsets the seed base so CI matrices explore fresh
-// seeds without code changes.
-//
-// Watchdog events are wall-clock scheduling decisions, which is exactly why
-// they may not leak into the observable state: a stolen task re-runs the
-// same pure rule against the same sealed batch, so WHERE it ran is the only
-// difference. The comparisons here are the proof. The governor, in turn,
-// runs on simulated-time signals only (measure_wall_time = false), so its
-// transitions replay bit-identically on both engines.
+// 150 seeds per run. OSGUARD_CHAOS_SEED offsets the seed base so CI matrices
+// explore fresh seeds without code changes.
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/chaos/chaos.h"
 #include "src/persist/persist.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/governor/governor.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/kernel.h"
 #include "src/store/feature_store.h"
 #include "src/support/logging.h"
@@ -55,9 +40,9 @@ uint64_t SeedBase() {
   return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 0;
 }
 
-// Criticality-rich spec: four parallel-eligible rules (so batches exist to
-// steal), a serial-classified monitor (reads a key the actions write), a
-// windowed aggregate, and a TIMER monitor for the AdvanceTo path.
+// Criticality-rich spec: pure-read rules in all three tiers, a monitor that
+// reads a key another monitor's action writes, a windowed aggregate, and a
+// TIMER monitor for the AdvanceTo path.
 constexpr char kGovDiffSpec[] = R"(
   guardrail crit_gate {
     trigger: { FUNCTION(hot_path) },
@@ -101,29 +86,6 @@ constexpr char kGovDiffSpec[] = R"(
   }
 )";
 
-constexpr char kStallChaos[] = R"(
-  chaos { site shard.worker_stall { mode = bernoulli, p = 0.1, value = 1.0 } }
-)";
-
-constexpr char kDieChaos[] = R"(
-  chaos { site shard.worker_die { mode = bernoulli, p = 0.1 } }
-)";
-
-constexpr char kCombinedChaos[] = R"(
-  chaos {
-    site shard.worker_stall { mode = bernoulli, p = 0.08, value = 1.0 },
-    site shard.worker_die { mode = bernoulli, p = 0.08 }
-  }
-)";
-
-struct RunConfig {
-  bool sharded = false;
-  size_t shards = 2;
-  const char* chaos_spec = nullptr;  // extra source arming chaos sites
-  bool reboot = false;               // panic + warm restart at mid-trace
-  std::string persist_dir;           // set iff reboot
-};
-
 // Governor tuned so realistic storm rates actually walk the ladder.
 EngineOptions GovDiffEngineOptions() {
   EngineOptions options;
@@ -154,46 +116,25 @@ StormWorkloadOptions StormFor(uint64_t seed) {
   return options;
 }
 
-// Runs the (seed, config) storm to completion and returns the wire-encoded
-// observable state. Everything the workload does is derived from `seed`, so
-// serial and sharded runs of the same seed see identical inputs.
-std::string RunStorm(uint64_t seed, const RunConfig& config,
-                     ShardedStats* stats_out = nullptr,
+// Runs the seed's storm to completion through a kernel journaled into
+// `persist_dir` and returns the wire-encoded observable state. Everything the
+// workload does is derived from `seed`, so both runs of a seed see identical
+// inputs. With `reboot`, the kernel panics and warm-restarts half-way
+// through the storm.
+std::string RunStorm(uint64_t seed, const std::string& persist_dir, bool reboot,
                      GovernorStats* gov_out = nullptr) {
-  ShardingOptions sharding;
-  sharding.enabled = config.sharded;
-  sharding.shards = config.shards;
-  sharding.telemetry = false;
-  // Short deadline so injected stalls/deaths are caught quickly; a clean
-  // worker finishes a batch in microseconds, far inside it.
-  sharding.watchdog_ns = Milliseconds(2);
-  sharding.probe_batches = 2;
-  sharding.probe_every = 2;
-  Kernel kernel(GovDiffEngineOptions(), sharding);
-
-  ChaosEngine chaos(seed);
-  if (config.chaos_spec != nullptr) {
-    kernel.AttachChaos(&chaos);
-  }
-  std::unique_ptr<PersistManager> persist;
-  if (config.reboot) {
-    PersistOptions persist_options;
-    persist_options.dir = config.persist_dir;
-    persist = std::make_unique<PersistManager>(persist_options);
-    kernel.AttachPersist(persist.get());
-  }
+  Kernel kernel(GovDiffEngineOptions());
+  PersistOptions persist_options;
+  persist_options.dir = persist_dir;
+  PersistManager persist(persist_options);
+  kernel.AttachPersist(&persist);
   EXPECT_TRUE(kernel.LoadGuardrails(kGovDiffSpec).ok());
-  if (config.chaos_spec != nullptr) {
-    EXPECT_TRUE(kernel.LoadGuardrails(config.chaos_spec).ok());
-  }
-  if (persist != nullptr) {
-    EXPECT_TRUE(persist->Open().ok());
-  }
+  EXPECT_TRUE(persist.Open().ok());
 
   StormGenerator generator(StormFor(seed), seed);
   const std::vector<StormEvent> events = generator.Generate(Milliseconds(1));
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 5);
-  const size_t panic_at = config.reboot ? events.size() / 2 : events.size() + 1;
+  const size_t panic_at = reboot ? events.size() / 2 : events.size() + 1;
   for (size_t i = 0; i < events.size(); ++i) {
     const StormEvent& event = events[i];
     kernel.Run(event.at);
@@ -217,7 +158,7 @@ std::string RunStorm(uint64_t seed, const RunConfig& config,
     if (i == panic_at) {
       // Crash mid-storm: the governor is typically mid-ladder here, so the
       // warm restart must resume the same rung, stride positions, and
-      // pinned fail-static episodes on both engines.
+      // pinned fail-static episodes as the uninterrupted run.
       kernel.Panic();
       auto recovery = kernel.Reboot();
       EXPECT_TRUE(recovery.ok());
@@ -227,9 +168,6 @@ std::string RunStorm(uint64_t seed, const RunConfig& config,
     }
   }
 
-  if (stats_out != nullptr && kernel.sharded_engine() != nullptr) {
-    *stats_out = kernel.sharded_engine()->stats();
-  }
   if (gov_out != nullptr) {
     *gov_out = kernel.engine().governor().stats();
   }
@@ -252,110 +190,30 @@ class GovernorDiffTest : public ::testing::Test {
   }
 };
 
-TEST_F(GovernorDiffTest, StormSeeds) {
-  const uint64_t base = SeedBase();
-  uint64_t parallel_evals = 0;
+TEST_F(GovernorDiffTest, PanicWarmRestartSeeds) {
+  const uint64_t base = SeedBase() + 0x70000;
+  const fs::path reference_dir = FreshDir("reference");
+  const fs::path restart_dir = FreshDir("restart");
   uint64_t transitions = 0;
   uint64_t critical_sheds = 0;
-  for (uint64_t i = 0; i < 300; ++i) {
+  for (uint64_t i = 0; i < 150; ++i) {
     const uint64_t seed = base + i;
-    RunConfig serial;
-    RunConfig sharded;
-    sharded.sharded = true;
-    ShardedStats stats;
+    const fs::path reference = reference_dir / std::to_string(seed);
+    const fs::path restart = restart_dir / std::to_string(seed);
+    fs::create_directories(reference);
+    fs::create_directories(restart);
     GovernorStats gov;
-    const std::string expect = RunStorm(seed, serial);
-    const std::string actual = RunStorm(seed, sharded, &stats, &gov);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    parallel_evals += stats.parallel_evals;
+    const std::string expect = RunStorm(seed, reference.string(), /*reboot=*/false, &gov);
+    ASSERT_EQ(expect, RunStorm(seed, restart.string(), /*reboot=*/true)) << "seed=" << seed;
     transitions += gov.transitions;
     critical_sheds += gov.critical_sheds;
   }
-  // The equivalence is only meaningful if the sharded runs actually took the
-  // parallel path and the governor actually moved.
-  EXPECT_GT(parallel_evals, 0u);
+  // The comparison is only meaningful if the governor actually moved, and a
+  // critical monitor is never shed.
   EXPECT_GT(transitions, 0u);
   EXPECT_EQ(critical_sheds, 0u);
-}
-
-TEST_F(GovernorDiffTest, WorkerStallSeeds) {
-  const uint64_t base = SeedBase() + 0x50000;
-  uint64_t timeouts = 0;
-  uint64_t stolen = 0;
-  for (uint64_t i = 0; i < 250; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.chaos_spec = kStallChaos;
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    ShardedStats stats;
-    const std::string expect = RunStorm(seed, serial);
-    const std::string actual = RunStorm(seed, sharded, &stats);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    timeouts += stats.watchdog_timeouts;
-    stolen += stats.stolen_evals;
-  }
-  EXPECT_GT(timeouts, 0u);
-  EXPECT_GT(stolen, 0u);
-}
-
-TEST_F(GovernorDiffTest, WorkerDeathSeeds) {
-  const uint64_t base = SeedBase() + 0x60000;
-  uint64_t respawns = 0;
-  uint64_t readmissions = 0;
-  for (uint64_t i = 0; i < 250; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.chaos_spec = kDieChaos;
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    ShardedStats stats;
-    const std::string expect = RunStorm(seed, serial);
-    const std::string actual = RunStorm(seed, sharded, &stats);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    respawns += stats.worker_respawns;
-    readmissions += stats.readmissions;
-  }
-  EXPECT_GT(respawns, 0u);
-  EXPECT_GT(readmissions, 0u);
-}
-
-TEST_F(GovernorDiffTest, PanicWarmRestartSeeds) {
-  const uint64_t base = SeedBase() + 0x70000;
-  const fs::path serial_dir = FreshDir("serial");
-  const fs::path sharded_dir = FreshDir("sharded");
-  for (uint64_t i = 0; i < 150; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.reboot = true;
-    serial.persist_dir = (serial_dir / std::to_string(seed)).string();
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    sharded.persist_dir = (sharded_dir / std::to_string(seed)).string();
-    fs::create_directories(serial.persist_dir);
-    fs::create_directories(sharded.persist_dir);
-    ASSERT_EQ(RunStorm(seed, serial), RunStorm(seed, sharded)) << "seed=" << seed;
-  }
-  fs::remove_all(serial_dir);
-  fs::remove_all(sharded_dir);
-}
-
-TEST_F(GovernorDiffTest, CombinedStallAndDeathSeeds) {
-  const uint64_t base = SeedBase() + 0x80000;
-  uint64_t timeouts = 0;
-  for (uint64_t i = 0; i < 50; ++i) {
-    const uint64_t seed = base + i;
-    RunConfig serial;
-    serial.chaos_spec = kCombinedChaos;
-    RunConfig sharded = serial;
-    sharded.sharded = true;
-    ShardedStats stats;
-    const std::string expect = RunStorm(seed, serial);
-    const std::string actual = RunStorm(seed, sharded, &stats);
-    ASSERT_EQ(expect, actual) << "seed=" << seed;
-    timeouts += stats.watchdog_timeouts;
-  }
-  EXPECT_GT(timeouts, 0u);
+  fs::remove_all(reference_dir);
+  fs::remove_all(restart_dir);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Overload governor + self-healing shard workers (docs/GOVERNOR.md), under
-// `ctest -L governor`:
+// Overload governor (docs/GOVERNOR.md), under `ctest -L governor`:
 //   * ladder mechanics on a bare OverloadGovernor — escalation/de-escalation
 //     with hysteresis dwell, deterministic best-effort sampling stride,
 //     fail-static pinning once per episode, state export/restore;
@@ -7,26 +6,19 @@
 //   * kernel integration — a callout storm walks the ladder up, the calm
 //     tail walks it back down, critical monitors degrade to their corrective
 //     default instead of being shed, and engine.governor.* keys track it;
-//   * off == absent — a default-options engine interns no governor keys;
-//   * watchdog containment — chaos-stalled and chaos-killed shard workers
-//     are stolen from, quarantined, respawned, and re-admitted while the
-//     sharded run stays bit-identical to the serial oracle.
+//   * off == absent — a default-options engine interns no governor keys.
 
 #include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "src/chaos/chaos.h"
-#include "src/persist/persist.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/governor/governor.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/kernel.h"
 #include "src/store/feature_store.h"
 #include "src/support/logging.h"
 #include "src/support/time.h"
-#include "src/wl/stormgen.h"
 
 namespace osguard {
 namespace {
@@ -379,143 +371,6 @@ TEST_F(GovernorTest, DisabledGovernorInternsNoKeysAndShedsNothing) {
     EXPECT_EQ(kernel.store().KeyName(static_cast<KeyId>(id)).rfind("engine.governor.", 0),
               std::string::npos);
   }
-}
-
-// --- Serial vs sharded identity with the governor active ---
-
-std::string GovernedStormState(bool sharded, uint64_t seed) {
-  ShardingOptions sharding;
-  sharding.enabled = sharded;
-  sharding.shards = 3;
-  sharding.telemetry = false;
-  Kernel kernel(GovernedEngineOptions(), sharding);
-  EXPECT_TRUE(kernel.LoadGuardrails(kGovSpec).ok());
-
-  StormWorkloadOptions storm;
-  storm.calm = Milliseconds(50);
-  storm.storm = Milliseconds(20);
-  storm.tail = Milliseconds(100);
-  storm.calm_rate = 100.0;
-  storm.storm_rate = 40000.0;
-  StormGenerator generator(storm, seed);
-  for (const StormEvent& event : generator.Generate(Milliseconds(1))) {
-    kernel.Run(event.at);
-    kernel.store().Save("sys.pressure", Value(static_cast<int64_t>(event.storm ? 80 : 10)));
-    kernel.Callout("hot_path");
-  }
-  Snapshot snapshot;
-  snapshot.store = kernel.store().DumpSlots();
-  snapshot.report_ring = kernel.engine().EncodeReportRing();
-  snapshot.image = kernel.engine().EncodeImage();
-  return EncodeSnapshot(snapshot);
-}
-
-TEST_F(GovernorTest, GovernedStormIsBitIdenticalSerialVsSharded) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    ASSERT_EQ(GovernedStormState(false, seed), GovernedStormState(true, seed))
-        << "seed=" << seed;
-  }
-}
-
-// --- Watchdog: stalls, deaths, quarantine, re-admission ---
-
-// Parallel-eligible spec (pure scalar reads, FUNCTION trigger, no
-// cross-monitor hazards) so the sharded engine actually batches.
-constexpr char kParallelSpec[] = R"(
-  guardrail w0 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(a.v, 0) <= 50 },
-                 action: { REPORT("w0") } }
-  guardrail w1 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(b.v, 0) <= 50 },
-                 action: { REPORT("w1") } }
-  guardrail w2 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(c.v, 0) <= 50 },
-                 action: { REPORT("w2") } }
-  guardrail w3 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(d.v, 0) <= 50 },
-                 action: { REPORT("w3") } }
-)";
-
-std::string WatchdogRunState(bool sharded, const char* chaos_spec,
-                             ShardedStats* stats_out = nullptr,
-                             int64_t watchdog_ns = Milliseconds(20)) {
-  EngineOptions options;
-  options.measure_wall_time = false;
-  ShardingOptions sharding;
-  sharding.enabled = sharded;
-  sharding.shards = 2;
-  sharding.telemetry = false;
-  sharding.watchdog_ns = watchdog_ns;
-  sharding.probe_batches = 2;
-  sharding.probe_every = 2;
-  Kernel kernel(options, sharding);
-  ChaosEngine chaos(4242);
-  if (chaos_spec != nullptr) {
-    kernel.AttachChaos(&chaos);
-  }
-  EXPECT_TRUE(kernel.LoadGuardrails(kParallelSpec).ok());
-  if (chaos_spec != nullptr) {
-    EXPECT_TRUE(kernel.LoadGuardrails(chaos_spec).ok());
-  }
-  SimTime t = Milliseconds(1);
-  for (int i = 0; i < 30; ++i) {
-    kernel.Run(t);
-    kernel.store().Save("a.v", Value(int64_t{i % 80}));
-    kernel.Callout("f");
-    t += Milliseconds(1);
-  }
-  if (stats_out != nullptr && kernel.sharded_engine() != nullptr) {
-    *stats_out = kernel.sharded_engine()->stats();
-  }
-  Snapshot snapshot;
-  snapshot.store = kernel.store().DumpSlots();
-  snapshot.report_ring = kernel.engine().EncodeReportRing();
-  snapshot.image = kernel.engine().EncodeImage();
-  return EncodeSnapshot(snapshot);
-}
-
-TEST_F(GovernorTest, WorkerDeathIsContainedBitIdentically) {
-  constexpr char kDieSpec[] =
-      "chaos { site shard.worker_die { mode = bernoulli, p = 0.4 } }";
-  ShardedStats stats;
-  const std::string expect = WatchdogRunState(false, kDieSpec);
-  const std::string actual = WatchdogRunState(true, kDieSpec, &stats);
-  EXPECT_EQ(expect, actual);
-  EXPECT_GT(stats.watchdog_timeouts, 0u);
-  EXPECT_GT(stats.stolen_evals, 0u);
-  EXPECT_GT(stats.worker_respawns, 0u);
-}
-
-TEST_F(GovernorTest, WorkerStallIsContainedBitIdentically) {
-  constexpr char kStallSpec[] =
-      "chaos { site shard.worker_stall { mode = bernoulli, p = 0.3, value = 1.0 } }";
-  ShardedStats stats;
-  const std::string expect = WatchdogRunState(false, kStallSpec);
-  const std::string actual = WatchdogRunState(true, kStallSpec, &stats);
-  EXPECT_EQ(expect, actual);
-  EXPECT_GT(stats.watchdog_timeouts, 0u);
-  EXPECT_GT(stats.stolen_evals, 0u);
-}
-
-TEST_F(GovernorTest, OneShotDeathQuarantinesThenReadmits) {
-  // Exactly one injected death (the first draw), then a clean run: the
-  // respawned worker must be probed and re-admitted to full service.
-  constexpr char kOneDeath[] =
-      "chaos { site shard.worker_die { mode = schedule, nth = {0} } }";
-  ShardedStats stats;
-  const std::string expect = WatchdogRunState(false, kOneDeath);
-  const std::string actual = WatchdogRunState(true, kOneDeath, &stats);
-  EXPECT_EQ(expect, actual);
-  EXPECT_EQ(stats.worker_respawns, 1u);
-  EXPECT_GT(stats.quarantine_evals, 0u);
-  EXPECT_GT(stats.probes, 0u);
-  EXPECT_GE(stats.readmissions, 1u);
-}
-
-TEST_F(GovernorTest, UnarmedWorkerSitesChangeNothing) {
-  // Off == absent: with no chaos armed, the watchdog-enabled run, the
-  // watchdog-disabled run, and the serial oracle all produce the same bytes.
-  const std::string armed_watchdog = WatchdogRunState(true, nullptr);
-  const std::string no_watchdog =
-      WatchdogRunState(true, nullptr, nullptr, /*watchdog_ns=*/0);
-  EXPECT_EQ(armed_watchdog, no_watchdog);
-  EXPECT_EQ(WatchdogRunState(false, nullptr), armed_watchdog);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //      corrective action once as the quarantine default.
 //   3. Probation — a replace-by-name deploy that quarantines or regresses is
 //      rolled back atomically to the bit-identical pre-deploy program; a
-//      clean deploy commits.
+//      clean deploy commits. Rollback reports follow evaluation order, not
+//      name order.
 //   4. Off == absent — a guardrail whose health block never trips behaves
 //      exactly like the same guardrail without one (differential baseline).
 //   5. Seed replay — supervisor decisions under chaos are a pure function of
@@ -32,6 +33,7 @@
 #include "src/dsl/parser.h"
 #include "src/dsl/sema.h"
 #include "src/runtime/engine.h"
+#include "src/sim/kernel.h"
 #include "src/supervisor/supervisor.h"
 #include "src/support/logging.h"
 
@@ -399,6 +401,82 @@ TEST_F(SupervisorTest, CleanProbationCommits) {
   ASSERT_NE(guard, nullptr);
   EXPECT_FALSE(guard->in_probation);
   EXPECT_EQ(engine_.FindGuardrail("deploy")->rule.Disassemble(), v2_rule);
+}
+
+// --- Rollback report order (pinned by src/actions/report.h) ---
+
+EngineOptions NoWallTime() {
+  EngineOptions options;
+  options.measure_wall_time = false;
+  return options;
+}
+
+// Replace/rollback records are emitted in rollback-queue insertion order,
+// which is evaluation order — NOT name order. On the timer path, deadline
+// order decides: zz_early (deadline 1s) regresses before aa_late (deadline
+// 2s), so zz_early's rollback report must precede aa_late's even though
+// "aa_late" sorts first.
+TEST(RollbackReportOrderTest, RollbackReportOrder) {
+  Logger::Global().set_level(LogLevel::kOff);
+  auto v1 = [](const std::string& name, const std::string& timer) {
+    return "guardrail " + name + " { trigger: { TIMER(" + timer + ", 10s) }, " +
+           "rule: { LOAD_OR(x, 0) <= 100 }, action: { REPORT(\"v1\") }, " +
+           "health: { quarantine = 5 } }";
+  };
+  auto v2 = [](const std::string& name, const std::string& timer) {
+    // Every eval blows the 1-step budget; quarantine = 1 trips at the first
+    // tick inside probation and queues a rollback.
+    return "guardrail " + name + " { trigger: { TIMER(" + timer + ", 10s) }, " +
+           "rule: { LOAD_OR(x, 0) <= 99 }, action: { REPORT(\"v2\") }, " +
+           "health: { budget_steps = 1, quarantine = 1, probation = 60s } }";
+  };
+  Kernel kernel(NoWallTime());
+  ASSERT_TRUE(kernel.LoadGuardrails(v1("zz_early", "1s") + "\n" + v1("aa_late", "2s")).ok());
+  ASSERT_TRUE(kernel.LoadGuardrails(v2("zz_early", "1s") + "\n" + v2("aa_late", "2s")).ok());
+  kernel.Run(Seconds(3));
+
+  EXPECT_EQ(kernel.engine().supervisor().stats().rollbacks, 2u);
+  std::vector<const ReportRecord*> rollbacks;
+  const std::vector<ReportRecord> records = kernel.engine().reporter().Records();
+  for (const ReportRecord& record : records) {
+    if (record.message.find("rolled back") != std::string::npos) {
+      rollbacks.push_back(&record);
+    }
+  }
+  ASSERT_EQ(rollbacks.size(), 2u);
+  EXPECT_EQ(rollbacks[0]->guardrail, "zz_early");  // evaluation order, not name order
+  EXPECT_EQ(rollbacks[1]->guardrail, "aa_late");
+  EXPECT_LT(rollbacks[0]->sequence, rollbacks[1]->sequence);
+  // The stream is totally ordered by `sequence`.
+  for (size_t i = 1; i < records.size(); ++i) {
+    EXPECT_LT(records[i - 1].sequence, records[i].sequence);
+  }
+}
+
+// Two probation monitors regressing inside the same FUNCTION callout: both
+// rollbacks are queued during the callout and applied at its boundary.
+TEST(RollbackReportOrderTest, TwoRollbacksInOneCallout) {
+  Logger::Global().set_level(LogLevel::kOff);
+  auto spec = [](const std::string& health) {
+    std::string out;
+    for (const char* name : {"one", "two"}) {
+      out += "guardrail " + std::string(name) + " { trigger: { FUNCTION(fn) }, " +
+             "rule: { LOAD_OR(x, 0) <= 50 }, action: { REPORT() }, " +
+             "health: { " + health + " } }\n";
+    }
+    return out;
+  };
+  Kernel kernel(NoWallTime());
+  ASSERT_TRUE(kernel.LoadGuardrails(spec("quarantine = 5")).ok());
+  kernel.Run(Milliseconds(1));
+  kernel.Callout("fn");
+  ASSERT_TRUE(
+      kernel.LoadGuardrails(spec("budget_steps = 1, quarantine = 1, probation = 60s")).ok());
+  kernel.Run(Milliseconds(2));
+  kernel.Callout("fn");  // both blow the budget, quarantine, and roll back
+  kernel.Run(Milliseconds(3));
+  kernel.Callout("fn");  // restored v1 evaluates normally again
+  EXPECT_EQ(kernel.engine().supervisor().stats().rollbacks, 2u);
 }
 
 // --- Replace-by-name carry-over (explicit policy; see docs/DSL.md) ---

@@ -42,36 +42,23 @@
 //                   recovery diverges from the uninterrupted run (must be
 //                   bit-identical) or recovery wall time exceeds the CI
 //                   bound (500ms for the benchmark workload).
-//   --sharded       run the E10 multi-core scaling experiment instead and
-//                   emit bench "sharded" (BENCH_sharded.json): FUNCTION
-//                   callout throughput of the serial engine vs the sharded
-//                   engine at 64 monitors, per-shard eval counts, ring
-//                   occupancy high-water marks, and merge cost per batch.
-//                   The sharded run's final state (store + report ring +
-//                   engine image) must be bit-identical to the serial run —
-//                   exit(1) if it is not. The >= 4x speedup bound is
-//                   enforced only on hosts with >= 8 hardware threads
-//                   (reported as sharded_gate_enforced).
 //   --agent         run the E11 tool-call governance experiment instead and
-//                   emit bench "agent" (BENCH_agent.json): a 1000-seed
-//                   serial-vs-sharded identity campaign plus a 100-seed
-//                   panic/warm-restart arm on the OnToolCall path, the
+//                   emit bench "agent" (BENCH_agent.json): a 100-seed
+//                   panic/warm-restart arm on the OnToolCall path (each
+//                   restarted run must match an uninterrupted one), the
 //                   scripted incident/clean trace gates (sequence kill lands
 //                   within the violating callout; the clean trace trips
 //                   nothing), and p50/p99 per-tool-call admission overhead
-//                   governed vs ungoverned. Exits 1 if any identity or
+//                   governed vs ungoverned. Exits 1 if any restart or
 //                   containment gate fails.
 //   --governor      run the E12 overload-governor experiment instead and
 //                   emit bench "governor" (BENCH_governor.json): governed vs
 //                   ungoverned evaluation counts and p99 callout latency
 //                   through a seeded callout storm, the ladder depth reached
-//                   and recovery to full service, plus serial-vs-sharded
-//                   identity campaigns with the governor active and with
-//                   worker-stall / worker-death chaos armed (watchdog
-//                   healing counters must move). Exits 1 if the ladder never
-//                   reaches fail-static, a critical monitor is shed, the
-//                   governed storm fails to shed work or bound p99, any
-//                   identity seed diverges, or the watchdog fails to heal.
+//                   and recovery to full service, and callout latency per
+//                   ladder rung. Exits 1 if the ladder never reaches
+//                   fail-static, a critical monitor is shed, or the governed
+//                   storm fails to shed work or bound p99.
 //   --store         run the E14 bounded-memory store experiment instead and
 //                   emit bench "store" (BENCH_store.json): >= 1M simulated
 //                   agent session lifecycles through a retention-governed
@@ -105,7 +92,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <algorithm>
@@ -117,7 +103,6 @@
 #include "src/persist/persist.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/governor/governor.h"
-#include "src/runtime/sharded_engine.h"
 #include "src/sim/agent_callout.h"
 #include "src/sim/kernel.h"
 #include "src/support/logging.h"
@@ -924,327 +909,13 @@ bool RunPersistBench(std::vector<Metric>& metrics, bool& persist_ok) {
   return true;
 }
 
-// --sharded: the E10/E13 multi-core scaling experiment, run once per
-// workload mix:
-//   * mixed    — 64 FUNCTION monitors on one hot callout (program-dominated
-//                compute rules, windowed aggregates, periodic-trip
-//                thresholds);
-//   * onchange — the agent-governance shape: 8 ONCHANGE watchers whose
-//                cascades write gov.ctl.* control keys, 56 FUNCTION watch
-//                monitors whose reads are disjoint from those writes, and a
-//                workload that fires the cascades mid-run;
-//   * timer    — 64 TIMER monitors sharing a 100us cadence, so every
-//                AdvanceTo dispatches one full-width same-deadline wave.
-// Each mix drives the serial engine and the sharded engine over an
-// identical deterministic workload and reports throughput, the sharded
-// layer's scheduling telemetry, a <mix>_parallel_fraction (worker evals /
-// all engine evals), and a bit-identity verdict over the full observable
-// state (store slots + report ring + engine image; telemetry keys are off
-// for the comparison). Identity is enforced unconditionally. The >= 4x
-// speedup bound and the >= 0.5 onchange parallel-fraction gate apply only
-// on hosts with >= 8 hardware threads; below that the report carries a
-// degraded_single_thread marker and the gates are skipped explicitly.
-namespace shardbench {
-
-constexpr char kHook[] = "blk_mq_submit_bio_hotpath";
-constexpr int kMonitors = 64;
-constexpr int kWarmupCalls = 256;
-constexpr int kTimedCalls = 20000;
-
-enum class Mix { kMixed, kOnChange, kTimer };
-
-const char* MixName(Mix mix) {
-  switch (mix) {
-    case Mix::kMixed:
-      return "mixed";
-    case Mix::kOnChange:
-      return "onchange";
-    case Mix::kTimer:
-      return "timer";
-  }
-  return "?";
-}
-
-// Timed steps per mix: every step evaluates all 64 monitors, so the mixes
-// cost the same per step; the composition mixes run shorter to keep the
-// release job's wall time bounded.
-int TimedSteps(Mix mix) { return mix == Mix::kMixed ? kTimedCalls : kTimedCalls / 2; }
-
-std::string MakeSpec(Mix mix) {
-  std::string spec;
-  for (int i = 0; i < kMonitors; ++i) {
-    if (mix == Mix::kOnChange && i % 8 == 7) {
-      // ONCHANGE watcher: the cascade writes a gov.ctl.* key no rule reads,
-      // so under key-scoped eligibility the 56 FUNCTION monitors keep their
-      // worker slots while the cascades replay inline.
-      const std::string n = "k" + std::to_string(i / 8);
-      spec += "guardrail w" + std::to_string(i) +
-              " { trigger: { ONCHANGE(gov.sig." + n +
-              ") }, rule: { LOAD_OR(gov.sig." + n +
-              ", 0) <= 50 }, action: { SAVE(gov.ctl." + n + ", 1) } }\n";
-      continue;
-    }
-    std::string rule;
-    if (i % 8 == 0) {
-      // Aggregate-dominated: windowed scans over the shared latency series.
-      rule = "COUNT(io.lat, 50ms) == 0 || MEAN(io.lat, 50ms) <= 4000000";
-    } else if (i % 8 == 1) {
-      // Threshold rule that trips while the driver holds trip_level high;
-      // the cooldown bounds the report volume deterministically.
-      rule = "LOAD_OR(trip_level, 0) <= 90";
-    } else {
-      // Program-dominated: a dependent integer chain over one loaded key.
-      rule = DenseCalloutRule(24);
-    }
-    const std::string trigger = mix == Mix::kTimer
-                                    ? std::string("TIMER(100us, 100us)")
-                                    : "FUNCTION(" + std::string(kHook) + ")";
-    spec += "guardrail s" + std::to_string(i) + " { trigger: { " + trigger +
-            " }, rule: { " + rule +
-            " }, action: { REPORT() }, meta: { cooldown = 10ms } }\n";
-  }
-  return spec;
-}
-
-struct RunResult {
-  bool ok = false;
-  double timed_ns = 0.0;
-  uint64_t timed_evals = 0;
-  uint64_t total_evals = 0;  // lifetime engine evals (incl. warmup + cascades)
-  std::string state;  // wire-encoded observable state (bit-identity check)
-};
-
-// Drives the deterministic workload for `mix`; `sharded_ptr` routes callouts
-// (and, for the timer mix, AdvanceTo waves) through the sharded layer when
-// non-null. Store writes are identical across runs and happen between
-// callouts, exactly where a kernel would produce them.
-RunResult Drive(FeatureStore& store, Engine& engine, ShardedEngine* sharded_ptr, Mix mix) {
-  RunResult result;
-  if (!engine.LoadSource(MakeSpec(mix)).ok()) {
-    return result;
-  }
-  // Route external writes to the engine so ONCHANGE cascades fire (the
-  // kernel wires this; the bench drives the engine bare).
-  store.SetWriteObserver(
-      [&engine](const StoreWriteInfo& info, const std::string& key) {
-        engine.OnStoreWrite(info, key);
-      });
-  store.Save("lat_score", Value(static_cast<int64_t>(3)));
-  auto step = [&](int i) {
-    const SimTime t = static_cast<SimTime>(i) * Microseconds(100);
-    if (i % 16 == 0) {
-      store.Observe("io.lat", t, 1.0e6 * static_cast<double>(i % 7 + 1));
-    }
-    if (i % 64 == 0) {
-      store.Save("trip_level", Value(static_cast<int64_t>(i / 64 % 128)));
-    }
-    if (mix == Mix::kOnChange && i % 16 == 8) {
-      store.Save("gov.sig.k" + std::to_string(i / 16 % 8),
-                 Value(static_cast<int64_t>(i % 96)));
-    }
-    if (mix == Mix::kTimer) {
-      // One full-width wave per step: all 64 monitors share the cadence.
-      const SimTime due = t + Microseconds(100);
-      if (sharded_ptr != nullptr) {
-        sharded_ptr->AdvanceTo(due);
-      } else {
-        engine.AdvanceTo(due);
-      }
-    } else if (sharded_ptr != nullptr) {
-      sharded_ptr->OnFunctionCall(kHook, t);
-    } else {
-      engine.OnFunctionCall(kHook, t);
-    }
-  };
-  const int timed_steps = TimedSteps(mix);
-  for (int i = 0; i < kWarmupCalls; ++i) {
-    step(i);
-  }
-  const uint64_t evals_before = engine.stats().evaluations;
-  const int64_t start = WallNs();
-  for (int i = kWarmupCalls; i < kWarmupCalls + timed_steps; ++i) {
-    step(i);
-  }
-  result.timed_ns = static_cast<double>(WallNs() - start);
-  result.timed_evals = engine.stats().evaluations - evals_before;
-  result.total_evals = engine.stats().evaluations;
-  Snapshot snapshot;
-  snapshot.store = store.DumpSlots();
-  snapshot.report_ring = engine.EncodeReportRing();
-  snapshot.image = engine.EncodeImage();
-  result.state = EncodeSnapshot(snapshot);
-  result.ok = true;
-  return result;
-}
-
-}  // namespace shardbench
-
-// One serial-vs-sharded comparison for `mix`, appending its metrics and
-// and-ing its gate verdicts into `sharded_ok`. Returns false only when a run
-// fails to come up (spec load failure).
-bool RunShardedMix(shardbench::Mix mix, std::vector<Metric>& metrics, bool& sharded_ok,
-                   unsigned cores, bool gates_enforced) {
-  using shardbench::Drive;
-  using shardbench::Mix;
-  using shardbench::MixName;
-  const std::string name = MixName(mix);
-  EngineOptions engine_options;
-  engine_options.measure_wall_time = false;
-
-  FeatureStore serial_store;
-  PolicyRegistry serial_registry;
-  Engine serial_engine(&serial_store, &serial_registry, nullptr, engine_options);
-  const shardbench::RunResult serial = Drive(serial_store, serial_engine, nullptr, mix);
-  if (!serial.ok) {
-    std::fprintf(stderr, "benchjson: --sharded: serial %s run failed to load\n",
-                 name.c_str());
-    return false;
-  }
-
-  FeatureStore sharded_store;
-  PolicyRegistry sharded_registry;
-  Engine sharded_engine(&sharded_store, &sharded_registry, nullptr, engine_options);
-  ShardingOptions sharding;
-  sharding.enabled = true;
-  // Telemetry keys are the one legitimate store divergence; the identity
-  // check requires them off. Scheduling counters come from the object.
-  sharding.telemetry = false;
-  ShardedEngine sharded(&sharded_engine, sharding);
-  const shardbench::RunResult parallel = Drive(sharded_store, sharded_engine, &sharded, mix);
-  if (!parallel.ok) {
-    std::fprintf(stderr, "benchjson: --sharded: sharded %s run failed to load\n",
-                 name.c_str());
-    return false;
-  }
-
-  const int timed_steps = shardbench::TimedSteps(mix);
-  const double serial_s = std::max(serial.timed_ns / 1e9, 1e-9);
-  const double parallel_s = std::max(parallel.timed_ns / 1e9, 1e-9);
-  const double speedup =
-      parallel.timed_ns > 0.0 ? serial.timed_ns / parallel.timed_ns : 0.0;
-  const bool identical = serial.state == parallel.state;
-  const ShardedStats& stats = sharded.stats();
-  const double parallel_fraction =
-      parallel.total_evals > 0
-          ? static_cast<double>(stats.parallel_evals) /
-                static_cast<double>(parallel.total_evals)
-          : 0.0;
-
-  if (mix == Mix::kMixed) {
-    // Host/topology facts are mix-independent; report them once, with the
-    // legacy (unprefixed) metric names the E10 baselines use.
-    metrics.push_back(Metric{"sharded_host_threads", static_cast<double>(cores), "count"});
-    metrics.push_back(
-        Metric{"sharded_shards", static_cast<double>(sharded.shard_count()), "count"});
-    metrics.push_back(Metric{"sharded_monitors",
-                             static_cast<double>(shardbench::kMonitors), "count"});
-    metrics.push_back(
-        Metric{"serial_callouts_per_sec", timed_steps / serial_s, "per_sec"});
-    metrics.push_back(
-        Metric{"sharded_callouts_per_sec", timed_steps / parallel_s, "per_sec"});
-    metrics.push_back(Metric{"serial_evals_per_sec",
-                             static_cast<double>(serial.timed_evals) / serial_s,
-                             "per_sec"});
-    metrics.push_back(Metric{"sharded_evals_per_sec",
-                             static_cast<double>(parallel.timed_evals) / parallel_s,
-                             "per_sec"});
-    metrics.push_back(Metric{"sharded_speedup", speedup, "ratio"});
-    metrics.push_back(Metric{"sharded_parallel_evals",
-                             static_cast<double>(stats.parallel_evals), "count"});
-    metrics.push_back(
-        Metric{"sharded_serial_evals", static_cast<double>(stats.serial_evals), "count"});
-    metrics.push_back(Metric{"sharded_serial_callouts",
-                             static_cast<double>(stats.serial_callouts), "count"});
-    metrics.push_back(
-        Metric{"sharded_batches", static_cast<double>(stats.batches), "count"});
-    metrics.push_back(Metric{"sharded_merge_ns_per_batch",
-                             stats.batches > 0
-                                 ? static_cast<double>(stats.merge_ns) /
-                                       static_cast<double>(stats.batches)
-                                 : 0.0,
-                             "ns"});
-    size_t hwm_max = 0;
-    for (size_t i = 0; i < sharded.shard_count(); ++i) {
-      hwm_max = std::max(hwm_max, sharded.RingHighWater(i));
-    }
-    metrics.push_back(
-        Metric{"sharded_ring_hwm_max", static_cast<double>(hwm_max), "count"});
-    metrics.push_back(Metric{"sharded_state_identical", identical ? 1.0 : 0.0, "bool"});
-  } else {
-    metrics.push_back(Metric{"sharded_" + name + "_speedup", speedup, "ratio"});
-    metrics.push_back(Metric{"sharded_" + name + "_parallel_evals",
-                             static_cast<double>(stats.parallel_evals), "count"});
-    metrics.push_back(Metric{"sharded_" + name + "_serial_evals",
-                             static_cast<double>(stats.serial_evals), "count"});
-    metrics.push_back(Metric{"sharded_" + name + "_serial_callouts",
-                             static_cast<double>(stats.serial_callouts), "count"});
-    metrics.push_back(Metric{"sharded_" + name + "_state_identical",
-                             identical ? 1.0 : 0.0, "bool"});
-  }
-  metrics.push_back(Metric{name + "_parallel_fraction", parallel_fraction, "ratio"});
-
-  if (!identical) {
-    std::fprintf(stderr,
-                 "benchjson: --sharded: %s mix diverged from the serial oracle\n",
-                 name.c_str());
-    sharded_ok = false;
-  }
-  if (stats.parallel_evals == 0) {
-    std::fprintf(stderr,
-                 "benchjson: --sharded: %s mix took no parallel evaluations\n",
-                 name.c_str());
-    sharded_ok = false;
-  }
-  if (gates_enforced && speedup < 4.0) {
-    std::fprintf(stderr,
-                 "benchjson: --sharded: %s mix speedup %.2fx below the 4x bound "
-                 "on a %u-thread host\n",
-                 name.c_str(), speedup, cores);
-    sharded_ok = false;
-  }
-  if (gates_enforced && mix == Mix::kOnChange && parallel_fraction < 0.5) {
-    std::fprintf(stderr,
-                 "benchjson: --sharded: onchange mix parallel fraction %.2f below "
-                 "the 0.5 bound (agent-governance shape must stay on workers)\n",
-                 parallel_fraction);
-    sharded_ok = false;
-  }
-  return true;
-}
-
-bool RunShardedBench(std::vector<Metric>& metrics, bool& sharded_ok) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  const bool gates_enforced = cores >= 8;
-  if (!gates_enforced) {
-    // Identity and parallel-path checks still run; only the performance
-    // gates are meaningless without cores to spread across.
-    std::fprintf(stderr,
-                 "benchjson: --sharded: host has %u hardware threads; skipping "
-                 "the 4x speedup and 0.5 parallel-fraction gates "
-                 "(degraded_single_thread)\n",
-                 cores);
-  }
-  metrics.push_back(
-      Metric{"degraded_single_thread", gates_enforced ? 0.0 : 1.0, "bool"});
-  metrics.push_back(
-      Metric{"sharded_gate_enforced", gates_enforced ? 1.0 : 0.0, "bool"});
-  sharded_ok = true;
-  for (shardbench::Mix mix : {shardbench::Mix::kMixed, shardbench::Mix::kOnChange,
-                              shardbench::Mix::kTimer}) {
-    if (!RunShardedMix(mix, metrics, sharded_ok, cores, gates_enforced)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // --- --agent: the E11 tool-call governance experiment -----------------------
 // Three gates mirroring docs/AGENT.md and the `ctest -L agent` battery, sized
 // for a CI release job:
-//   (a) 1000-seed identity campaign — serial vs sharded on generated bursty
-//       multi-session workloads under the shipped governance specs, plus a
-//       100-seed warm-restart arm whose panic+recover+resume state must be
-//       bit-identical to an uninterrupted run of the same seed;
+//   (a) 100-seed warm-restart arm — on generated bursty multi-session
+//       workloads under the shipped governance specs, the panic+recover+
+//       resume state must be bit-identical to an uninterrupted run of the
+//       same seed;
 //   (b) scripted incident / clean traces — the sequence family must land its
 //       kill inside the violating callout (so the second net-after-secret
 //       send is already rejected and the taint counter stays at 1), and the
@@ -1285,13 +956,10 @@ std::string StateBytes(Kernel& kernel) {
   return EncodeSnapshot(snapshot);
 }
 
-std::unique_ptr<Kernel> MakeKernel(const std::string& spec, bool sharded) {
+std::unique_ptr<Kernel> MakeKernel(const std::string& spec) {
   EngineOptions options;
   options.measure_wall_time = false;
-  ShardingOptions sharding;
-  sharding.enabled = sharded;
-  sharding.telemetry = false;
-  auto kernel = std::make_unique<Kernel>(options, sharding);
+  auto kernel = std::make_unique<Kernel>(options);
   if (!spec.empty() && !kernel->LoadGuardrails(spec).ok()) {
     return nullptr;
   }
@@ -1310,25 +978,8 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
     return false;
   }
 
-  // (a) identity campaign: serial vs sharded across 1000 seeded workloads.
-  constexpr uint64_t kIdentitySeeds = 1000;
-  uint64_t identity_failures = 0;
-  for (uint64_t seed = 1; seed <= kIdentitySeeds; ++seed) {
-    const agent::Harness harness(agentbench::WorkloadFor(seed), seed);
-    auto serial = MakeKernel(spec, /*sharded=*/false);
-    auto sharded = MakeKernel(spec, /*sharded=*/true);
-    if (serial == nullptr || sharded == nullptr) {
-      return false;
-    }
-    harness.Drive(*serial);
-    harness.Drive(*sharded);
-    if (StateBytes(*serial) != StateBytes(*sharded)) {
-      ++identity_failures;
-    }
-  }
-
-  // Warm-restart arm: panic mid-trace, recover, resume; compare against an
-  // uninterrupted journaled run of the same seed.
+  // (a) warm-restart arm: panic mid-trace, recover, resume; compare against
+  // an uninterrupted journaled run of the same seed.
   constexpr uint64_t kRestartSeeds = 100;
   uint64_t restart_failures = 0;
   std::error_code ec;
@@ -1347,7 +998,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
       popts.dir = (root / ("ref" + std::to_string(seed))).string();
       fs::create_directories(popts.dir, ec);
       PersistManager persist(popts);
-      auto kernel = MakeKernel(spec, /*sharded=*/false);
+      auto kernel = MakeKernel(spec);
       if (kernel == nullptr) {
         return false;
       }
@@ -1363,7 +1014,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
       popts.dir = (root / ("crash" + std::to_string(seed))).string();
       fs::create_directories(popts.dir, ec);
       PersistManager persist(popts);
-      auto kernel = MakeKernel(spec, /*sharded=*/false);
+      auto kernel = MakeKernel(spec);
       if (kernel == nullptr) {
         return false;
       }
@@ -1388,10 +1039,6 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
   }
   fs::remove_all(root, ec);
 
-  metrics.push_back(Metric{"agent_identity_seeds",
-                           static_cast<double>(kIdentitySeeds), "count"});
-  metrics.push_back(Metric{"agent_identity_failures",
-                           static_cast<double>(identity_failures), "count"});
   metrics.push_back(Metric{"agent_restart_seeds",
                            static_cast<double>(kRestartSeeds), "count"});
   metrics.push_back(Metric{"agent_restart_failures",
@@ -1399,7 +1046,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
 
   // (b) scripted incident + clean traces against the shipped specs.
   const std::vector<agent::ToolCallEvent> incident = agent::MakeIncidentTrace();
-  auto incident_kernel = MakeKernel(spec, /*sharded=*/false);
+  auto incident_kernel = MakeKernel(spec);
   if (incident_kernel == nullptr) {
     return false;
   }
@@ -1424,7 +1071,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
                            incident_result.throttled > 0;
 
   const std::vector<agent::ToolCallEvent> clean = agent::MakeCleanTrace();
-  auto clean_kernel = MakeKernel(spec, /*sharded=*/false);
+  auto clean_kernel = MakeKernel(spec);
   if (clean_kernel == nullptr) {
     return false;
   }
@@ -1466,7 +1113,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
   double p99_ns[2] = {0.0, 0.0};
   double calls_per_sec[2] = {0.0, 0.0};
   for (const bool governed : {false, true}) {
-    auto kernel = MakeKernel(governed ? spec : std::string(), /*sharded=*/false);
+    auto kernel = MakeKernel(governed ? spec : std::string());
     if (kernel == nullptr) {
       return false;
     }
@@ -1500,14 +1147,6 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
       Metric{"agent_tool_calls_per_sec_governed", calls_per_sec[1], "per_sec"});
 
   agent_ok = true;
-  if (identity_failures > 0) {
-    std::fprintf(stderr,
-                 "benchjson: --agent: %llu/%llu seeds diverged between serial "
-                 "and sharded\n",
-                 static_cast<unsigned long long>(identity_failures),
-                 static_cast<unsigned long long>(kIdentitySeeds));
-    agent_ok = false;
-  }
   if (restart_failures > 0) {
     std::fprintf(stderr,
                  "benchjson: --agent: %llu/%llu warm restarts diverged from the "
@@ -1529,7 +1168,7 @@ bool RunAgentBench(std::vector<Metric>& metrics, bool& agent_ok) {
   return true;
 }
 
-// --- E12: overload governor + self-healing shard workers --------------------
+// --- E12: overload governor ---------------------------------------------------
 
 namespace govbench {
 
@@ -1566,19 +1205,6 @@ constexpr char kStormSpec[] = R"(
                    rule: { LOAD_OR(sys.pressure, 0) >= -1 },
                    action: { REPORT("be-d") },
                    meta: { criticality = besteffort } }
-)";
-
-// Parallel-eligible (pure scalar reads) so the sharded engine batches and
-// the watchdog has workers to heal.
-constexpr char kParallelSpec[] = R"(
-  guardrail w0 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(a.v, 0) <= 50 },
-                 action: { REPORT("w0") } }
-  guardrail w1 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(b.v, 0) <= 50 },
-                 action: { REPORT("w1") } }
-  guardrail w2 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(c.v, 0) <= 50 },
-                 action: { REPORT("w2") } }
-  guardrail w3 { trigger: { FUNCTION(f) }, rule: { LOAD_OR(d.v, 0) <= 50 },
-                 action: { REPORT("w3") } }
 )";
 
 EngineOptions GovernedOptions(bool governed) {
@@ -1662,60 +1288,10 @@ StormRun DriveStorm(bool governed, uint64_t seed) {
   return run;
 }
 
-// One governed storm (or chaos fault) run, serial or sharded, returning the
-// compared snapshot bytes; sharded watchdog stats accumulate into `healing`.
-std::string IdentityRun(bool sharded, uint64_t seed, const char* chaos_spec,
-                        ShardedStats* healing) {
-  EngineOptions options =
-      chaos_spec == nullptr ? GovernedOptions(true) : GovernedOptions(false);
-  ShardingOptions sharding;
-  sharding.enabled = sharded;
-  sharding.shards = 2;
-  sharding.telemetry = false;
-  sharding.watchdog_ns = Milliseconds(2);
-  sharding.probe_batches = 2;
-  sharding.probe_every = 2;
-  Kernel kernel(options, sharding);
-  ChaosEngine chaos(seed);
-  if (chaos_spec != nullptr) {
-    kernel.AttachChaos(&chaos);
-    (void)kernel.LoadGuardrails(kParallelSpec);
-    (void)kernel.LoadGuardrails(chaos_spec);
-    SimTime t = Milliseconds(1);
-    for (int i = 0; i < 30; ++i) {
-      kernel.Run(t);
-      kernel.store().Save("a.v", Value(int64_t{static_cast<int64_t>((seed + i) % 80)}));
-      kernel.Callout("f");
-      t += Milliseconds(1);
-    }
-  } else {
-    (void)kernel.LoadGuardrails(kStormSpec);
-    for (const StormEvent& event : BenchStorm(seed)) {
-      kernel.Run(event.at);
-      kernel.store().Save("sys.pressure",
-                          Value(static_cast<int64_t>(event.storm ? 80 : 10)));
-      kernel.Callout("hot_path");
-    }
-  }
-  if (healing != nullptr && kernel.sharded_engine() != nullptr) {
-    const ShardedStats stats = kernel.sharded_engine()->stats();
-    healing->watchdog_timeouts += stats.watchdog_timeouts;
-    healing->stolen_evals += stats.stolen_evals;
-    healing->worker_respawns += stats.worker_respawns;
-    healing->readmissions += stats.readmissions;
-  }
-  Snapshot snapshot;
-  snapshot.store = kernel.store().DumpSlots();
-  snapshot.report_ring = kernel.engine().EncodeReportRing();
-  snapshot.image = kernel.engine().EncodeImage();
-  return EncodeSnapshot(snapshot);
-}
-
 }  // namespace govbench
 
 bool RunGovernorBench(std::vector<Metric>& metrics, bool& governor_ok) {
   using govbench::DriveStorm;
-  using govbench::IdentityRun;
   using govbench::StormRun;
 
   // (a) governed vs ungoverned through the same seeded storm.
@@ -1761,56 +1337,6 @@ bool RunGovernorBench(std::vector<Metric>& metrics, bool& governor_ok) {
                              lat.p99_ns, "ns"});
   }
 
-  // (b) identity campaigns: governed storm, then worker-stall and
-  // worker-death chaos, serial vs sharded per seed.
-  constexpr char kStallChaos[] =
-      "chaos { site shard.worker_stall { mode = bernoulli, p = 0.1, value = 1.0 } }";
-  constexpr char kDieChaos[] =
-      "chaos { site shard.worker_die { mode = bernoulli, p = 0.1 } }";
-  struct Campaign {
-    const char* name;
-    const char* chaos;
-    uint64_t seeds;
-    uint64_t base;
-  };
-  const Campaign campaigns[] = {
-      {"storm", nullptr, 100, 0x1000},
-      {"stall", kStallChaos, 50, 0x2000},
-      {"die", kDieChaos, 50, 0x3000},
-  };
-  uint64_t divergences_total = 0;
-  ShardedStats stall_healing;
-  ShardedStats die_healing;
-  for (const Campaign& campaign : campaigns) {
-    uint64_t divergences = 0;
-    ShardedStats* healing = campaign.chaos == nullptr ? nullptr
-                            : campaign.chaos == kStallChaos ? &stall_healing
-                                                            : &die_healing;
-    for (uint64_t i = 0; i < campaign.seeds; ++i) {
-      const uint64_t seed = campaign.base + i;
-      if (IdentityRun(false, seed, campaign.chaos, nullptr) !=
-          IdentityRun(true, seed, campaign.chaos, healing)) {
-        ++divergences;
-      }
-    }
-    divergences_total += divergences;
-    metrics.push_back(Metric{std::string("governor_identity_") + campaign.name +
-                                 "_seeds",
-                             static_cast<double>(campaign.seeds), "count"});
-    metrics.push_back(Metric{std::string("governor_identity_") + campaign.name +
-                                 "_failures",
-                             static_cast<double>(divergences), "count"});
-  }
-  metrics.push_back(Metric{"governor_watchdog_stall_timeouts",
-                           static_cast<double>(stall_healing.watchdog_timeouts),
-                           "count"});
-  metrics.push_back(Metric{"governor_watchdog_stall_stolen",
-                           static_cast<double>(stall_healing.stolen_evals), "count"});
-  metrics.push_back(Metric{"governor_watchdog_die_respawns",
-                           static_cast<double>(die_healing.worker_respawns), "count"});
-  metrics.push_back(Metric{"governor_watchdog_die_readmissions",
-                           static_cast<double>(die_healing.readmissions), "count"});
-
   // Gates. The storm run is fully deterministic (sim-time signals), so the
   // ladder-depth and shed-count gates are exact; the p99 comparison is the
   // only wall-clock gate and holds with a ~4x work margin.
@@ -1839,20 +1365,6 @@ bool RunGovernorBench(std::vector<Metric>& metrics, bool& governor_ok) {
                  "benchjson: --governor: governed p99 %.0fns exceeds "
                  "ungoverned %.0fns\n",
                  governed.p99_ns, ungoverned.p99_ns);
-    governor_ok = false;
-  }
-  if (divergences_total > 0) {
-    std::fprintf(stderr,
-                 "benchjson: --governor: %llu identity seeds diverged between "
-                 "serial and sharded\n",
-                 static_cast<unsigned long long>(divergences_total));
-    governor_ok = false;
-  }
-  if (stall_healing.watchdog_timeouts == 0 || stall_healing.stolen_evals == 0 ||
-      die_healing.worker_respawns == 0 || die_healing.readmissions == 0) {
-    std::fprintf(stderr,
-                 "benchjson: --governor: watchdog healing counters did not "
-                 "move under armed faults\n");
     governor_ok = false;
   }
   return true;
@@ -2058,7 +1570,6 @@ int Main(int argc, char** argv) {
   bool supervisor = false;
   bool native = false;
   bool persist = false;
-  bool sharded = false;
   bool agent = false;
   bool governor = false;
   bool store = false;
@@ -2074,8 +1585,6 @@ int Main(int argc, char** argv) {
       native = true;
     } else if (std::strcmp(argv[i], "--persist") == 0) {
       persist = true;
-    } else if (std::strcmp(argv[i], "--sharded") == 0) {
-      sharded = true;
     } else if (std::strcmp(argv[i], "--agent") == 0) {
       agent = true;
     } else if (std::strcmp(argv[i], "--governor") == 0) {
@@ -2087,7 +1596,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: benchjson [--strict-alloc] [--chaos] [--supervisor] "
-                   "[--native] [--persist] [--sharded] [--agent] [--governor] "
+                   "[--native] [--persist] [--agent] [--governor] "
                    "[--store] [-o FILE]\n");
       return 2;
     }
@@ -2098,7 +1607,6 @@ int Main(int argc, char** argv) {
   bool supervisor_contained = true;
   bool native_ok = true;
   bool persist_ok = true;
-  bool sharded_ok = true;
   bool agent_ok = true;
   bool governor_ok = true;
   bool store_ok = true;
@@ -2116,10 +1624,6 @@ int Main(int argc, char** argv) {
     }
   } else if (persist) {
     if (!RunPersistBench(metrics, persist_ok)) {
-      return 1;
-    }
-  } else if (sharded) {
-    if (!RunShardedBench(metrics, sharded_ok)) {
       return 1;
     }
   } else if (agent) {
@@ -2156,11 +1660,10 @@ int Main(int argc, char** argv) {
                    ? "supervisor"
                    : (native ? "native"
                              : (persist ? "persist"
-                                        : (sharded ? "sharded"
-                                                   : (agent ? "agent"
-                                                            : (governor ? "governor"
-                                                                        : (store ? "store"
-                                                                                 : "hotpath")))))));
+                                        : (agent ? "agent"
+                                                 : (governor ? "governor"
+                                                             : (store ? "store"
+                                                                      : "hotpath"))))));
   std::string json = std::string("{\n  \"bench\": \"") + bench_name +
                      "\",\n  \"schema_version\": 1,\n  \"metrics\": [\n";
   for (size_t i = 0; i < metrics.size(); ++i) {
@@ -2184,9 +1687,6 @@ int Main(int argc, char** argv) {
   } else if (persist) {
     std::snprintf(tail, sizeof(tail), "  ],\n  \"persist_ok\": %s\n}\n",
                   persist_ok ? "true" : "false");
-  } else if (sharded) {
-    std::snprintf(tail, sizeof(tail), "  ],\n  \"sharded_ok\": %s\n}\n",
-                  sharded_ok ? "true" : "false");
   } else if (agent) {
     std::snprintf(tail, sizeof(tail), "  ],\n  \"agent_ok\": %s\n}\n",
                   agent_ok ? "true" : "false");
@@ -2235,22 +1735,15 @@ int Main(int argc, char** argv) {
                  "recovery-time bound\n");
     return 1;
   }
-  if (sharded && !sharded_ok) {
-    std::fprintf(stderr,
-                 "benchjson: FAIL --sharded: sharded engine diverged from the serial "
-                 "oracle or missed the scaling bound\n");
-    return 1;
-  }
   if (agent && !agent_ok) {
     std::fprintf(stderr,
-                 "benchjson: FAIL --agent: governance identity, containment, or "
+                 "benchjson: FAIL --agent: warm-restart, containment, or "
                  "clean-trace gate failed\n");
     return 1;
   }
   if (governor && !governor_ok) {
     std::fprintf(stderr,
-                 "benchjson: FAIL --governor: ladder, shedding, identity, or "
-                 "watchdog-healing gate failed\n");
+                 "benchjson: FAIL --governor: ladder or shedding gate failed\n");
     return 1;
   }
   if (store && !store_ok) {
