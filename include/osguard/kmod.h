@@ -5,12 +5,10 @@
  * `EmitKernelModuleSource` renders every verified guardrail against this
  * header, and the compile-check suite builds the result with
  * -Wall -Wextra -Werror to prove the emitted C is real, not an untested
- * pretty-print. The value helpers here are illustrative host stubs — the
- * executed native tier uses src/vm/native_abi.h instead, whose helpers are
- * bit-identical to the interpreter.
+ * pretty-print. The value helpers here are illustrative host stubs; the
+ * bytecode interpreter (src/vm/vm.cc) is what executes guardrails.
  *
- * Requires a C11 compiler with GNU attribute support (gcc or clang — the
- * same compilers the AOT tier drives).
+ * Requires a C11 compiler with GNU attribute support (gcc or clang).
  */
 
 #ifndef OSGUARD_KMOD_H_

@@ -32,18 +32,6 @@ std::string_view SeverityName(Severity severity) {
   return "?";
 }
 
-std::string_view TierHintName(TierHint tier) {
-  switch (tier) {
-    case TierHint::kAuto:
-      return "auto";
-    case TierHint::kInterpreter:
-      return "interpreter";
-    case TierHint::kNative:
-      return "native";
-  }
-  return "?";
-}
-
 std::string_view CriticalityName(Criticality criticality) {
   switch (criticality) {
     case Criticality::kStandard:
@@ -286,17 +274,6 @@ Result<GuardrailMeta> AnalyzeMeta(const GuardrailDecl& decl) {
       OSGUARD_ASSIGN_OR_RETURN(meta.enabled, attr.value.AsBool());
     } else if (attr.key == "description") {
       OSGUARD_ASSIGN_OR_RETURN(meta.description, attr.value.AsString());
-    } else if (attr.key == "tier") {
-      OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
-      if (s == "auto") {
-        meta.tier = TierHint::kAuto;
-      } else if (s == "interpreter") {
-        meta.tier = TierHint::kInterpreter;
-      } else if (s == "native") {
-        meta.tier = TierHint::kNative;
-      } else {
-        return SemanticError("tier must be auto|interpreter|native" + loc);
-      }
     } else if (attr.key == "criticality") {
       OSGUARD_ASSIGN_OR_RETURN(std::string s, attr.value.AsString());
       if (s == "critical") {

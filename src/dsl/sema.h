@@ -65,18 +65,6 @@ struct GuardrailHealth {
   double ewma_alpha = 0.2;
 };
 
-// Per-guardrail execution-tier hint from the meta block: `auto` (default)
-// lets the engine promote hot monitors to the native AOT tier, `interpreter`
-// pins the monitor to the bytecode VM, `native` asks for promotion at the
-// first evaluation. Purely a scheduling hint — results are tier-invariant.
-enum class TierHint {
-  kAuto = 0,
-  kInterpreter,
-  kNative,
-};
-
-std::string_view TierHintName(TierHint tier);
-
 // Per-guardrail overload class from the meta block: under load shedding
 // (src/runtime/governor) `critical` monitors are never skipped, `standard`
 // monitors are shed only in the critical-only and fail-static ladder modes,
@@ -103,7 +91,6 @@ struct GuardrailMeta {
   int hysteresis = 1;
   bool enabled = true;
   std::string description;
-  TierHint tier = TierHint::kAuto;
   Criticality criticality = Criticality::kStandard;
   // Supervisor configuration (default: unsupervised). Carried inside meta so
   // it flows through compilation to the runtime untouched.

@@ -180,7 +180,7 @@ class PersistManager {
   // store mutation is buffered as a pending StoreOp for the next frame.
   void AttachStore(FeatureStore* store);
 
-  // Marks engine-side state (monitor stats, breaker, tier...) changed since
+  // Marks engine-side state (monitor stats, breaker, governor...) changed since
   // the last commit. Store mutations mark dirty implicitly.
   void MarkDirty() { dirty_ = true; }
   bool dirty() const { return dirty_ || !pending_ops_.empty(); }

@@ -136,8 +136,7 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
       reporter_(options.reporter_capacity),
       retrain_queue_(options.retrain),
       dispatcher_(&reporter_, registry, &retrain_queue_, task_control),
-      env_(store, &dispatcher_),
-      native_exec_(&env_) {
+      env_(store, &dispatcher_) {
   dispatcher_.SetStore(store);  // publishes the actions.* failure counters
   dispatcher_.SetMeasureWallTime(options_.measure_wall_time);
   supervisor_.SetStore(store);  // publishes the supervisor.* health keys
@@ -147,20 +146,6 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
   governor_.SetBytesProbe([store] { return store->approx_bytes(); });
   pending_changes_.reserve(64);
   drain_batch_.reserve(64);
-  if (options_.tier.enabled) {
-    aot_ = std::make_unique<NativeAot>(NativeAotOptions{
-        .compiler = options_.tier.compiler, .cache_dir = options_.tier.cache_dir});
-    gk_tier_promotions_ = store_->InternKey("engine.tier.promotions");
-    gk_tier_demotions_ = store_->InternKey("engine.tier.demotions");
-    gk_tier_native_evals_ = store_->InternKey("engine.tier.native_evals");
-    gk_tier_interp_evals_ = store_->InternKey("engine.tier.interp_evals");
-    store_->Pin(gk_tier_promotions_);
-    store_->Pin(gk_tier_demotions_);
-    store_->Pin(gk_tier_native_evals_);
-    store_->Pin(gk_tier_interp_evals_);
-    tier_dirty_ = true;
-    PublishTierStats();  // keys exist (as zeros) from the start
-  }
 }
 
 void Engine::ArmTimers(Monitor& monitor) {
@@ -269,16 +254,6 @@ Status Engine::Load(CompiledGuardrail guardrail) {
   }
   monitor->guard = supervisor_.OnLoad(name, health, now_, replacing,
                                       replacing ? existing->second->guard : nullptr);
-  if (options_.tier.enabled) {
-    // Per-monitor tier state mirrors the supervisor.* convention: 0 while
-    // interpreted, 1 once promoted to the native object.
-    monitor->tier_key = store_->InternKey("engine.tier." + name);
-    store_->Pin(monitor->tier_key);
-    monitor->promote_at = monitor->guardrail.meta.tier == TierHint::kNative
-                              ? 0
-                              : options_.tier.promote_after;
-    store_->Save(monitor->tier_key, Value(static_cast<int64_t>(0)));
-  }
   monitor->uptime_key = store_->InternKey("monitor." + name + ".uptime_evals");
   store_->Pin(monitor->uptime_key);
   monitors_[name] = std::move(monitor);  // replace-by-name is the update path
@@ -351,10 +326,6 @@ Status Engine::Unload(const std::string& name) {
   if (it->second->uptime_key != kInvalidKeyId) {
     store_->Unpin(it->second->uptime_key);
     retention_.AdoptKey(it->second->uptime_key, now_);
-  }
-  if (it->second->tier_key != kInvalidKeyId) {
-    store_->Unpin(it->second->tier_key);
-    retention_.AdoptKey(it->second->tier_key, now_);
   }
   monitors_.erase(it);  // queued timer entries die via generation mismatch
   supervisor_.OnUnload(name);
@@ -440,7 +411,6 @@ void Engine::AdvanceTo(SimTime t) {
   }
   now_ = std::max(now_, t);
   PublishUptimeStats();
-  PublishTierStats();
   RunRetention();
   FinishCalloutGovernor();
   CommitPersist();
@@ -477,7 +447,6 @@ void Engine::OnFunctionCall(std::string_view function, SimTime t) {
   }
   ApplyPendingRollbacks();  // after the loop: `it` is dead past this point
   PublishUptimeStats();
-  PublishTierStats();
   RunRetention();
   FinishCalloutGovernor();
   CommitPersist();
@@ -625,130 +594,6 @@ void Engine::ApplyPendingRollbacks() {
   }
 }
 
-bool Engine::TierOf(const std::string& name) const {
-  auto it = monitors_.find(name);
-  return it != monitors_.end() && it->second->promoted;
-}
-
-void Engine::MaybePromote(Monitor& monitor) {
-  if (monitor.promoted || monitor.native_failed) {
-    return;
-  }
-  if (monitor.guardrail.meta.tier == TierHint::kInterpreter) {
-    monitor.native_failed = true;  // pinned; stop re-checking every eval
-    return;
-  }
-  const GuardHealth* guard = monitor.guard;
-  if (guard != nullptr) {
-    if (guard->config.budget_steps > 0) {
-      // A step cap demands the interpreter's exact mid-program abort point;
-      // native code only polls budgets at helper escapes. The cap never
-      // lifts for this program version, so stop considering it.
-      monitor.native_failed = true;
-      return;
-    }
-    if (guard->in_probation) {
-      // A probation deploy gathers health evidence on the tier it will keep
-      // after the window closes; defer promotion, don't forbid it.
-      return;
-    }
-  }
-  if (monitor.stats.evaluations < monitor.promote_at) {
-    return;
-  }
-  if (aot_ == nullptr || !aot_->Available()) {
-    monitor.native_failed = true;
-    return;
-  }
-  auto compiled = aot_->Compile(monitor.guardrail);
-  if (!compiled.ok()) {
-    monitor.native_failed = true;
-    ++tier_stats_.compile_failures;
-    OSGUARD_LOG(kDebug) << "native compile failed for '" << monitor.guardrail.name
-                        << "': " << compiled.status().ToString();
-    return;
-  }
-  monitor.native = std::move(compiled.value());
-  monitor.nat_rule_consts = NativeExec::PrepareConsts(monitor.guardrail.rule);
-  monitor.nat_action_consts = NativeExec::PrepareConsts(monitor.guardrail.action);
-  if (!monitor.guardrail.on_satisfy.empty()) {
-    monitor.nat_satisfy_consts = NativeExec::PrepareConsts(monitor.guardrail.on_satisfy);
-  }
-  monitor.promoted = true;
-  ++tier_stats_.promotions;
-  tier_dirty_ = true;
-  if (monitor.tier_key != kInvalidKeyId) {
-    store_->Save(monitor.tier_key, Value(static_cast<int64_t>(1)));
-  }
-  OSGUARD_LOG(kDebug) << "promoted guardrail '" << monitor.guardrail.name
-                      << "' to the native tier (object " << monitor.native->content_hash
-                      << ")";
-}
-
-void Engine::Demote(Monitor& monitor) {
-  if (!monitor.promoted) {
-    return;
-  }
-  monitor.promoted = false;
-  // Re-promotion barrier: a demoted monitor must prove itself hot again from
-  // here, not inherit the heat that preceded the demotion.
-  monitor.promote_at = monitor.stats.evaluations + options_.tier.promote_after;
-  ++tier_stats_.demotions;
-  tier_dirty_ = true;
-  if (monitor.tier_key != kInvalidKeyId) {
-    store_->Save(monitor.tier_key, Value(static_cast<int64_t>(0)));
-  }
-}
-
-Result<Value> Engine::ExecProgram(Monitor& monitor, const Program& program,
-                                  const ExecBudget* budget) {
-  // Native only when step accounting cannot abort mid-program (no step cap)
-  // and no native frame is already live (actions re-enter via the rule's
-  // frame; the interpreter handles the nested program).
-  if (monitor.promoted && monitor.native != nullptr && !native_exec_.running() &&
-      (budget == nullptr || budget->max_steps == 0) &&
-      (monitor.guard == nullptr || !monitor.guard->in_probation)) {
-    NativeObject::EntryFn fn = nullptr;
-    const std::vector<osg_value>* consts = nullptr;
-    if (&program == &monitor.guardrail.rule) {
-      fn = monitor.native->rule;
-      consts = &monitor.nat_rule_consts;
-    } else if (&program == &monitor.guardrail.action) {
-      fn = monitor.native->action;
-      consts = &monitor.nat_action_consts;
-    } else if (&program == &monitor.guardrail.on_satisfy) {
-      fn = monitor.native->on_satisfy;
-      consts = &monitor.nat_satisfy_consts;
-    }
-    if (fn != nullptr) {
-      ++tier_stats_.native_evals;
-      tier_dirty_ = true;
-      return native_exec_.Run(fn, program, consts->data(), budget,
-                              &vm_.mutable_stats());
-    }
-  }
-  if (options_.tier.enabled) {
-    ++tier_stats_.interp_evals;
-    tier_dirty_ = true;
-  }
-  return vm_.Execute(program, env_, budget);
-}
-
-void Engine::PublishTierStats() {
-  // Deferred out of evaluation: a Save here while a monitor runs would feed
-  // the ONCHANGE queue mid-eval. AdvanceTo / OnFunctionCall flush instead.
-  if (evaluating_ || !tier_dirty_ || gk_tier_promotions_ == kInvalidKeyId) {
-    return;
-  }
-  tier_dirty_ = false;
-  store_->Save(gk_tier_promotions_, Value(static_cast<int64_t>(tier_stats_.promotions)));
-  store_->Save(gk_tier_demotions_, Value(static_cast<int64_t>(tier_stats_.demotions)));
-  store_->Save(gk_tier_native_evals_,
-               Value(static_cast<int64_t>(tier_stats_.native_evals)));
-  store_->Save(gk_tier_interp_evals_,
-               Value(static_cast<int64_t>(tier_stats_.interp_evals)));
-}
-
 void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
   env_.UpdateEnvelope(monitor.guardrail.name, monitor.guardrail.meta.severity, t);
   // Supervised monitors run their action programs under the same per-eval
@@ -768,7 +613,7 @@ void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
   const uint64_t failures_before =
       monitor.guard != nullptr ? dispatcher_.failure_count() : 0;
   const int64_t start = options_.measure_wall_time ? WallNowNs() : 0;
-  auto result = ExecProgram(monitor, program, budget_ptr);
+  auto result = vm_.Execute(program, env_, budget_ptr);
   if (options_.measure_wall_time) {
     const int64_t elapsed = WallNowNs() - start;
     monitor.stats.action_wall_ns += elapsed;
@@ -837,7 +682,7 @@ void Engine::EvaluateInner(Monitor& monitor, SimTime t) {
                     ? Result<Value>(ResourceExhaustedError(
                           "rule of guardrail '" + monitor.guardrail.name +
                           "' aborted by chaos site vm.budget_exhaust"))
-                    : ExecProgram(monitor, monitor.guardrail.rule, budget_ptr);
+                    : vm_.Execute(monitor.guardrail.rule, env_, budget_ptr);
   const int64_t wall_ns = options_.measure_wall_time ? WallNowNs() - start : 0;
   const int64_t steps =
       monitor.guard != nullptr ? vm_.stats().insns_executed - steps_before : 0;
@@ -890,9 +735,6 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
   ++stats.uptime_evals;
   uptime_dirty_ = true;
   ++stats_.evaluations;
-  if (options_.tier.enabled) {
-    MaybePromote(monitor);
-  }
   if (monitor.guard != nullptr) {
     const GuardrailHealth& cfg = monitor.guard->config;
     prep.budget_steps = cfg.budget_steps;
@@ -983,10 +825,6 @@ void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& pre
   // including the error path above.
   if (guard != nullptr) {
     if (supervisor_.ConsumeQuarantineAction(*guard)) {
-      // A quarantined monitor drops back to the interpreter: whatever tripped
-      // the breaker deserves the tier with exact step accounting and no native
-      // frame in the way while the supervisor probes it back to health.
-      Demote(monitor);
       // The breaker just opened: apply the corrective action once as the
       // quarantine fail-safe default, then suppress evals until a probe
       // reinstates the guardrail. (The breaker is open, so any failures the
@@ -1010,7 +848,9 @@ namespace {
 
 // v2 appended the overload-governor ladder state (global + per-monitor): a
 // panic landing mid-degradation must warm-restart into the same ladder state.
-constexpr uint32_t kImageVersion = 3;  // v3: governor bytes_ewma + retention image
+// v3 added the governor's bytes_ewma and the retention image; v4 dropped the
+// native-tier counters and per-monitor promotion state.
+constexpr uint32_t kImageVersion = 4;
 
 void WriteReportRecord(ByteWriter& w, const ReportRecord& record) {
   w.U64(record.sequence);
@@ -1062,9 +902,6 @@ struct MonitorImage {
   std::string name;
   bool enabled = true;
   MonitorStats stats;
-  bool promoted = false;
-  bool native_failed = false;
-  uint64_t promote_at = 0;
   bool has_guard = false;
   GuardHealth guard;  // config / export keys unused; protocol fields only
   uint64_t gov_attempts = 0;
@@ -1276,11 +1113,6 @@ Status ReadMonitorImage(ByteReader& r, MonitorImage* m) {
   s.consecutive_violations = static_cast<int>(consecutive);
   OSGUARD_ASSIGN_OR_RETURN(s.last_action_time, r.I64());
   OSGUARD_ASSIGN_OR_RETURN(s.uptime_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t promoted, r.U8());
-  m->promoted = promoted != 0;
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t native_failed, r.U8());
-  m->native_failed = native_failed != 0;
-  OSGUARD_ASSIGN_OR_RETURN(m->promote_at, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(uint8_t has_guard, r.U8());
   m->has_guard = has_guard != 0;
   if (m->has_guard) {
@@ -1372,11 +1204,6 @@ std::string Engine::EncodeImage() const {
   w.U64(stats_.callouts_dropped);
   w.U64(stats_.callouts_delayed);
   w.I64(stats_.total_wall_ns);
-  w.U64(tier_stats_.promotions);
-  w.U64(tier_stats_.demotions);
-  w.U64(tier_stats_.native_evals);
-  w.U64(tier_stats_.interp_evals);
-  w.U64(tier_stats_.compile_failures);
   const ActionStats actions = dispatcher_.stats();
   w.U64(actions.reports);
   w.U64(actions.replaces);
@@ -1457,9 +1284,6 @@ std::string Engine::EncodeImage() const {
     w.I64(s.consecutive_violations);
     w.I64(s.last_action_time);
     w.U64(s.uptime_evals);
-    w.U8(monitor->promoted ? 1 : 0);
-    w.U8(monitor->native_failed ? 1 : 0);
-    w.U64(monitor->promote_at);
     w.U8(monitor->guard != nullptr ? 1 : 0);
     if (monitor->guard != nullptr) {
       WriteGuardHealth(w, *monitor->guard);
@@ -1514,11 +1338,6 @@ Status Engine::ApplyImage(std::string_view image) {
   OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_dropped, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_delayed, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(stats_.total_wall_ns, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(tier_stats_.promotions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(tier_stats_.demotions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(tier_stats_.native_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(tier_stats_.interp_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(tier_stats_.compile_failures, r.U64());
   ActionStats actions;
   OSGUARD_ASSIGN_OR_RETURN(actions.reports, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(actions.replaces, r.U64());
@@ -1609,14 +1428,6 @@ Status Engine::ApplyImage(std::string_view image) {
     monitor.enabled = m.enabled;
     monitor.stats = m.stats;
     monitor.uptime_published = m.stats.uptime_evals;
-    // The native object itself is not persisted (it lives in the AOT
-    // content-hash cache). A promoted monitor restores as interpreted with
-    // promote_at = 0, so its first evaluation re-promotes through the cache;
-    // an unpromoted one keeps its original threshold.
-    monitor.promoted = false;
-    monitor.native = nullptr;
-    monitor.native_failed = m.native_failed;
-    monitor.promote_at = m.promoted ? 0 : m.promote_at;
     // Governor per-monitor state: the sampling stride position and the
     // fail-static episode already pinned must survive a warm restart, or the
     // resumed run would re-apply the static default / shift the stride.
@@ -1685,9 +1496,8 @@ Status Engine::ApplyImage(std::string_view image) {
   }
   timers_ = std::move(timers);
   next_tiebreak_ = next_tiebreak;
-  // The store holds the committed tier/uptime exports already (via slot dump
-  // + op replay); the restored counters match them, so nothing is stale.
-  tier_dirty_ = false;
+  // The store holds the committed uptime exports already (via slot dump +
+  // op replay); the restored counters match them, so nothing is stale.
   uptime_dirty_ = false;
   return OkStatus();
 }

@@ -46,12 +46,10 @@
 #include "src/runtime/governor/governor.h"
 #include "src/runtime/retention.h"
 #include "src/runtime/helper_env.h"
-#include "src/runtime/native_exec.h"
 #include "src/store/feature_store.h"
 #include "src/supervisor/supervisor.h"
 #include "src/support/hash.h"
 #include "src/vm/compiler.h"
-#include "src/vm/native_aot.h"
 #include "src/vm/vm.h"
 
 namespace osguard {
@@ -100,40 +98,12 @@ struct EngineStats {
   int64_t total_wall_ns = 0;  // rule + action host-clock cost across monitors
 };
 
-// Native AOT tier configuration. Off by default: deterministic unit tests
-// and replays should not depend on a host compiler being present. When
-// enabled, hot monitors are promoted from the bytecode interpreter to
-// AOT-compiled shared objects; results, reports, stats, and chaos replays
-// are bit-identical across tiers (see docs/NATIVE.md).
-struct NativeTierOptions {
-  bool enabled = false;
-  // Evaluations before a monitor is promoted. A `meta { tier = native }`
-  // hint promotes at the first evaluation; `tier = interpreter` never
-  // promotes. After a demotion the monitor must re-earn promotion with this
-  // many further interpreted evaluations.
-  uint64_t promote_after = 64;
-  // Passed through to NativeAotOptions (empty = environment defaults).
-  std::string compiler;
-  std::string cache_dir;
-};
-
-// Cumulative tier activity, exported as engine.tier.* feature-store keys
-// (mirroring the supervisor.* convention) at callout boundaries.
-struct TierStats {
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
-  uint64_t native_evals = 0;  // program executions on the native tier
-  uint64_t interp_evals = 0;  // program executions on the interpreter
-  uint64_t compile_failures = 0;
-};
-
 struct EngineOptions {
   size_t reporter_capacity = 4096;
   RetrainQueueOptions retrain;
   // Measure per-evaluation host-clock cost (small overhead itself; the E1
   // bench turns it on, unit tests don't care).
   bool measure_wall_time = true;
-  NativeTierOptions tier;
   // Overload governor (src/runtime/governor): load shedding by criticality
   // class when callout pressure spikes. Off by default (off == absent).
   GovernorOptions governor;
@@ -238,13 +208,6 @@ class Engine {
   ActionDispatcher& dispatcher() { return dispatcher_; }
   Vm& vm() { return vm_; }
 
-  // Native tier introspection. tier_stats() is live; native_aot() is null
-  // unless the tier was enabled in EngineOptions. TierOf returns whether a
-  // monitor currently runs native (false for unknown names).
-  const TierStats& tier_stats() const { return tier_stats_; }
-  NativeAot* native_aot() { return aot_.get(); }
-  bool TierOf(const std::string& name) const;
-
   // Overload governor (inert unless EngineOptions::governor.enabled).
   OverloadGovernor& governor() { return governor_; }
   const OverloadGovernor& governor() const { return governor_; }
@@ -292,20 +255,6 @@ class Engine {
     std::unique_ptr<CompiledGuardrail> rollback_snapshot;
     bool rollback_queued = false;
 
-    // --- Native tier state ---
-    bool promoted = false;       // currently executing on the native tier
-    bool native_failed = false;  // AOT compile failed once: stay interpreted
-    // stats.evaluations threshold for (re-)promotion; demotions push it back
-    // by promote_after so a demoted monitor re-earns its promotion.
-    uint64_t promote_at = 0;
-    std::shared_ptr<NativeObject> native;
-    // ABI-converted constant pools (handles point into `guardrail`, which is
-    // immutable and pointer-stable for this monitor generation).
-    std::vector<osg_value> nat_rule_consts;
-    std::vector<osg_value> nat_action_consts;
-    std::vector<osg_value> nat_satisfy_consts;
-    KeyId tier_key = kInvalidKeyId;  // engine.tier.<name> export slot
-
     // monitor.<name>.uptime_evals export slot and the last value published
     // to it (publish happens at callout boundaries, only on change).
     KeyId uptime_key = kInvalidKeyId;
@@ -351,8 +300,8 @@ class Engine {
     uint64_t budget_steps = 0;     // 0 = unlimited
     int64_t budget_deadline_ns = 0;  // absolute wall deadline; 0 = none
   };
-  // Gate, rollback check, stats/uptime increments, tier promotion, budget
-  // setup and the chaos budget-exhaust draw.
+  // Gate, rollback check, stats/uptime increments, budget setup and the
+  // chaos budget-exhaust draw.
   RuleEvalPrep BeginRuleEval(Monitor& monitor, SimTime t);
   // Everything after the rule program ran: wall accounting, supervisor
   // OnEvalResult, the error / satisfied / violation protocol (reports +
@@ -363,16 +312,6 @@ class Engine {
                       Result<Value> result, int64_t steps, int64_t wall_ns);
 
   void RunActions(Monitor& monitor, const Program& program, SimTime t);
-  // Tier-dispatching program execution: runs `program` natively when the
-  // monitor is promoted and the budget/replay constraints allow it, falling
-  // back to the interpreter otherwise. Results are tier-invariant.
-  Result<Value> ExecProgram(Monitor& monitor, const Program& program,
-                            const ExecBudget* budget);
-  void MaybePromote(Monitor& monitor);
-  void Demote(Monitor& monitor);
-  // Writes the engine.tier.* counters to the store. No-op mid-evaluation
-  // (callout boundaries only) and when nothing changed.
-  void PublishTierStats();
   void DrainPendingChanges();
   // Rollbacks are queued during evaluation and applied at callout
   // boundaries, where no Monitor pointers or trigger references are live.
@@ -394,7 +333,7 @@ class Engine {
 
   // --- Crash consistency (osguard::persist) ---
   // Publishes monitor.<name>.uptime_evals for monitors whose count moved.
-  // Callout boundaries only, like PublishTierStats.
+  // No-op mid-evaluation (callout boundaries only) and when nothing changed.
   void PublishUptimeStats();
   // End-of-callout hook: commits a journal frame if anything changed since
   // the last commit, then rotates a snapshot in when one is due. Errors are
@@ -447,16 +386,6 @@ class Engine {
   // (name, generation) of monitors whose probation deploy must roll back.
   std::vector<std::pair<std::string, uint64_t>> pending_rollbacks_;
   EngineStats stats_;
-
-  // --- Native tier ---
-  std::unique_ptr<NativeAot> aot_;  // null unless options_.tier.enabled
-  NativeExec native_exec_;
-  TierStats tier_stats_;
-  bool tier_dirty_ = false;  // counters changed since the last publish
-  KeyId gk_tier_promotions_ = kInvalidKeyId;
-  KeyId gk_tier_demotions_ = kInvalidKeyId;
-  KeyId gk_tier_native_evals_ = kInvalidKeyId;
-  KeyId gk_tier_interp_evals_ = kInvalidKeyId;
 
   // --- Crash consistency (osguard::persist) ---
   PersistManager* persist_ = nullptr;  // borrowed; null = persistence off

@@ -22,6 +22,30 @@ Result<std::string_view> KeyArg(const Value& v) {
   return InvalidArgumentError("value is not a string: " + v.ToString());
 }
 
+// HelperId -> windowed-aggregate kind.
+inline AggKind AggKindForHelper(HelperId id) {
+  switch (id) {
+    case HelperId::kCount:
+      return AggKind::kCount;
+    case HelperId::kSum:
+      return AggKind::kSum;
+    case HelperId::kMean:
+      return AggKind::kMean;
+    case HelperId::kMinAgg:
+      return AggKind::kMin;
+    case HelperId::kMaxAgg:
+      return AggKind::kMax;
+    case HelperId::kStdDev:
+      return AggKind::kStdDev;
+    case HelperId::kRate:
+      return AggKind::kRate;
+    case HelperId::kNewest:
+      return AggKind::kNewest;
+    default:
+      return AggKind::kOldest;
+  }
+}
+
 }  // namespace
 
 Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot,

@@ -21,31 +21,6 @@
 
 namespace osguard {
 
-// HelperId -> windowed-aggregate kind. Shared by the interpreter's helper
-// dispatch and the native tier's host shim so the mapping cannot drift.
-inline AggKind AggKindForHelper(HelperId id) {
-  switch (id) {
-    case HelperId::kCount:
-      return AggKind::kCount;
-    case HelperId::kSum:
-      return AggKind::kSum;
-    case HelperId::kMean:
-      return AggKind::kMean;
-    case HelperId::kMinAgg:
-      return AggKind::kMin;
-    case HelperId::kMaxAgg:
-      return AggKind::kMax;
-    case HelperId::kStdDev:
-      return AggKind::kStdDev;
-    case HelperId::kRate:
-      return AggKind::kRate;
-    case HelperId::kNewest:
-      return AggKind::kNewest;
-    default:
-      return AggKind::kOldest;
-  }
-}
-
 class MonitorHelperEnv : public HelperContext {
  public:
   // Both dependencies are borrowed and must outlive the env. `dispatcher`
@@ -55,7 +30,6 @@ class MonitorHelperEnv : public HelperContext {
 
   // The engine updates the envelope before every program execution.
   void SetEnvelope(ActionEnvelope envelope) { envelope_ = std::move(envelope); }
-  const ActionEnvelope& envelope() const { return envelope_; }
 
   // Hot-path envelope refresh: only touches the guardrail-name string when it
   // actually changed, so repeated evaluations of the same monitor never
@@ -89,18 +63,9 @@ class MonitorHelperEnv : public HelperContext {
 
   SimTime now() const override { return envelope_.now; }
 
-  // Native-tier shim surface (src/runtime/native_exec.cc). The shim's
-  // specialized slot ops reproduce CallHelperKeyed piecewise — exactly one
-  // chaos draw per helper call, then either the keyed store path or the
-  // string fallback — so its building blocks are exposed here. Not intended
-  // for general callers.
-  bool ChaosShouldFailHelper() {
-    return chaos_ != nullptr && chaos_->ShouldInject(helper_fail_site_, envelope_.now);
-  }
-  FeatureStore* store() { return store_; }
-  Result<Value> CallHelperUnchecked(HelperId id, std::span<const Value> args);
-
  private:
+  // The helper body after the single runtime.helper_fail chaos draw.
+  Result<Value> CallHelperUnchecked(HelperId id, std::span<const Value> args);
   Result<Value> StoreHelper(HelperId id, std::span<const Value> args);
   Result<Value> StoreHelperKeyed(HelperId id, KeyId key, std::span<const Value> args);
   Result<Value> AggregateHelper(HelperId id, std::span<const Value> args);

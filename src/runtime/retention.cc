@@ -32,7 +32,7 @@ RetentionOptions WithBuiltinNamespaces(RetentionOptions options) {
     ns.idle_ttl = kBuiltinAgentSessionTtl;
     options.namespaces.push_back(std::move(ns));
   }
-  // Per-monitor uptime/tier counters ("monitor.<name>.*") left behind by
+  // Per-monitor uptime counters ("monitor.<name>.*") left behind by
   // unloaded monitors. Live monitors pin their counter ids, so only
   // orphaned counters age out.
   if (!governs("monitor.")) {

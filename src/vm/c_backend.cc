@@ -278,460 +278,6 @@ std::string EmitCFunction(const Program& program, const std::string& function_na
   return out.str();
 }
 
-std::string EmitNativeFunction(const Program& program, const std::string& function_name) {
-  std::ostringstream out;
-  const std::set<size_t> targets = CollectJumpTargets(program);
-  bool fault_used = false;
-
-  // Every VM register is scalarized into four C locals (kind / i / f / h).
-  // The int and float fast paths are emitted field-wise, inline, so the hot
-  // compute chain lives entirely in machine registers; osg_value structs are
-  // materialized only at the opaque host escapes (ctx->ops->*), which pack
-  // operand copies into osg_ta/osg_tb/osg_win and unpack osg_td/osg_out.
-  // Keeping struct addresses out of the hot path is what lets the host
-  // compiler registerize across the cold-call merge points — emitting the
-  // same logic through pointer-taking helpers pins every register to the
-  // stack and costs ~3x on compute-dense programs.
-  std::set<int> used;
-  int win_size = 0;
-  bool win_used = false;
-  bool escape_used = false;
-  for (const Insn& insn : program.insns) {
-    const int a = insn.a;
-    const int b = insn.b;
-    const int c = insn.c;
-    auto window = [&](int base, int count) {
-      for (int j = 0; j < count; ++j) {
-        used.insert(base + j);
-      }
-      win_size = std::max(win_size, count);
-      win_used = true;
-    };
-    switch (insn.op) {
-      case Op::kLoadConst:
-        used.insert(a);
-        break;
-      case Op::kMov:
-      case Op::kNot:
-        used.insert(a);
-        used.insert(b);
-        break;
-      case Op::kNeg:
-        used.insert(a);
-        used.insert(b);
-        escape_used = true;
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kCmpLt:
-      case Op::kCmpLe:
-      case Op::kCmpGt:
-      case Op::kCmpGe:
-      case Op::kCmpEq:
-      case Op::kCmpNe:
-      case Op::kCmpRegJf:
-      case Op::kCmpRegJt:
-        used.insert(a);
-        used.insert(b);
-        used.insert(c);
-        escape_used = true;
-        break;
-      case Op::kJump:
-        break;
-      case Op::kJumpIfFalse:
-      case Op::kJumpIfTrue:
-      case Op::kRet:
-        used.insert(a);
-        break;
-      case Op::kCmpConst:
-      case Op::kCmpConstJf:
-      case Op::kCmpConstJt:
-        used.insert(a);
-        used.insert(b);
-        escape_used = true;
-        break;
-      case Op::kMakeList:
-        used.insert(a);
-        window(b, insn.imm);
-        break;
-      case Op::kCall:
-      case Op::kCallKeyed:
-        used.insert(a);
-        window(b, c);
-        break;
-    }
-  }
-
-  auto R = [](int i) { return "r" + std::to_string(i); };
-  auto K = [&](int i) { return R(i) + "_kind"; };
-  auto I = [&](int i) { return R(i) + "_i"; };
-  auto F = [&](int i) { return R(i) + "_f"; };
-  auto H = [&](int i) { return R(i) + "_h"; };
-  // Pack register scalars into a struct lvalue (escape operand / call arg).
-  auto pack = [&](const std::string& dst, int r) {
-    return dst + ".kind = " + K(r) + "; " + dst + ".i = " + I(r) + "; " + dst +
-           ".f = " + F(r) + "; " + dst + ".h = " + H(r) + ";";
-  };
-  // Unpack a struct lvalue back into register scalars (escape / call result).
-  auto unpack = [&](int r, const std::string& src) {
-    return K(r) + " = " + src + ".kind; " + I(r) + " = " + src + ".i; " + F(r) +
-           " = " + src + ".f; " + H(r) + " = " + src + ".h;";
-  };
-  auto set_int = [&](int r, const std::string& expr) {
-    return K(r) + " = OSG_INT; " + I(r) + " = " + expr + "; " + F(r) + " = 0.0; " +
-           H(r) + " = 0;";
-  };
-  auto set_float = [&](int r, const std::string& expr) {
-    return K(r) + " = OSG_FLOAT; " + I(r) + " = 0; " + F(r) + " = " + expr + "; " +
-           H(r) + " = 0;";
-  };
-  auto set_bool = [&](int r, const std::string& expr) {
-    return K(r) + " = OSG_BOOL; " + I(r) + " = " + expr + "; " + F(r) + " = 0.0; " +
-           H(r) + " = 0;";
-  };
-  // vm_ops::ToDouble on scalars: ok &= operand is int/float, x = its value.
-  auto numeric = [&](const std::string& x, int r) {
-    return "if (" + K(r) + " == OSG_INT) " + x + " = (double)" + I(r) + "; else if (" +
-           K(r) + " == OSG_FLOAT) " + x + " = " + F(r) + "; else osg_ok = 0;";
-  };
-  auto numeric_const = [&](const std::string& x, int idx) {
-    const std::string cv = "ctx->consts[" + std::to_string(idx) + "]";
-    return "if (" + cv + ".kind == OSG_INT) " + x + " = (double)" + cv +
-           ".i; else if (" + cv + ".kind == OSG_FLOAT) " + x + " = " + cv +
-           ".f; else osg_ok = 0;";
-  };
-  auto truthy = [&](int r) {
-    return "(" + K(r) + " == OSG_NIL ? 0 : " + K(r) + " == OSG_FLOAT ? " + F(r) +
-           " != 0.0 : " + I(r) + " != 0)";
-  };
-  auto copy_window = [&](int base, int count) {
-    std::string text;
-    for (int j = 0; j < count; ++j) {
-      text += " " + pack("osg_win[" + std::to_string(j) + "]", base + j);
-    }
-    return text;
-  };
-  auto cmp_c_op = [](int kind) {
-    switch (kind) {
-      case 0:
-        return "<";
-      case 1:
-        return "<=";
-      case 2:
-        return ">";
-      case 3:
-        return ">=";
-      case 4:
-        return "==";
-      default:
-        return "!=";
-    }
-  };
-
-  std::ostringstream body;
-  for (size_t pc = 0; pc < program.insns.size(); ++pc) {
-    if (targets.count(pc) > 0) {
-      body << "L" << pc << ":\n";
-    }
-    const Insn& insn = program.insns[pc];
-    const int a = insn.a;
-    const int b = insn.b;
-    const int c = insn.c;
-    // One `++st` per original bytecode instruction, before it executes —
-    // exactly the interpreter's insns_executed accounting (Ret included).
-    body << "  ++st;";
-    switch (insn.op) {
-      case Op::kLoadConst:
-        body << " " << unpack(a, "ctx->consts[" + std::to_string(insn.imm) + "]") << "\n";
-        break;
-      case Op::kMov:
-        body << " " << K(a) << " = " << K(b) << "; " << I(a) << " = " << I(b) << "; "
-             << F(a) << " = " << F(b) << "; " << H(a) << " = " << H(b) << ";\n";
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod: {
-        const bool has_int_path =
-            insn.op == Op::kAdd || insn.op == Op::kSub || insn.op == Op::kMul;
-        const char* wrap = insn.op == Op::kAdd   ? "osg_wrap_add"
-                           : insn.op == Op::kSub ? "osg_wrap_sub"
-                                                 : "osg_wrap_mul";
-        const char* fop = insn.op == Op::kAdd   ? "x + y"
-                          : insn.op == Op::kSub ? "x - y"
-                          : insn.op == Op::kMul ? "x * y"
-                                                : "x / y";
-        const char* code = insn.op == Op::kAdd   ? "OSG_OP_ADD"
-                           : insn.op == Op::kSub ? "OSG_OP_SUB"
-                           : insn.op == Op::kMul ? "OSG_OP_MUL"
-                           : insn.op == Op::kDiv ? "OSG_OP_DIV"
-                                                 : "OSG_OP_MOD";
-        body << " {\n";
-        if (insn.op == Op::kMod) {
-          // The interpreter has no Mod fast path either: always generic.
-          body << "    " << pack("osg_ta", b) << " " << pack("osg_tb", c) << "\n";
-          body << "    if (!ctx->ops->binop(ctx, " << code
-               << ", &osg_ta, &osg_tb, &osg_td)) goto osg_fault;\n";
-          body << "    " << unpack(a, "osg_td") << "\n";
-        } else {
-          if (has_int_path) {
-            body << "    if (" << K(b) << " == OSG_INT && " << K(c) << " == OSG_INT) {\n";
-            body << "      long long t = " << wrap << "(" << I(b) << ", " << I(c)
-                 << ");\n";
-            body << "      " << set_int(a, "t") << "\n";
-            body << "    } else {\n";
-          }
-          body << "    double x = 0.0, y = 0.0;\n";
-          body << "    int osg_ok = 1;\n";
-          body << "    " << numeric("x", b) << "\n";
-          body << "    " << numeric("y", c) << "\n";
-          if (insn.op == Op::kDiv) {
-            body << "    if (osg_ok && y != 0.0) {\n";
-          } else {
-            body << "    if (osg_ok) {\n";
-          }
-          body << "      double t = " << fop << ";\n";
-          body << "      " << set_float(a, "t") << "\n";
-          body << "    } else {\n";
-          body << "      " << pack("osg_ta", b) << " " << pack("osg_tb", c) << "\n";
-          body << "      if (!ctx->ops->binop(ctx, " << code
-               << ", &osg_ta, &osg_tb, &osg_td)) goto osg_fault;\n";
-          body << "      " << unpack(a, "osg_td") << "\n";
-          body << "    }\n";
-          if (has_int_path) {
-            body << "    }\n";
-          }
-        }
-        body << "  }\n";
-        fault_used = true;
-        break;
-      }
-      case Op::kNeg:
-        body << " {\n";
-        body << "    if (" << K(b) << " == OSG_INT) {\n";
-        body << "      long long t = osg_wrap_neg(" << I(b) << ");\n";
-        body << "      " << set_int(a, "t") << "\n";
-        body << "    } else if (" << K(b) << " == OSG_FLOAT) {\n";
-        body << "      double t = -" << F(b) << ";\n";
-        body << "      " << set_float(a, "t") << "\n";
-        body << "    } else if (" << K(b) << " == OSG_BOOL) {\n";
-        body << "      long long t = " << I(b) << " ? -1 : 0;\n";
-        body << "      " << set_int(a, "t") << "\n";
-        body << "    } else {\n";
-        body << "      " << pack("osg_ta", b) << "\n";
-        body << "      if (!ctx->ops->unop(ctx, OSG_OP_NEG, &osg_ta, &osg_td)) "
-                "goto osg_fault;\n";
-        body << "      " << unpack(a, "osg_td") << "\n";
-        body << "    }\n";
-        body << "  }\n";
-        fault_used = true;
-        break;
-      case Op::kNot: {
-        body << " { int t = !" << truthy(b) << "; " << set_bool(a, "t") << " }\n";
-        break;
-      }
-      case Op::kCmpLt:
-      case Op::kCmpLe:
-      case Op::kCmpGt:
-      case Op::kCmpGe:
-      case Op::kCmpEq:
-      case Op::kCmpNe:
-      case Op::kCmpRegJf:
-      case Op::kCmpRegJt: {
-        const bool fused = insn.op == Op::kCmpRegJf || insn.op == Op::kCmpRegJt;
-        const int kind = fused ? insn.imm : CmpOpToKind(insn.op);
-        body << " {\n";
-        body << "    double x = 0.0, y = 0.0;\n";
-        body << "    int osg_ok = 1;\n";
-        body << "    " << numeric("x", b) << "\n";
-        body << "    " << numeric("y", c) << "\n";
-        body << "    if (osg_ok) {\n";
-        body << "      int t = x " << cmp_c_op(kind) << " y;\n";
-        body << "      " << set_bool(a, "t") << "\n";
-        body << "    } else {\n";
-        body << "      " << pack("osg_ta", b) << " " << pack("osg_tb", c) << "\n";
-        body << "      if (!ctx->ops->cmp(ctx, " << kind
-             << ", &osg_ta, &osg_tb, &osg_td)) goto osg_fault;\n";
-        body << "      " << unpack(a, "osg_td") << "\n";
-        body << "    }\n";
-        body << "  }\n";
-        if (fused) {
-          body << "  if (" << (insn.op == Op::kCmpRegJf ? "!" : "") << truthy(a)
-               << ") goto L" << (pc + 1 + static_cast<size_t>(insn.aux)) << ";\n";
-        }
-        fault_used = true;
-        break;
-      }
-      case Op::kCmpConst:
-      case Op::kCmpConstJf:
-      case Op::kCmpConstJt: {
-        const bool fused = insn.op != Op::kCmpConst;
-        body << " {\n";
-        body << "    double x = 0.0, y = 0.0;\n";
-        body << "    int osg_ok = 1;\n";
-        body << "    " << numeric("x", b) << "\n";
-        body << "    " << numeric_const("y", insn.imm) << "\n";
-        body << "    if (osg_ok) {\n";
-        body << "      int t = x " << cmp_c_op(c) << " y;\n";
-        body << "      " << set_bool(a, "t") << "\n";
-        body << "    } else {\n";
-        body << "      " << pack("osg_ta", b) << "\n";
-        body << "      if (!ctx->ops->cmp(ctx, " << c << ", &osg_ta, &ctx->consts["
-             << insn.imm << "], &osg_td)) goto osg_fault;\n";
-        body << "      " << unpack(a, "osg_td") << "\n";
-        body << "    }\n";
-        body << "  }\n";
-        if (fused) {
-          body << "  if (" << (insn.op == Op::kCmpConstJf ? "!" : "") << truthy(a)
-               << ") goto L" << (pc + 1 + static_cast<size_t>(insn.aux)) << ";\n";
-        }
-        fault_used = true;
-        break;
-      }
-      case Op::kJump:
-        body << " goto L" << (pc + 1 + static_cast<size_t>(insn.imm)) << ";\n";
-        break;
-      case Op::kJumpIfFalse:
-        body << " if (!" << truthy(a) << ") goto L"
-             << (pc + 1 + static_cast<size_t>(insn.imm)) << ";\n";
-        break;
-      case Op::kJumpIfTrue:
-        body << " if (" << truthy(a) << ") goto L"
-             << (pc + 1 + static_cast<size_t>(insn.imm)) << ";\n";
-        break;
-      case Op::kMakeList:
-        body << copy_window(b, insn.imm) << " if (!ctx->ops->make_list(ctx, osg_win, "
-             << insn.imm << ", &osg_out)) goto osg_fault; " << unpack(a, "osg_out")
-             << "\n";
-        fault_used = true;
-        break;
-      case Op::kCall:
-        body << " ctx->steps = st;" << copy_window(b, c) << " if (!ctx->ops->call(ctx, "
-             << HelperToken(insn.imm) << ", OSG_NO_SLOT, osg_win, " << c
-             << ", &osg_out)) goto osg_fault; " << unpack(a, "osg_out") << "\n";
-        fault_used = true;
-        break;
-      case Op::kRet:
-        body << " ctx->steps = st; { osg_value rv; " << pack("rv", a)
-             << " return rv; }\n";
-        break;
-      case Op::kCallKeyed: {
-        const uint32_t slot = static_cast<uint32_t>(insn.aux);
-        body << " ctx->steps = st;" << copy_window(b, c);
-        // Specialized ops receive the full argument window (key first) so
-        // the host shim can mirror the interpreter's string fallback when
-        // the slot is not one the store interned.
-        const std::string tail = "&osg_out)) goto osg_fault; " + unpack(a, "osg_out") + "\n";
-        switch (static_cast<HelperId>(insn.imm)) {
-          case HelperId::kLoad:
-            body << " if (!ctx->ops->load_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          case HelperId::kLoadOr:
-            body << " if (!ctx->ops->load_or_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          case HelperId::kSave:
-            body << " if (!ctx->ops->save_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          case HelperId::kIncr:
-            body << " if (!ctx->ops->incr_slot(ctx, " << slot << "u, osg_win, " << c << ", "
-                 << tail;
-            break;
-          case HelperId::kExists:
-            body << " if (!ctx->ops->exists_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          case HelperId::kObserve:
-            body << " if (!ctx->ops->observe_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          case HelperId::kCount:
-          case HelperId::kSum:
-          case HelperId::kMean:
-          case HelperId::kMinAgg:
-          case HelperId::kMaxAgg:
-          case HelperId::kStdDev:
-          case HelperId::kRate:
-          case HelperId::kNewest:
-          case HelperId::kOldest:
-            body << " if (!ctx->ops->agg_slot(ctx, " << HelperToken(insn.imm) << ", " << slot
-                 << "u, osg_win, " << tail;
-            break;
-          case HelperId::kQuantile:
-            body << " if (!ctx->ops->quantile_slot(ctx, " << slot << "u, osg_win, " << tail;
-            break;
-          default:
-            body << " if (!ctx->ops->call(ctx, " << HelperToken(insn.imm) << ", " << slot
-                 << "u, osg_win, " << c << ", " << tail;
-            break;
-        }
-        fault_used = true;
-        break;
-      }
-    }
-  }
-
-  out << "/* program '" << program.name << "' (" << program.insns.size()
-      << " insns), native tier */\n";
-  out << "osg_value " << function_name << "(osg_ctx *ctx) {\n";
-  for (const int i : used) {
-    out << "  int " << K(i) << " = OSG_NIL; long long " << I(i) << " = 0; double "
-        << F(i) << " = 0.0; const void *" << H(i) << " = 0;\n";
-  }
-  if (win_used) {
-    out << "  osg_value osg_win[" << std::max(1, win_size) << "];\n";
-    out << "  osg_value osg_out = {OSG_NIL, 0, 0.0, 0};\n";
-  }
-  if (escape_used) {
-    out << "  osg_value osg_ta = {OSG_NIL, 0, 0.0, 0};\n";
-    out << "  osg_value osg_tb = {OSG_NIL, 0, 0.0, 0};\n";
-    out << "  osg_value osg_td = {OSG_NIL, 0, 0.0, 0};\n";
-  }
-  out << "  long long st = 0;\n";
-  for (const int i : used) {
-    out << "  (void)" << K(i) << "; (void)" << I(i) << "; (void)" << F(i) << "; (void)"
-        << H(i) << ";\n";
-  }
-  if (escape_used) {
-    out << "  (void)osg_ta; (void)osg_tb; (void)osg_td;\n";
-  }
-  out << body.str();
-  if (CanRunOffEnd(program, targets)) {
-    if (targets.count(program.insns.size()) > 0) {
-      out << "L" << program.insns.size() << ":\n";
-    }
-    out << "  ctx->steps = st;\n";
-    out << "  (void)ctx->ops->raise(ctx, OSG_RAISE_OFF_END);\n";
-    out << "  {\n";
-    out << "    osg_value osg_nil_v = {OSG_NIL, 0, 0.0, 0};\n";
-    out << "    return osg_nil_v;\n";
-    out << "  }\n";
-  }
-  if (fault_used) {
-    out << "osg_fault:\n";
-    out << "  ctx->steps = st;\n";
-    out << "  {\n";
-    out << "    osg_value osg_nil_v = {OSG_NIL, 0, 0.0, 0};\n";
-    out << "    return osg_nil_v;\n";
-    out << "  }\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
-std::string EmitNativeSource(const CompiledGuardrail& guardrail) {
-  std::ostringstream out;
-  out << "/*\n * Guardrail monitor '" << guardrail.name << "', native tier.\n"
-      << " * Generated by osguard; do not edit.\n */\n\n";
-  out << EmitNativeFunction(guardrail.rule, "osg_rule") << "\n";
-  out << EmitNativeFunction(guardrail.action, "osg_action") << "\n";
-  if (!guardrail.on_satisfy.empty()) {
-    out << EmitNativeFunction(guardrail.on_satisfy, "osg_on_satisfy") << "\n";
-  }
-  return out.str();
-}
-
 std::string EmitKernelModuleSource(const CompiledGuardrail& guardrail) {
   const std::string ident = Mangle(guardrail.name);
   std::ostringstream out;

@@ -1,19 +1,11 @@
 // C-source backend: renders a compiled guardrail as the kernel-module
 // monitor the paper's §3.3 describes ("compiled into guardrail monitors that
 // run inside the kernel, either as eBPF programs or as kernel modules").
-//
-// Two flavors share one emitter core:
-//
-//  * Kernel-module flavor (EmitKernelModuleSource / EmitCFunction): a
-//    human-readable transliteration against the include/osguard/kmod.h ABI,
-//    with module/trigger registration boilerplate. Compile-checked with
-//    -Wall -Wextra -Werror by the test suite, but not executed.
-//
-//  * Native flavor (EmitNativeSource / EmitNativeFunction): the executed
-//    tier. Self-contained C (the AOT pipeline prepends the
-//    src/vm/native_abi.h prelude), with per-instruction step counting and
-//    osg_ops escapes into the host runtime, bit-identical to the
-//    interpreter by the contract documented in docs/NATIVE.md.
+// The verified bytecode run by src/vm/vm.h stands in for the eBPF program;
+// this backend produces the kernel-module form: a human-readable
+// transliteration against the include/osguard/kmod.h ABI, with
+// module/trigger registration boilerplate. Compile-checked with
+// -Wall -Wextra -Werror by the test suite, but not executed.
 
 #ifndef SRC_VM_C_BACKEND_H_
 #define SRC_VM_C_BACKEND_H_
@@ -28,16 +20,8 @@ namespace osguard {
 // functions plus the module registration boilerplate for `guardrail`.
 std::string EmitKernelModuleSource(const CompiledGuardrail& guardrail);
 
-// Emits just one program as a C function in the kernel-module flavor.
+// Emits just one program as a kernel-module C function.
 std::string EmitCFunction(const Program& program, const std::string& function_name);
-
-// Native flavor: all of `guardrail`'s programs as exported functions
-// (osg_rule / osg_action / osg_on_satisfy). The result is not a complete
-// translation unit — the AOT pipeline prepends the ABI prelude.
-std::string EmitNativeSource(const CompiledGuardrail& guardrail);
-
-// Native flavor, one program as the exported function `function_name`.
-std::string EmitNativeFunction(const Program& program, const std::string& function_name);
 
 }  // namespace osguard
 

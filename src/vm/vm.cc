@@ -4,21 +4,16 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 
-#include "src/vm/vm_ops.h"
-
-// Dispatch strategy. On GCC/Clang the interpreter uses computed goto (a label
-// address table indexed by opcode), which gives each handler its own indirect
-// branch and lets the CPU's branch predictor learn per-opcode successor
-// patterns — the classic "threaded code" win over a single switch whose one
-// indirect branch aliases every opcode transition. Define
-// OSGUARD_VM_SWITCH_DISPATCH (or build with a compiler without the extension)
-// to force the portable switch loop; both paths share the same handler bodies
-// via the VM_CASE / VM_NEXT macros, so they cannot drift apart semantically.
-#if !defined(OSGUARD_VM_SWITCH_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define OSGUARD_VM_COMPUTED_GOTO 1
-#else
-#define OSGUARD_VM_COMPUTED_GOTO 0
+// The interpreter dispatches with computed goto (a label address table
+// indexed by opcode), which gives each handler its own indirect branch and
+// lets the CPU's branch predictor learn per-opcode successor patterns — the
+// classic "threaded code" win over a single switch whose one indirect branch
+// aliases every opcode transition. Labels-as-values is a GNU extension that
+// both compilers able to build this tree (GCC and Clang) provide.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the VM's threaded dispatch needs the labels-as-values extension (GCC or Clang)"
 #endif
 
 namespace osguard {
@@ -45,17 +40,169 @@ namespace {
 
 bool Truthy(const Value& v) { return TruthyValue(v); }
 
-// The scalar semantics (wrapping arithmetic, Arith/Compare fault rules, the
-// numeric fast-path coercions) are shared with the native tier's host shim —
-// see src/vm/vm_ops.h for the definitions and the determinism rationale.
-using vm_ops::Arith;
-using vm_ops::Compare;
-using vm_ops::DoCompare;
-using vm_ops::ToDouble;
-using vm_ops::WrapAdd;
-using vm_ops::WrapMul;
-using vm_ops::WrapNeg;
-using vm_ops::WrapSub;
+// Two's-complement wrapping int64 arithmetic (the kernel-friendly overflow
+// behavior the VM guarantees). Routed through uint64 so it is defined
+// behavior — signed overflow would be UB and trips UBSan.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+inline int64_t WrapNeg(int64_t a) {
+  return static_cast<int64_t>(0u - static_cast<uint64_t>(a));
+}
+
+inline Result<Value> Arith(Op op, const Value& lhs, const Value& rhs) {
+  if (!lhs.is_numeric() && lhs.type() != ValueType::kBool) {
+    return ExecutionError("arithmetic on non-numeric value " + lhs.ToString());
+  }
+  if (!rhs.is_numeric() && rhs.type() != ValueType::kBool) {
+    return ExecutionError("arithmetic on non-numeric value " + rhs.ToString());
+  }
+  const bool both_int = lhs.type() == ValueType::kInt && rhs.type() == ValueType::kInt;
+  const double a = lhs.NumericOr(0.0);
+  const double b = rhs.NumericOr(0.0);
+  switch (op) {
+    case Op::kAdd:
+      return both_int ? Value(WrapAdd(lhs.AsInt().value(), rhs.AsInt().value())) : Value(a + b);
+    case Op::kSub:
+      return both_int ? Value(WrapSub(lhs.AsInt().value(), rhs.AsInt().value())) : Value(a - b);
+    case Op::kMul:
+      return both_int ? Value(WrapMul(lhs.AsInt().value(), rhs.AsInt().value())) : Value(a * b);
+    case Op::kDiv:
+      if (b == 0.0) {
+        return ExecutionError("division by zero");
+      }
+      return Value(a / b);
+    case Op::kMod: {
+      if (b == 0.0) {
+        return ExecutionError("modulo by zero");
+      }
+      if (both_int) {
+        const int64_t divisor = rhs.AsInt().value();
+        // INT64_MIN % -1 overflows in hardware; the wrapped answer is 0.
+        if (divisor == -1) {
+          return Value(int64_t{0});
+        }
+        return Value(lhs.AsInt().value() % divisor);
+      }
+      return Value(std::fmod(a, b));
+    }
+    default:
+      return InternalError("not an arithmetic op");
+  }
+}
+
+// Numbers and bools all participate in numeric comparison (bool as 0/1),
+// matching EvalConst's semantics.
+inline bool NumericLike(const Value& v) {
+  return v.is_numeric() || v.type() == ValueType::kBool;
+}
+
+inline Result<Value> Compare(Op op, const Value& lhs, const Value& rhs) {
+  if (op == Op::kCmpEq) {
+    return Value(lhs == rhs || (NumericLike(lhs) && NumericLike(rhs) &&
+                                lhs.NumericOr(0.0) == rhs.NumericOr(0.0)));
+  }
+  if (op == Op::kCmpNe) {
+    return Value(!(lhs == rhs || (NumericLike(lhs) && NumericLike(rhs) &&
+                                  lhs.NumericOr(0.0) == rhs.NumericOr(0.0))));
+  }
+  // Ordered comparisons: strings compare lexicographically, numerics (and
+  // bools) numerically; anything else faults.
+  if (lhs.type() == ValueType::kString && rhs.type() == ValueType::kString) {
+    const std::string& a = *lhs.IfString();
+    const std::string& b = *rhs.IfString();
+    switch (op) {
+      case Op::kCmpLt:
+        return Value(a < b);
+      case Op::kCmpLe:
+        return Value(a <= b);
+      case Op::kCmpGt:
+        return Value(a > b);
+      case Op::kCmpGe:
+        return Value(a >= b);
+      default:
+        break;
+    }
+  }
+  const bool lhs_ok = NumericLike(lhs);
+  const bool rhs_ok = NumericLike(rhs);
+  if (!lhs_ok || !rhs_ok) {
+    return ExecutionError("ordered comparison on non-numeric values " + lhs.ToString() +
+                          " and " + rhs.ToString());
+  }
+  const double a = lhs.NumericOr(0.0);
+  const double b = rhs.NumericOr(0.0);
+  switch (op) {
+    case Op::kCmpLt:
+      return Value(a < b);
+    case Op::kCmpLe:
+      return Value(a <= b);
+    case Op::kCmpGt:
+      return Value(a > b);
+    case Op::kCmpGe:
+      return Value(a >= b);
+    default:
+      return InternalError("not a comparison op");
+  }
+}
+
+// Int/float view used by the numeric fast paths. Bools and everything else
+// decline, falling back to the generic Arith/Compare routines, so semantics
+// are bit-identical to the slow path: both already funnel mixed numeric
+// operands through doubles via NumericOr.
+inline bool ToDouble(const Value& v, double* out) {
+  if (const int64_t* i = v.IfInt()) {
+    *out = static_cast<double>(*i);
+    return true;
+  }
+  if (const double* d = v.IfFloat()) {
+    *out = *d;
+    return true;
+  }
+  return false;
+}
+
+inline bool CmpKindDouble(int kind, double a, double b) {
+  switch (kind) {
+    case 0:
+      return a < b;
+    case 1:
+      return a <= b;
+    case 2:
+      return a > b;
+    case 3:
+      return a >= b;
+    case 4:
+      return a == b;
+    default:
+      return a != b;
+  }
+}
+
+// cmp<kind>(lhs, rhs) with the numeric fast path. Returns false on fault with
+// *fault set; otherwise *out holds the comparison result.
+inline bool DoCompare(int kind, const Value& lhs, const Value& rhs, bool* out,
+                      Status* fault) {
+  double a;
+  double b;
+  if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
+    *out = CmpKindDouble(kind, a, b);
+    return true;
+  }
+  auto result = Compare(CmpKindToOp(kind), lhs, rhs);
+  if (!result.ok()) {
+    *fault = result.status();
+    return false;
+  }
+  *out = TruthyValue(result.value());
+  return true;
+}
 
 inline int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -112,7 +259,6 @@ Result<Value> Vm::Execute(const Program& program, HelperContext& context,
   const Insn* insn = nullptr;
   Status fault;
 
-#if OSGUARD_VM_COMPUTED_GOTO
   // Indexed by static_cast<int>(Op); must stay in enum declaration order.
   static const void* const kDispatch[kOpCount] = {
       &&lbl_LoadConst, &&lbl_Mov,         &&lbl_Add,        &&lbl_Sub,
@@ -138,281 +284,252 @@ Result<Value> Vm::Execute(const Program& program, HelperContext& context,
 
   VM_NEXT();  // initial dispatch
 
-#else  // switch fallback
-
-#define VM_CASE(name) case Op::k##name:
-#define VM_NEXT() continue
-
-  for (;;) {
-    if (pc >= n) goto lbl_off_end;
-    if (++executed > kMaxInstructions) goto lbl_budget;
-    if (budget != nullptr && BudgetExhausted(*budget, executed)) goto lbl_user_budget;
-    insn = &insns[pc];
-    switch (insn->op) {
-#endif
-
-      VM_CASE(LoadConst) {
-        regs[insn->a] = consts[static_cast<size_t>(insn->imm)];
+  VM_CASE(LoadConst) {
+    regs[insn->a] = consts[static_cast<size_t>(insn->imm)];
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Mov) {
+    regs[insn->a] = regs[insn->b];
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Add) {
+    const Value& lhs = regs[insn->b];
+    const Value& rhs = regs[insn->c];
+    if (const int64_t* li = lhs.IfInt()) {
+      if (const int64_t* ri = rhs.IfInt()) {
+        regs[insn->a] = Value(WrapAdd(*li, *ri));
         ++pc;
         VM_NEXT();
       }
-      VM_CASE(Mov) {
-        regs[insn->a] = regs[insn->b];
+    }
+    double a;
+    double b;
+    if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
+      regs[insn->a] = Value(a + b);
+      ++pc;
+      VM_NEXT();
+    }
+    auto result = Arith(Op::kAdd, lhs, rhs);
+    if (!result.ok()) {
+      fault = result.status();
+      goto lbl_fault;
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Sub) {
+    const Value& lhs = regs[insn->b];
+    const Value& rhs = regs[insn->c];
+    if (const int64_t* li = lhs.IfInt()) {
+      if (const int64_t* ri = rhs.IfInt()) {
+        regs[insn->a] = Value(WrapSub(*li, *ri));
         ++pc;
         VM_NEXT();
       }
-      VM_CASE(Add) {
-        const Value& lhs = regs[insn->b];
-        const Value& rhs = regs[insn->c];
-        if (const int64_t* li = lhs.IfInt()) {
-          if (const int64_t* ri = rhs.IfInt()) {
-            regs[insn->a] = Value(WrapAdd(*li, *ri));
-            ++pc;
-            VM_NEXT();
-          }
-        }
-        double a;
-        double b;
-        if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
-          regs[insn->a] = Value(a + b);
-          ++pc;
-          VM_NEXT();
-        }
-        auto result = Arith(Op::kAdd, lhs, rhs);
-        if (!result.ok()) {
-          fault = result.status();
-          goto lbl_fault;
-        }
-        regs[insn->a] = std::move(result).value();
+    }
+    double a;
+    double b;
+    if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
+      regs[insn->a] = Value(a - b);
+      ++pc;
+      VM_NEXT();
+    }
+    auto result = Arith(Op::kSub, lhs, rhs);
+    if (!result.ok()) {
+      fault = result.status();
+      goto lbl_fault;
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Mul) {
+    const Value& lhs = regs[insn->b];
+    const Value& rhs = regs[insn->c];
+    if (const int64_t* li = lhs.IfInt()) {
+      if (const int64_t* ri = rhs.IfInt()) {
+        regs[insn->a] = Value(WrapMul(*li, *ri));
         ++pc;
         VM_NEXT();
       }
-      VM_CASE(Sub) {
-        const Value& lhs = regs[insn->b];
-        const Value& rhs = regs[insn->c];
-        if (const int64_t* li = lhs.IfInt()) {
-          if (const int64_t* ri = rhs.IfInt()) {
-            regs[insn->a] = Value(WrapSub(*li, *ri));
-            ++pc;
-            VM_NEXT();
-          }
-        }
-        double a;
-        double b;
-        if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
-          regs[insn->a] = Value(a - b);
-          ++pc;
-          VM_NEXT();
-        }
-        auto result = Arith(Op::kSub, lhs, rhs);
-        if (!result.ok()) {
-          fault = result.status();
-          goto lbl_fault;
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Mul) {
-        const Value& lhs = regs[insn->b];
-        const Value& rhs = regs[insn->c];
-        if (const int64_t* li = lhs.IfInt()) {
-          if (const int64_t* ri = rhs.IfInt()) {
-            regs[insn->a] = Value(WrapMul(*li, *ri));
-            ++pc;
-            VM_NEXT();
-          }
-        }
-        double a;
-        double b;
-        if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
-          regs[insn->a] = Value(a * b);
-          ++pc;
-          VM_NEXT();
-        }
-        auto result = Arith(Op::kMul, lhs, rhs);
-        if (!result.ok()) {
-          fault = result.status();
-          goto lbl_fault;
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Div) {
-        double a;
-        double b;
-        if (ToDouble(regs[insn->b], &a) && ToDouble(regs[insn->c], &b) && b != 0.0) {
-          regs[insn->a] = Value(a / b);
-          ++pc;
-          VM_NEXT();
-        }
-        auto result = Arith(Op::kDiv, regs[insn->b], regs[insn->c]);
-        if (!result.ok()) {
-          fault = result.status();
-          goto lbl_fault;
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Mod) {
-        auto result = Arith(Op::kMod, regs[insn->b], regs[insn->c]);
-        if (!result.ok()) {
-          fault = result.status();
-          goto lbl_fault;
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Neg) {
-        const Value& v = regs[insn->b];
-        if (const int64_t* i = v.IfInt()) {
-          regs[insn->a] = Value(WrapNeg(*i));
-        } else if (const double* d = v.IfFloat()) {
-          regs[insn->a] = Value(-*d);
-        } else if (const bool* bv = v.IfBool()) {
-          regs[insn->a] = Value(*bv ? -1 : 0);
-        } else {
-          fault = ExecutionError("cannot negate " + v.ToString());
-          goto lbl_fault;
-        }
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Not) {
-        regs[insn->a] = Value(!Truthy(regs[insn->b]));
-        ++pc;
-        VM_NEXT();
-      }
-#if OSGUARD_VM_COMPUTED_GOTO
-      VM_CASE(Cmp) {
-#else
-      VM_CASE(CmpLt)
-      VM_CASE(CmpLe)
-      VM_CASE(CmpGt)
-      VM_CASE(CmpGe)
-      VM_CASE(CmpEq)
-      VM_CASE(CmpNe) {
-#endif
-        bool flag;
-        if (!DoCompare(CmpOpToKind(insn->op), regs[insn->b], regs[insn->c], &flag,
-                       &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Jump) {
-        pc += 1 + static_cast<size_t>(insn->imm);
-        VM_NEXT();
-      }
-      VM_CASE(JumpIfFalse) {
-        pc += Truthy(regs[insn->a]) ? 1 : 1 + static_cast<size_t>(insn->imm);
-        VM_NEXT();
-      }
-      VM_CASE(JumpIfTrue) {
-        pc += Truthy(regs[insn->a]) ? 1 + static_cast<size_t>(insn->imm) : 1;
-        VM_NEXT();
-      }
-      VM_CASE(MakeList) {
-        std::vector<Value> list;
-        list.reserve(static_cast<size_t>(insn->imm));
-        for (int i = 0; i < insn->imm; ++i) {
-          list.push_back(regs[insn->b + i]);
-        }
-        regs[insn->a] = Value(std::move(list));
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Call) {
-        ++stats_.helper_calls;
-        std::span<const Value> args(&regs[insn->b], static_cast<size_t>(insn->c));
-        auto result = context.CallHelper(static_cast<HelperId>(insn->imm), args);
-        if (!result.ok()) {
-          stats_.insns_executed += executed;
-          return ExecutionError("program '" + program.name + "': helper failed: " +
-                                result.status().ToString());
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(Ret) {
-        stats_.insns_executed += executed;
-        return regs[insn->a];
-      }
-      VM_CASE(CmpConst) {
-        bool flag;
-        if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
-                       &flag, &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        ++pc;
-        VM_NEXT();
-      }
-      VM_CASE(CmpConstJf) {
-        bool flag;
-        if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
-                       &flag, &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        pc += flag ? 1 : 1 + static_cast<size_t>(insn->aux);
-        VM_NEXT();
-      }
-      VM_CASE(CmpConstJt) {
-        bool flag;
-        if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
-                       &flag, &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        pc += flag ? 1 + static_cast<size_t>(insn->aux) : 1;
-        VM_NEXT();
-      }
-      VM_CASE(CmpRegJf) {
-        bool flag;
-        if (!DoCompare(insn->imm, regs[insn->b], regs[insn->c], &flag, &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        pc += flag ? 1 : 1 + static_cast<size_t>(insn->aux);
-        VM_NEXT();
-      }
-      VM_CASE(CmpRegJt) {
-        bool flag;
-        if (!DoCompare(insn->imm, regs[insn->b], regs[insn->c], &flag, &fault)) {
-          goto lbl_fault;
-        }
-        regs[insn->a] = Value(flag);
-        pc += flag ? 1 + static_cast<size_t>(insn->aux) : 1;
-        VM_NEXT();
-      }
-      VM_CASE(CallKeyed) {
-        ++stats_.helper_calls;
-        std::span<const Value> args(&regs[insn->b], static_cast<size_t>(insn->c));
-        auto result = context.CallHelperKeyed(static_cast<HelperId>(insn->imm),
-                                              static_cast<uint32_t>(insn->aux), args);
-        if (!result.ok()) {
-          stats_.insns_executed += executed;
-          return ExecutionError("program '" + program.name + "': helper failed: " +
-                                result.status().ToString());
-        }
-        regs[insn->a] = std::move(result).value();
-        ++pc;
-        VM_NEXT();
-      }
-
-#if !OSGUARD_VM_COMPUTED_GOTO
-      default:
-        goto lbl_bad_op;
-    }  // switch
-  }    // for
-#endif
+    }
+    double a;
+    double b;
+    if (ToDouble(lhs, &a) && ToDouble(rhs, &b)) {
+      regs[insn->a] = Value(a * b);
+      ++pc;
+      VM_NEXT();
+    }
+    auto result = Arith(Op::kMul, lhs, rhs);
+    if (!result.ok()) {
+      fault = result.status();
+      goto lbl_fault;
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Div) {
+    double a;
+    double b;
+    if (ToDouble(regs[insn->b], &a) && ToDouble(regs[insn->c], &b) && b != 0.0) {
+      regs[insn->a] = Value(a / b);
+      ++pc;
+      VM_NEXT();
+    }
+    auto result = Arith(Op::kDiv, regs[insn->b], regs[insn->c]);
+    if (!result.ok()) {
+      fault = result.status();
+      goto lbl_fault;
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Mod) {
+    auto result = Arith(Op::kMod, regs[insn->b], regs[insn->c]);
+    if (!result.ok()) {
+      fault = result.status();
+      goto lbl_fault;
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Neg) {
+    const Value& v = regs[insn->b];
+    if (const int64_t* i = v.IfInt()) {
+      regs[insn->a] = Value(WrapNeg(*i));
+    } else if (const double* d = v.IfFloat()) {
+      regs[insn->a] = Value(-*d);
+    } else if (const bool* bv = v.IfBool()) {
+      regs[insn->a] = Value(*bv ? -1 : 0);
+    } else {
+      fault = ExecutionError("cannot negate " + v.ToString());
+      goto lbl_fault;
+    }
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Not) {
+    regs[insn->a] = Value(!Truthy(regs[insn->b]));
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Cmp) {
+    bool flag;
+    if (!DoCompare(CmpOpToKind(insn->op), regs[insn->b], regs[insn->c], &flag,
+                   &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Jump) {
+    pc += 1 + static_cast<size_t>(insn->imm);
+    VM_NEXT();
+  }
+  VM_CASE(JumpIfFalse) {
+    pc += Truthy(regs[insn->a]) ? 1 : 1 + static_cast<size_t>(insn->imm);
+    VM_NEXT();
+  }
+  VM_CASE(JumpIfTrue) {
+    pc += Truthy(regs[insn->a]) ? 1 + static_cast<size_t>(insn->imm) : 1;
+    VM_NEXT();
+  }
+  VM_CASE(MakeList) {
+    std::vector<Value> list;
+    list.reserve(static_cast<size_t>(insn->imm));
+    for (int i = 0; i < insn->imm; ++i) {
+      list.push_back(regs[insn->b + i]);
+    }
+    regs[insn->a] = Value(std::move(list));
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Call) {
+    ++stats_.helper_calls;
+    std::span<const Value> args(&regs[insn->b], static_cast<size_t>(insn->c));
+    auto result = context.CallHelper(static_cast<HelperId>(insn->imm), args);
+    if (!result.ok()) {
+      stats_.insns_executed += executed;
+      return ExecutionError("program '" + program.name + "': helper failed: " +
+                            result.status().ToString());
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(Ret) {
+    stats_.insns_executed += executed;
+    return regs[insn->a];
+  }
+  VM_CASE(CmpConst) {
+    bool flag;
+    if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
+                   &flag, &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    ++pc;
+    VM_NEXT();
+  }
+  VM_CASE(CmpConstJf) {
+    bool flag;
+    if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
+                   &flag, &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    pc += flag ? 1 : 1 + static_cast<size_t>(insn->aux);
+    VM_NEXT();
+  }
+  VM_CASE(CmpConstJt) {
+    bool flag;
+    if (!DoCompare(insn->c, regs[insn->b], consts[static_cast<size_t>(insn->imm)],
+                   &flag, &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    pc += flag ? 1 + static_cast<size_t>(insn->aux) : 1;
+    VM_NEXT();
+  }
+  VM_CASE(CmpRegJf) {
+    bool flag;
+    if (!DoCompare(insn->imm, regs[insn->b], regs[insn->c], &flag, &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    pc += flag ? 1 : 1 + static_cast<size_t>(insn->aux);
+    VM_NEXT();
+  }
+  VM_CASE(CmpRegJt) {
+    bool flag;
+    if (!DoCompare(insn->imm, regs[insn->b], regs[insn->c], &flag, &fault)) {
+      goto lbl_fault;
+    }
+    regs[insn->a] = Value(flag);
+    pc += flag ? 1 + static_cast<size_t>(insn->aux) : 1;
+    VM_NEXT();
+  }
+  VM_CASE(CallKeyed) {
+    ++stats_.helper_calls;
+    std::span<const Value> args(&regs[insn->b], static_cast<size_t>(insn->c));
+    auto result = context.CallHelperKeyed(static_cast<HelperId>(insn->imm),
+                                          static_cast<uint32_t>(insn->aux), args);
+    if (!result.ok()) {
+      stats_.insns_executed += executed;
+      return ExecutionError("program '" + program.name + "': helper failed: " +
+                            result.status().ToString());
+    }
+    regs[insn->a] = std::move(result).value();
+    ++pc;
+    VM_NEXT();
+  }
 
 #undef VM_CASE
 #undef VM_NEXT

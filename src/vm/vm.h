@@ -81,11 +81,6 @@ class Vm {
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats{}; }
 
-  // The native tier merges its execution accounting here so stats() is
-  // tier-invariant: a program promoted to native contributes the exact step
-  // and helper-call counts it would have contributed interpreted.
-  ExecStats& mutable_stats() { return stats_; }
-
  private:
   ExecStats stats_;
 

@@ -550,6 +550,38 @@ TEST(PersistRecovery, ArbitraryFileDamageNeverCrashesRecovery) {
   }
 }
 
+// Every journal written before the image format last changed carries an
+// older version stamp. Recovery refuses such an image with an error naming
+// both versions rather than misreading its fields.
+TEST(PersistRecovery, ImageFromAnOlderVersionIsRefused) {
+  const fs::path dir = FreshDir("old-image");
+  {
+    auto run = StartRun(dir, nullptr);
+    ASSERT_TRUE(run->persist->Open().ok());
+    for (int step = 0; step < 4; ++step) {
+      RunStep(*run, 7, step);
+    }
+    // The newest frame's image wins at recovery: restamp a current image
+    // with version 3 and commit it last.
+    const std::string image = run->engine->EncodeImage();
+    std::string stamped;
+    ByteWriter w(&stamped);
+    w.U32(3);
+    w.Raw(std::string_view(image).substr(4));
+    const uint64_t frames = run->persist->stats().frames_committed;
+    run->persist->MarkDirty();
+    ASSERT_TRUE(run->persist->CommitFrame(run->engine->now(), "", stamped).ok());
+    ASSERT_EQ(run->persist->stats().frames_committed, frames + 1);
+  }
+  auto run = StartRun(dir, nullptr);
+  auto recovered = run->engine->Restore(*run->persist);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().message().find(
+                "image version 3 is not supported (expected 4)"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
 // --- MonitorStats survival matrix (pins the semantics documented on the
 // struct: cold start / hot replace / warm restart) ---
 

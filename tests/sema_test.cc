@@ -222,6 +222,12 @@ TEST(SemaTest, UnknownMetaKeyRejected) {
                   meta: { cooldwon = 5s } }
   )");
   EXPECT_NE(status.message().find("cooldwon"), std::string::npos);
+  const Status tier = AnalyzeFailure(R"(
+    guardrail g { trigger: { TIMER(0,1s) }, rule: { true }, action: { REPORT() },
+                  meta: { tier = native } }
+  )");
+  EXPECT_NE(tier.message().find("unknown meta attribute 'tier'"), std::string::npos)
+      << tier.message();
 }
 
 TEST(SemaTest, BadMetaValuesRejected) {

@@ -331,7 +331,7 @@ TEST(StoreLifecycleTest, PinnedCachedKeyIdSurvivesHeavyChurn) {
   // resolving to the same key with the same generation no matter how much
   // reclamation churn happens around it.
   FeatureStore store;
-  const KeyId pinned = store.InternKey("engine.tier.promotions");
+  const KeyId pinned = store.InternKey("engine.pinned.counter");
   store.Pin(pinned);
   store.Save(pinned, Value(int64_t{5}));
   const uint32_t gen = store.GenerationOf(pinned);
@@ -344,7 +344,7 @@ TEST(StoreLifecycleTest, PinnedCachedKeyIdSurvivesHeavyChurn) {
     }
   }
   EXPECT_EQ(store.GenerationOf(pinned), gen);
-  EXPECT_EQ(store.KeyName(pinned), "engine.tier.promotions");
+  EXPECT_EQ(store.KeyName(pinned), "engine.pinned.counter");
   EXPECT_EQ(store.LoadOrTagged(pinned, gen, Value(int64_t{0})).AsInt().value_or(0), 5);
   EXPECT_EQ(store.stale_hits(), 0u);
 }

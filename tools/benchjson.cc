@@ -25,14 +25,6 @@
 //                   guarded vs. unguarded false-submit counts under the
 //                   storm (the guarded count must stay bounded). Exits 1 if
 //                   the guardrail fails to contain the storm.
-//   --native        run the ext8 AOT-tier experiment instead and emit
-//                   bench "native" (BENCH_native.json): ns/eval interpreter
-//                   vs native for the hot-window, many-monitors, and
-//                   function-callout scenarios, tier promotion counts, and
-//                   allocs/eval on both tiers. Degrades gracefully (emits
-//                   native_available=0, exits 0) when the host has no
-//                   compiler. Exits 1 if the native tier fails to reach the
-//                   3x ns/eval bound on the function-callout scenario.
 //   --persist       run the E9 warm-restart experiment instead and emit
 //                   bench "persist" (BENCH_persist.json): journal commit
 //                   overhead per callout boundary, journal bytes per commit,
@@ -107,7 +99,6 @@
 #include "src/sim/kernel.h"
 #include "src/support/logging.h"
 #include "src/support/rng.h"
-#include "src/vm/native_aot.h"
 #include "src/wl/sessiongen.h"
 #include "src/wl/stormgen.h"
 
@@ -251,201 +242,6 @@ void FunctionCallouts(std::vector<Metric>& metrics) {
   }
   metrics.push_back(Metric{"function_callout_unhooked_ns",
                            static_cast<double>(WallNs() - start2) / kCalls, "ns_per_call"});
-}
-
-// --- --native: the ext8 AOT-tier experiment -------------------------------
-// Each scenario runs twice on an identical workload: tier disabled
-// (interpreter) and tier enabled with promote_after = 0 (every monitor
-// compiles to a shared object during the warm-up window, so the timed region
-// measures steady-state native evals only). The three regimes bracket where
-// eval time actually goes:
-//   * hot-window / many-monitors are aggregate- and dispatch-dominated —
-//     the tier can only shave the bytecode loop, so the speedup is modest;
-//   * function-callout uses a program-dominated rule (a 120-stage integer
-//     scoring chain over one loaded feature) where the interpreter pays one
-//     dispatch per instruction and the native object pays none — this is the
-//     regime the tier exists for and carries the 3x acceptance bound.
-
-struct TierRun {
-  double ns_per_eval = 0.0;
-  double allocs_per_eval = 0.0;
-  TierStats tier;
-};
-
-NativeTierOptions TierOn() {
-  NativeTierOptions tier;
-  tier.enabled = true;
-  tier.promote_after = 0;
-  return tier;
-}
-
-TierRun TimerScenarioTiered(int monitors, int samples_per_series, bool native) {
-  FeatureStore store;
-  PolicyRegistry registry;
-  EngineOptions options;
-  if (native) {
-    options.tier = TierOn();
-  }
-  Engine engine(&store, &registry, nullptr, options);
-  const Duration interval = monitors == 1 ? Milliseconds(1) : Milliseconds(100);
-  std::string spec;
-  for (int i = 0; i < monitors; ++i) {
-    spec += MakeTimerGuardrail(i, interval);
-  }
-  (void)engine.LoadSource(spec);
-  for (int i = 0; i < monitors; ++i) {
-    for (int s = 0; s < samples_per_series; ++s) {
-      store.Observe("metric" + std::to_string(i), Milliseconds(s * 60), 50.0);
-    }
-  }
-  // Warm-up: promotions (and AOT compiles, first run only — the object cache
-  // serves repeats) happen here, outside the timed region.
-  engine.AdvanceTo(Seconds(2));
-  const uint64_t evals_before = engine.stats().evaluations;
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  const int64_t start = WallNs();
-  engine.AdvanceTo(Seconds(62));
-  const int64_t elapsed = WallNs() - start;
-  TierRun run;
-  const uint64_t evals = engine.stats().evaluations - evals_before;
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const double denom = evals > 0 ? static_cast<double>(evals) : 1.0;
-  run.ns_per_eval = static_cast<double>(elapsed) / denom;
-  run.allocs_per_eval = static_cast<double>(allocs) / denom;
-  run.tier = engine.tier_stats();
-  return run;
-}
-
-// The program-dominated FUNCTION-callout rule: a long dependent chain of
-// integer multiply-adds over a single loaded feature. One helper escape, one
-// comparison, and ~200 pure-compute instructions whose entire interpreter
-// cost is dispatch. Wrapping arithmetic is defined (uint64 two's complement)
-// and tier-invariant, and the guard constant never matches, so the rule
-// stays satisfied and no action dispatch pollutes the measurement.
-std::string DenseCalloutRule(int stages) {
-  std::string expr = "LOAD_OR(lat_score, 1)";
-  for (int i = 0; i < stages; ++i) {
-    expr = "(" + expr + " * 3 + 7)";
-  }
-  return expr + " != 123456789";
-}
-
-TierRun FunctionCalloutTiered(bool native) {
-  FeatureStore store;
-  PolicyRegistry registry;
-  EngineOptions options;
-  options.measure_wall_time = false;
-  if (native) {
-    options.tier = TierOn();
-  }
-  Engine engine(&store, &registry, nullptr, options);
-  (void)engine.LoadSource(
-      "guardrail f0 { trigger: { FUNCTION(blk_mq_submit_bio_hotpath) }, rule: { " +
-      DenseCalloutRule(120) + " }, action: { REPORT() } }\n");
-  store.Save("lat_score", Value(static_cast<int64_t>(3)));
-  for (int i = 0; i < 2000; ++i) {
-    engine.OnFunctionCall("blk_mq_submit_bio_hotpath", i);
-  }
-  constexpr int kCalls = 500000;
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  const int64_t start = WallNs();
-  for (int i = 0; i < kCalls; ++i) {
-    engine.OnFunctionCall("blk_mq_submit_bio_hotpath", 2000 + i);
-  }
-  const int64_t elapsed = WallNs() - start;
-  TierRun run;
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  run.ns_per_eval = static_cast<double>(elapsed) / kCalls;
-  run.allocs_per_eval = static_cast<double>(allocs) / kCalls;
-  run.tier = engine.tier_stats();
-  return run;
-}
-
-void PushTierPair(std::vector<Metric>& metrics, const char* name, const TierRun& interp,
-                  const TierRun& native) {
-  const std::string base = name;
-  metrics.push_back(
-      Metric{base + "_interp_ns_per_eval", interp.ns_per_eval, "ns_per_eval"});
-  metrics.push_back(
-      Metric{base + "_native_ns_per_eval", native.ns_per_eval, "ns_per_eval"});
-  metrics.push_back(Metric{base + "_speedup",
-                           native.ns_per_eval > 0.0
-                               ? interp.ns_per_eval / native.ns_per_eval
-                               : 0.0,
-                           "ratio"});
-  metrics.push_back(Metric{base + "_interp_allocs_per_eval", interp.allocs_per_eval,
-                           "allocs_per_eval"});
-  metrics.push_back(Metric{base + "_native_allocs_per_eval", native.allocs_per_eval,
-                           "allocs_per_eval"});
-}
-
-bool RunNativeBench(std::vector<Metric>& metrics, bool& native_ok) {
-  native_ok = true;
-  NativeAot probe;
-  const bool available = NativeAot::CompiledIn() && probe.Available();
-  metrics.push_back(Metric{"native_available", available ? 1.0 : 0.0, "bool"});
-  if (!available) {
-    // Graceful degrade: no host compiler / dlopen. The tier stays off and the
-    // interpreter numbers live in BENCH_hotpath.json; emit availability only.
-    std::fprintf(stderr,
-                 "benchjson: --native: no working host compiler; AOT tier "
-                 "unavailable, interpreter-only (not a failure)\n");
-    return true;
-  }
-
-  const TierRun hot_i = TimerScenarioTiered(1, 1000, false);
-  const TierRun hot_n = TimerScenarioTiered(1, 1000, true);
-  const TierRun many_i = TimerScenarioTiered(64, 1, false);
-  const TierRun many_n = TimerScenarioTiered(64, 1, true);
-  const TierRun fn_i = FunctionCalloutTiered(false);
-  const TierRun fn_n = FunctionCalloutTiered(true);
-
-  PushTierPair(metrics, "timer_hot_window", hot_i, hot_n);
-  PushTierPair(metrics, "timer_many_monitors", many_i, many_n);
-  PushTierPair(metrics, "function_callout", fn_i, fn_n);
-
-  const TierStats* tiers[] = {&hot_n.tier, &many_n.tier, &fn_n.tier};
-  uint64_t promotions = 0;
-  uint64_t native_evals = 0;
-  uint64_t interp_evals = 0;
-  uint64_t compile_failures = 0;
-  for (const TierStats* t : tiers) {
-    promotions += t->promotions;
-    native_evals += t->native_evals;
-    interp_evals += t->interp_evals;
-    compile_failures += t->compile_failures;
-  }
-  metrics.push_back(
-      Metric{"tier_promotions", static_cast<double>(promotions), "count"});
-  metrics.push_back(
-      Metric{"tier_native_evals", static_cast<double>(native_evals), "count"});
-  metrics.push_back(
-      Metric{"tier_interp_evals", static_cast<double>(interp_evals), "count"});
-  metrics.push_back(Metric{"tier_compile_failures",
-                           static_cast<double>(compile_failures), "count"});
-
-  const double fn_speedup =
-      fn_n.ns_per_eval > 0.0 ? fn_i.ns_per_eval / fn_n.ns_per_eval : 0.0;
-  if (compile_failures > 0) {
-    std::fprintf(stderr, "benchjson: --native: %llu AOT compile failures\n",
-                 static_cast<unsigned long long>(compile_failures));
-    native_ok = false;
-  }
-  // 1 + 64 + 1 monitors across the three native runs must all promote.
-  if (promotions < 66) {
-    std::fprintf(stderr,
-                 "benchjson: --native: only %llu of 66 monitors promoted\n",
-                 static_cast<unsigned long long>(promotions));
-    native_ok = false;
-  }
-  if (fn_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "benchjson: --native: function-callout speedup %.2fx below the "
-                 "3x acceptance bound\n",
-                 fn_speedup);
-    native_ok = false;
-  }
-  return true;
 }
 
 // --chaos: the ext6 fault-storm experiment in machine-readable form. Runs
@@ -1568,7 +1364,6 @@ int Main(int argc, char** argv) {
   bool strict_alloc = false;
   bool chaos = false;
   bool supervisor = false;
-  bool native = false;
   bool persist = false;
   bool agent = false;
   bool governor = false;
@@ -1581,8 +1376,6 @@ int Main(int argc, char** argv) {
       chaos = true;
     } else if (std::strcmp(argv[i], "--supervisor") == 0) {
       supervisor = true;
-    } else if (std::strcmp(argv[i], "--native") == 0) {
-      native = true;
     } else if (std::strcmp(argv[i], "--persist") == 0) {
       persist = true;
     } else if (std::strcmp(argv[i], "--agent") == 0) {
@@ -1596,7 +1389,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: benchjson [--strict-alloc] [--chaos] [--supervisor] "
-                   "[--native] [--persist] [--agent] [--governor] "
+                   "[--persist] [--agent] [--governor] "
                    "[--store] [-o FILE]\n");
       return 2;
     }
@@ -1605,7 +1398,6 @@ int Main(int argc, char** argv) {
   std::vector<Metric> metrics;
   bool chaos_contained = true;
   bool supervisor_contained = true;
-  bool native_ok = true;
   bool persist_ok = true;
   bool agent_ok = true;
   bool governor_ok = true;
@@ -1616,10 +1408,6 @@ int Main(int argc, char** argv) {
     }
   } else if (supervisor) {
     if (!RunSupervisorBench(metrics, supervisor_contained)) {
-      return 1;
-    }
-  } else if (native) {
-    if (!RunNativeBench(metrics, native_ok)) {
       return 1;
     }
   } else if (persist) {
@@ -1656,14 +1444,11 @@ int Main(int argc, char** argv) {
 
   const char* bench_name =
       chaos ? "chaos"
-            : (supervisor
-                   ? "supervisor"
-                   : (native ? "native"
-                             : (persist ? "persist"
-                                        : (agent ? "agent"
-                                                 : (governor ? "governor"
-                                                             : (store ? "store"
-                                                                      : "hotpath"))))));
+            : (supervisor ? "supervisor"
+                          : (persist ? "persist"
+                                     : (agent ? "agent"
+                                              : (governor ? "governor"
+                                                          : (store ? "store" : "hotpath")))));
   std::string json = std::string("{\n  \"bench\": \"") + bench_name +
                      "\",\n  \"schema_version\": 1,\n  \"metrics\": [\n";
   for (size_t i = 0; i < metrics.size(); ++i) {
@@ -1681,9 +1466,6 @@ int Main(int argc, char** argv) {
   } else if (supervisor) {
     std::snprintf(tail, sizeof(tail), "  ],\n  \"supervisor_contained\": %s\n}\n",
                   supervisor_contained ? "true" : "false");
-  } else if (native) {
-    std::snprintf(tail, sizeof(tail), "  ],\n  \"native_ok\": %s\n}\n",
-                  native_ok ? "true" : "false");
   } else if (persist) {
     std::snprintf(tail, sizeof(tail), "  ],\n  \"persist_ok\": %s\n}\n",
                   persist_ok ? "true" : "false");
@@ -1721,12 +1503,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "benchjson: FAIL --supervisor: supervisor containment or overhead "
                  "check failed\n");
-    return 1;
-  }
-  if (native && !native_ok) {
-    std::fprintf(stderr,
-                 "benchjson: FAIL --native: AOT tier missed its promotion or "
-                 "speedup bound\n");
     return 1;
   }
   if (persist && !persist_ok) {
