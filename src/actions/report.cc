@@ -77,17 +77,6 @@ std::vector<ReportRecord> Reporter::RecordsFor(const std::string& guardrail) con
   return out;
 }
 
-std::vector<ReportRecord> Reporter::RecordsSince(uint64_t from) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ReportRecord> out;
-  for (const ReportRecord& record : records_) {
-    if (record.sequence >= from) {
-      out.push_back(record);
-    }
-  }
-  return out;
-}
-
 ReporterSnapshot Reporter::SnapshotCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
   ReporterSnapshot snapshot;

@@ -9,6 +9,7 @@
 #ifndef SRC_ACTIONS_REPORT_H_
 #define SRC_ACTIONS_REPORT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -81,9 +82,21 @@ class Reporter {
   std::vector<ReportRecord> Records() const;
   std::vector<ReportRecord> RecordsFor(const std::string& guardrail) const;
 
-  // Retained records with sequence >= from, oldest first (the persist
-  // layer's per-frame delta: records reported since the last commit).
-  std::vector<ReportRecord> RecordsSince(uint64_t from) const;
+  // Calls visit(record) for each retained record with sequence >= from,
+  // oldest first, under the reporter's lock and without copying: how the
+  // engine encodes a journal frame's report delta and a snapshot's ring.
+  // `visit` must not call back into the reporter. The ring is ordered by
+  // sequence, so this costs O(log n) plus the records visited.
+  template <class Visit>
+  void ForEachRecordSince(uint64_t from, Visit&& visit) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = std::partition_point(
+        records_.begin(), records_.end(),
+        [from](const ReportRecord& record) { return record.sequence < from; });
+    for (; it != records_.end(); ++it) {
+      visit(*it);
+    }
+  }
 
   uint64_t total_reports() const;
   uint64_t CountFor(const std::string& guardrail) const;
@@ -94,7 +107,8 @@ class Reporter {
   ReporterSnapshot SnapshotCounters() const;
   void RestoreCounters(const ReporterSnapshot& snapshot);
 
-  // Re-inserts a persisted record verbatim: the stored sequence number is
+  // Re-inserts a persisted record verbatim, in the order it was persisted
+  // (so the ring stays ordered by sequence): the stored sequence number is
   // preserved, counters do not advance (RestoreCounters carries them), and
   // nothing is mirrored to the logger. Evicts at capacity, so replaying a
   // baseline run's records yields a bit-identical ring even when the replay

@@ -20,6 +20,8 @@ constexpr char kSnapshotMagic[4] = {'O', 'G', 'S', '1'};
 constexpr uint32_t kSnapshotVersion = 2;  // v2: slot generation/live/free_rank, reclaim flag
 // magic + payload length + CRC.
 constexpr size_t kFrameHeaderSize = 12;
+// magic + version + body length + CRC.
+constexpr size_t kSnapshotHeaderSize = 16;
 
 // Fixed wire sizes used to validate count fields before allocating.
 constexpr size_t kSampleWireSize = 40;    // i64 + 3*f64 + u64
@@ -123,23 +125,75 @@ void WriteSlotDump(ByteWriter& w, const StoreSlotDump& slot) {
     w.U64(s.max_samples);
     w.I64(s.max_age);
     w.U64(s.next_seq);
+    // Fixed-size records: one resize per block.
     w.U32(static_cast<uint32_t>(s.samples.size()));
+    char* p = w.Extend(s.samples.size() * kSampleWireSize);
     for (const StoreSampleDump& sample : s.samples) {
-      w.I64(sample.time);
-      w.F64(sample.value);
-      w.F64(sample.cum_sum);
-      w.F64(sample.cum_sumsq);
-      w.U64(sample.seq);
+      PutU64(p, static_cast<uint64_t>(sample.time));
+      PutF64(p + 8, sample.value);
+      PutF64(p + 16, sample.cum_sum);
+      PutF64(p + 24, sample.cum_sumsq);
+      PutU64(p + 32, sample.seq);
+      p += kSampleWireSize;
     }
     for (const auto* deque : {&s.minima, &s.maxima}) {
       w.U32(static_cast<uint32_t>(deque->size()));
+      p = w.Extend(deque->size() * kExtremumWireSize);
       for (const StoreExtremumDump& e : *deque) {
-        w.U64(e.seq);
-        w.I64(e.time);
-        w.F64(e.value);
+        PutU64(p, e.seq);
+        PutU64(p + 8, static_cast<uint64_t>(e.time));
+        PutF64(p + 16, e.value);
+        p += kExtremumWireSize;
       }
     }
   }
+}
+
+// Appends one framed journal record in place: the header is reserved, the
+// payload written after it, then its length and CRC patched in.
+void EncodeFrame(uint64_t seq, SimTime now, const std::vector<StoreOp>& ops,
+                 std::string_view report_delta, std::string_view image, std::string* out) {
+  const size_t start = out->size();
+  ByteWriter w(out);
+  w.Raw(std::string_view(kJournalMagic, sizeof(kJournalMagic)));
+  w.U32(0);  // payload length
+  w.U32(0);  // payload CRC
+  w.U64(seq);
+  w.I64(now);
+  w.U32(static_cast<uint32_t>(ops.size()));
+  for (const StoreOp& op : ops) {
+    WriteOp(w, op);
+  }
+  w.Str(report_delta);
+  w.Str(image);
+  const size_t payload_at = start + kFrameHeaderSize;
+  const std::string_view payload(out->data() + payload_at, out->size() - payload_at);
+  w.PatchU32(start + 4, static_cast<uint32_t>(payload.size()));
+  w.PatchU32(start + 8, Crc32(payload));
+}
+
+// Appends a snapshot file image in place, like EncodeFrame.
+void EncodeSnapshotTo(uint64_t seq, SimTime now, const std::vector<StoreSlotDump>& store,
+                      std::string_view report_ring, std::string_view image,
+                      std::string* out) {
+  const size_t start = out->size();
+  ByteWriter w(out);
+  w.Raw(std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic)));
+  w.U32(kSnapshotVersion);
+  w.U32(0);  // body length
+  w.U32(0);  // body CRC
+  w.U64(seq);
+  w.I64(now);
+  w.U32(static_cast<uint32_t>(store.size()));
+  for (const StoreSlotDump& slot : store) {
+    WriteSlotDump(w, slot);
+  }
+  w.Str(report_ring);
+  w.Str(image);
+  const size_t body_at = start + kSnapshotHeaderSize;
+  const std::string_view body(out->data() + body_at, out->size() - body_at);
+  w.PatchU32(start + 8, static_cast<uint32_t>(body.size()));
+  w.PatchU32(start + 12, Crc32(body));
 }
 
 Result<StoreSlotDump> ReadSlotDump(ByteReader& r, uint32_t version) {
@@ -210,22 +264,7 @@ Result<StoreSlotDump> ReadSlotDump(ByteReader& r, uint32_t version) {
 // --- Frame codec ---
 
 void AppendFrame(const JournalFrame& frame, std::string* out) {
-  std::string payload;
-  ByteWriter w(&payload);
-  w.U64(frame.seq);
-  w.I64(frame.now);
-  w.U32(static_cast<uint32_t>(frame.ops.size()));
-  for (const StoreOp& op : frame.ops) {
-    WriteOp(w, op);
-  }
-  w.Str(frame.report_delta);
-  w.Str(frame.image);
-
-  ByteWriter header(out);
-  header.Raw(std::string_view(kJournalMagic, sizeof(kJournalMagic)));
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(Crc32(payload));
-  header.Raw(payload);
+  EncodeFrame(frame.seq, frame.now, frame.ops, frame.report_delta, frame.image, out);
 }
 
 Result<JournalFrame> DecodeFramePayload(std::string_view payload) {
@@ -298,29 +337,14 @@ FrameScan ScanJournal(std::string_view data) {
 // --- Snapshot codec ---
 
 std::string EncodeSnapshot(const Snapshot& snapshot) {
-  std::string body;
-  ByteWriter w(&body);
-  w.U64(snapshot.seq);
-  w.I64(snapshot.now);
-  w.U32(static_cast<uint32_t>(snapshot.store.size()));
-  for (const StoreSlotDump& slot : snapshot.store) {
-    WriteSlotDump(w, slot);
-  }
-  w.Str(snapshot.report_ring);
-  w.Str(snapshot.image);
-
   std::string out;
-  ByteWriter header(&out);
-  header.Raw(std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic)));
-  header.U32(kSnapshotVersion);
-  header.U32(static_cast<uint32_t>(body.size()));
-  header.U32(Crc32(body));
-  header.Raw(body);
+  EncodeSnapshotTo(snapshot.seq, snapshot.now, snapshot.store, snapshot.report_ring,
+                   snapshot.image, &out);
   return out;
 }
 
 Result<Snapshot> DecodeSnapshot(std::string_view data) {
-  if (data.size() < 16) {
+  if (data.size() < kSnapshotHeaderSize) {
     return OutOfRangeError("truncated snapshot header (" + std::to_string(data.size()) +
                            " bytes)");
   }
@@ -333,11 +357,12 @@ Result<Snapshot> DecodeSnapshot(std::string_view data) {
   }
   const uint32_t len = ReadU32At(data, 8);
   const uint32_t crc = ReadU32At(data, 12);
-  if (data.size() - 16 != len) {
+  if (data.size() - kSnapshotHeaderSize != len) {
     return OutOfRangeError("snapshot body length " + std::to_string(len) +
-                           " does not match file size " + std::to_string(data.size() - 16));
+                           " does not match file size " +
+                           std::to_string(data.size() - kSnapshotHeaderSize));
   }
-  const std::string_view body = data.substr(16, len);
+  const std::string_view body = data.substr(kSnapshotHeaderSize, len);
   if (Crc32(body) != crc) {
     return InvalidArgumentError("snapshot crc mismatch");
   }
@@ -452,10 +477,8 @@ Status PersistManager::Open() {
   return OkStatus();
 }
 
-Status PersistManager::AppendToJournal(const JournalFrame& frame) {
-  std::string bytes;
-  AppendFrame(frame, &bytes);
-  stats_.bytes_appended += bytes.size();
+Status PersistManager::AppendToJournal(SimTime now) {
+  stats_.bytes_appended += frame_.size();
 
   // Fault decisions. Each site is queried exactly once per append so the
   // per-site RNG streams replay bit-identically regardless of which faults
@@ -467,12 +490,12 @@ Status PersistManager::AppendToJournal(const JournalFrame& frame) {
   bool chop_tail = false;
   double chop_frac = 0.5;
   if (chaos_ != nullptr) {
-    const FaultDecision corrupt = chaos_->Query(crc_site_, frame.now);
-    if (corrupt.inject && bytes.size() > kFrameHeaderSize) {
-      bytes[kFrameHeaderSize] = static_cast<char>(bytes[kFrameHeaderSize] ^ 1);
+    const FaultDecision corrupt = chaos_->Query(crc_site_, now);
+    if (corrupt.inject && frame_.size() > kFrameHeaderSize) {
+      frame_[kFrameHeaderSize] = static_cast<char>(frame_[kFrameHeaderSize] ^ 1);
       ++stats_.faults_injected;
     }
-    const FaultDecision tear = chaos_->Query(torn_site_, frame.now);
+    const FaultDecision tear = chaos_->Query(torn_site_, now);
     if (tear.inject) {
       torn = true;
       if (tear.value > 0.0 && tear.value <= 1.0) {
@@ -480,7 +503,7 @@ Status PersistManager::AppendToJournal(const JournalFrame& frame) {
       }
       ++stats_.faults_injected;
     }
-    const FaultDecision chop = chaos_->Query(truncate_site_, frame.now);
+    const FaultDecision chop = chaos_->Query(truncate_site_, now);
     if (chop.inject) {
       chop_tail = true;
       if (chop.value > 0.0 && chop.value <= 1.0) {
@@ -490,19 +513,19 @@ Status PersistManager::AppendToJournal(const JournalFrame& frame) {
     }
   }
 
-  size_t to_write = bytes.size();
+  size_t to_write = frame_.size();
   if (torn) {
-    const auto partial = static_cast<size_t>(static_cast<double>(bytes.size()) * torn_frac);
-    to_write = std::min(bytes.size() - 1, std::max<size_t>(1, partial));
+    const auto partial = static_cast<size_t>(static_cast<double>(frame_.size()) * torn_frac);
+    to_write = std::min(frame_.size() - 1, std::max<size_t>(1, partial));
   }
-  if (std::fwrite(bytes.data(), 1, to_write, journal_) != to_write ||
+  if (std::fwrite(frame_.data(), 1, to_write, journal_) != to_write ||
       std::fflush(journal_) != 0) {
     return InternalError("persist: journal append failed at '" + JournalPath() + "'");
   }
   journal_bytes_ += to_write;
 
   if (chop_tail && !torn) {
-    const auto chop_want = static_cast<size_t>(static_cast<double>(bytes.size()) * chop_frac);
+    const auto chop_want = static_cast<size_t>(static_cast<double>(frame_.size()) * chop_frac);
     const uint64_t chop = std::min<uint64_t>(journal_bytes_, std::max<size_t>(1, chop_want));
     std::error_code ec;
     fs::resize_file(JournalPath(), journal_bytes_ - chop, ec);
@@ -513,21 +536,19 @@ Status PersistManager::AppendToJournal(const JournalFrame& frame) {
   return OkStatus();
 }
 
-Status PersistManager::CommitFrame(SimTime now, std::string report_delta, std::string image) {
+Status PersistManager::CommitFrame(SimTime now, std::string_view report_delta,
+                                   std::string_view image) {
   if (!dirty()) {
     return OkStatus();
   }
   if (journal_ == nullptr) {
     return FailedPreconditionError("persist journal not open (call Open() first)");
   }
-  JournalFrame frame;
-  frame.seq = seq_ + 1;
-  frame.now = now;
-  frame.ops = std::move(pending_ops_);
+  // Both buffers keep their capacity from one commit to the next.
+  frame_.clear();
+  EncodeFrame(seq_ + 1, now, pending_ops_, report_delta, image, &frame_);
   pending_ops_.clear();
-  frame.report_delta = std::move(report_delta);
-  frame.image = std::move(image);
-  OSGUARD_RETURN_IF_ERROR(AppendToJournal(frame));
+  OSGUARD_RETURN_IF_ERROR(AppendToJournal(now));
   ++seq_;
   dirty_ = false;
   ++stats_.frames_committed;
@@ -545,8 +566,8 @@ bool PersistManager::SnapshotDue(SimTime now) const {
          now - last_snapshot_time_ >= options_.snapshot_interval;
 }
 
-Status PersistManager::WriteSnapshot(SimTime now, std::vector<StoreSlotDump> store,
-                                     std::string report_ring, std::string image) {
+Status PersistManager::WriteSnapshot(SimTime now, const std::vector<StoreSlotDump>& store,
+                                     std::string_view report_ring, std::string_view image) {
   if (journal_ == nullptr) {
     return FailedPreconditionError("persist journal not open (call Open() first)");
   }
@@ -559,13 +580,8 @@ Status PersistManager::WriteSnapshot(SimTime now, std::vector<StoreSlotDump> sto
     return OkStatus();
   }
 
-  Snapshot snapshot;
-  snapshot.seq = seq_;
-  snapshot.now = now;
-  snapshot.store = std::move(store);
-  snapshot.report_ring = std::move(report_ring);
-  snapshot.image = std::move(image);
-  const std::string bytes = EncodeSnapshot(snapshot);
+  std::string bytes;
+  EncodeSnapshotTo(seq_, now, store, report_ring, image, &bytes);
 
   const std::string tmp = options_.dir + "/snap.tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");

@@ -199,7 +199,7 @@ class PersistManager {
   // ops + the engine's report delta and state image. No-op when clean.
   // Damage injected by chaos is deliberately not reported here — a real
   // kernel does not learn about lost writes synchronously either.
-  Status CommitFrame(SimTime now, std::string report_delta, std::string image);
+  Status CommitFrame(SimTime now, std::string_view report_delta, std::string_view image);
 
   // True when a compacted snapshot should follow the next commit (interval
   // elapsed or journal budget exceeded).
@@ -207,8 +207,8 @@ class PersistManager {
 
   // Writes a compacted snapshot (temp file + atomic rename), retains the
   // two newest, and truncates the journal on success.
-  Status WriteSnapshot(SimTime now, std::vector<StoreSlotDump> store,
-                       std::string report_ring, std::string image);
+  Status WriteSnapshot(SimTime now, const std::vector<StoreSlotDump>& store,
+                       std::string_view report_ring, std::string_view image);
 
   // Recovery ladder. Reads the directory, picks the newest decodable
   // snapshot (falling back to the previous one), scans the journal for the
@@ -222,7 +222,9 @@ class PersistManager {
  private:
   std::string JournalPath() const;
   std::string SnapshotPath(uint64_t seq) const;
-  Status AppendToJournal(const JournalFrame& frame);
+  // Writes frame_ (already encoded) to the journal, applying any faults
+  // the chaos sites decide on.
+  Status AppendToJournal(SimTime now);
   void PruneSnapshots();
 
   PersistOptions options_;
@@ -239,6 +241,7 @@ class PersistManager {
   SimTime last_snapshot_time_ = 0;
   bool dirty_ = false;
   std::vector<StoreOp> pending_ops_;
+  std::string frame_;  // the frame being appended; keeps its capacity
   PersistStats stats_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/persist/wire.h"
 
-#include <bit>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -9,18 +8,36 @@ namespace osguard {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// t[0] is the classic one-byte table; t[k][b] is t[0][b] carried through k
+// more zero bytes, so one step of eight lookups folds in eight input bytes.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    tables.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xffu];
     }
   }
-};
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 Status TruncatedError(size_t offset, size_t need, size_t have) {
   return OutOfRangeError("truncated: need " + std::to_string(need) + " bytes at offset " +
@@ -30,36 +47,22 @@ Status TruncatedError(size_t offset, size_t need, size_t have) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const Crc32Table table;
+  const auto& t = kCrc32Tables.t;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xffffffffu;
-  for (const char ch : data) {
-    crc = table.entries[(crc ^ static_cast<uint8_t>(ch)) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+          t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  // The last n % 8 (at most seven) bytes, one lookup each.
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
-}
-
-void ByteWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void ByteWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void ByteWriter::F64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void ByteWriter::Str(std::string_view s) {
-  U32(static_cast<uint32_t>(s.size()));
-  out_->append(s);
 }
 
 Result<uint8_t> ByteReader::U8() {

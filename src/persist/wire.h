@@ -16,6 +16,7 @@
 #ifndef SRC_PERSIST_WIRE_H_
 #define SRC_PERSIST_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,25 +26,61 @@
 
 namespace osguard {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected). Table-driven, no zlib
-// dependency; the persist layer frames every payload with this.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes per
+// step through eight 256-entry tables, assembled byte by byte so the result
+// does not depend on host endianness or alignment. No zlib dependency; the
+// persist layer frames every payload with this.
 uint32_t Crc32(std::string_view data);
 
-// Appends primitives to a caller-owned buffer.
+// Little-endian stores into a buffer the caller has already sized.
+inline void PutU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<char>(v >> (8 * i));
+  }
+}
+inline void PutU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<char>(v >> (8 * i));
+  }
+}
+inline void PutF64(char* p, double v) { PutU64(p, std::bit_cast<uint64_t>(v)); }
+
+// Appends primitives to a caller-owned buffer, one append per field.
 class ByteWriter {
  public:
   explicit ByteWriter(std::string* out) : out_(out) {}
 
   void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
+  void U32(uint32_t v) {
+    char bytes[4];
+    PutU32(bytes, v);
+    out_->append(bytes, sizeof(bytes));
+  }
+  void U64(uint64_t v) {
+    char bytes[8];
+    PutU64(bytes, v);
+    out_->append(bytes, sizeof(bytes));
+  }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
   // u32 length prefix + raw bytes.
-  void Str(std::string_view s);
+  void Str(std::string_view s) {
+    U32(static_cast<uint32_t>(s.size()));
+    out_->append(s);
+  }
   void Raw(std::string_view bytes) { out_->append(bytes); }
 
-  std::string* out() { return out_; }
+  // Grows the buffer by `n` bytes and returns where they start, for
+  // fixed-size blocks written with PutU32/PutU64/PutF64. The pointer is
+  // valid until the next append.
+  char* Extend(size_t n) {
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
+  // Overwrites the u32 at `offset`: a count or length written as a
+  // placeholder before the bytes it describes.
+  void PatchU32(size_t offset, uint32_t v) { PutU32(out_->data() + offset, v); }
 
  private:
   std::string* out_;

@@ -1,5 +1,6 @@
 #include "src/runtime/engine.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/dsl/parser.h"
@@ -368,17 +369,14 @@ const CompiledGuardrail* Engine::FindGuardrail(const std::string& name) const {
   return it == monitors_.end() ? nullptr : &it->second->guardrail;
 }
 
-std::optional<SimTime> Engine::NextTimerDeadline() const {
-  // The heap may hold stale entries; a const peek can't pop them, so scan
-  // down lazily via a copy of the top. Stale entries are rare (only after
-  // unload/replace), so in the common case this is O(1).
-  auto copy = timers_;
-  while (!copy.empty()) {
-    const TimerEntry& top = copy.top();
-    if (ResolveEntry(top) != nullptr) {
-      return top.due;
+std::optional<SimTime> Engine::NextTimerDeadline() {
+  // A stale entry stays stale (generations are never reused), and AdvanceTo
+  // and EncodeImage skip it anyway, so dropping it here changes nothing.
+  while (!timers_.empty()) {
+    if (ResolveEntry(timers_.top()) != nullptr) {
+      return timers_.top().due;
     }
-    copy.pop();
+    timers_.pop();
   }
   return std::nullopt;
 }
@@ -1168,10 +1166,12 @@ void Engine::CommitPersist() {
   if (persist_ == nullptr || evaluating_ || !persist_->dirty()) {
     return;
   }
-  std::string image = EncodeImage();
+  persist_image_.clear();
+  EncodeImageTo(&persist_image_);
+  persist_delta_.clear();
+  EncodeReportsSince(last_report_mark_, &persist_delta_);
   const uint64_t mark = reporter_.total_reports();
-  const Status committed =
-      persist_->CommitFrame(now_, EncodeReportDelta(last_report_mark_), image);
+  const Status committed = persist_->CommitFrame(now_, persist_delta_, persist_image_);
   // The delta mark advances even on failure: the records were offered once.
   last_report_mark_ = mark;
   if (!committed.ok()) {
@@ -1179,8 +1179,8 @@ void Engine::CommitPersist() {
     return;
   }
   if (persist_->SnapshotDue(now_)) {
-    const Status snapshot = persist_->WriteSnapshot(
-        now_, store_->DumpSlots(), EncodeReportRing(), std::move(image));
+    const Status snapshot = persist_->WriteSnapshot(now_, store_->DumpSlots(),
+                                                    EncodeReportRing(), persist_image_);
     if (!snapshot.ok()) {
       OSGUARD_LOG(kWarning) << "persist snapshot failed: " << snapshot.ToString();
     }
@@ -1189,7 +1189,12 @@ void Engine::CommitPersist() {
 
 std::string Engine::EncodeImage() const {
   std::string out;
-  ByteWriter w(&out);
+  EncodeImageTo(&out);
+  return out;
+}
+
+void Engine::EncodeImageTo(std::string* out) const {
+  ByteWriter w(out);
   w.U32(kImageVersion);
   w.I64(now_);
   w.U64(next_tiebreak_);
@@ -1291,21 +1296,18 @@ std::string Engine::EncodeImage() const {
     w.U64(monitor->gov_attempts);
     w.U64(monitor->gov_static_epoch);
   }
-  // Live timer entries, drained in heap (timestamp) order; stale entries
-  // are stale forever, so they are not worth persisting.
-  auto timers = timers_;
+  // Live timer entries in the order the heap drains them: (due, tiebreak)
+  // is unique, so sorting by it gives that order without copying the heap.
+  // Stale entries are stale forever, so they are not worth persisting.
   std::vector<const TimerEntry*> live;
-  std::vector<TimerEntry> drained;
-  drained.reserve(timers.size());
-  while (!timers.empty()) {
-    drained.push_back(timers.top());
-    timers.pop();
-  }
-  for (const TimerEntry& entry : drained) {
+  live.reserve(timers_.size());
+  for (const TimerEntry& entry : timers_.entries()) {
     if (ResolveEntry(entry) != nullptr) {
       live.push_back(&entry);
     }
   }
+  std::sort(live.begin(), live.end(),
+            [](const TimerEntry* a, const TimerEntry* b) { return *b > *a; });
   w.U32(static_cast<uint32_t>(live.size()));
   for (const TimerEntry* entry : live) {
     w.I64(entry->due);
@@ -1314,7 +1316,6 @@ std::string Engine::EncodeImage() const {
     w.U64(entry->trigger_index);
   }
   WriteRetentionImage(w, retention_.ExportState());
-  return out;
 }
 
 Status Engine::ApplyImage(std::string_view image) {
@@ -1502,25 +1503,21 @@ Status Engine::ApplyImage(std::string_view image) {
   return OkStatus();
 }
 
-std::string Engine::EncodeReportDelta(uint64_t from) const {
-  const std::vector<ReportRecord> records = reporter_.RecordsSince(from);
-  std::string out;
-  ByteWriter w(&out);
-  w.U32(static_cast<uint32_t>(records.size()));
-  for (const ReportRecord& record : records) {
+void Engine::EncodeReportsSince(uint64_t from, std::string* out) const {
+  const size_t count_at = out->size();
+  ByteWriter w(out);
+  w.U32(0);  // record count
+  uint32_t count = 0;
+  reporter_.ForEachRecordSince(from, [&](const ReportRecord& record) {
     WriteReportRecord(w, record);
-  }
-  return out;
+    ++count;
+  });
+  w.PatchU32(count_at, count);
 }
 
 std::string Engine::EncodeReportRing() const {
-  const std::vector<ReportRecord> records = reporter_.Records();
   std::string out;
-  ByteWriter w(&out);
-  w.U32(static_cast<uint32_t>(records.size()));
-  for (const ReportRecord& record : records) {
-    WriteReportRecord(w, record);
-  }
+  EncodeReportsSince(0, &out);
   return out;
 }
 

@@ -162,8 +162,9 @@ class Engine {
   void AdvanceTo(SimTime t);
 
   // Earliest pending TIMER deadline, if any (lets an event-driven host skip
-  // idle time).
-  std::optional<SimTime> NextTimerDeadline() const;
+  // idle time). Pops the stale entries (monitor unloaded or replaced) it
+  // finds on top of the timer heap, so it is O(1) apart from those.
+  std::optional<SimTime> NextTimerDeadline();
 
   // Kernel function `function` was called at time `t`; fires FUNCTION
   // triggers registered for it.
@@ -340,8 +341,11 @@ class Engine {
   // logged and swallowed — persistence failures degrade durability (the
   // recovery point moves back), never the running engine.
   void CommitPersist();
-  // Report records since sequence `from`, wire-encoded (a frame's delta).
-  std::string EncodeReportDelta(uint64_t from) const;
+  // Appends EncodeImage()'s bytes to `out`.
+  void EncodeImageTo(std::string* out) const;
+  // Appends the retained report records with sequence >= `from`,
+  // wire-encoded: a frame's delta, or with from = 0 the whole ring.
+  void EncodeReportsSince(uint64_t from, std::string* out) const;
   // Decodes a report blob and re-inserts each record via RestoreRecord.
   Status ApplyReportBlob(std::string_view blob);
   // Applies a decoded state image. Unknown monitor names are skipped with a
@@ -363,7 +367,13 @@ class Engine {
   uint64_t next_generation_ = 1;
   std::map<std::string, std::unique_ptr<Monitor>> monitors_;
   std::vector<std::string> monitor_names_;  // cache backing MonitorNames()
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timers_;
+  // Min-heap on (due, tiebreak); entries() exposes the heap array so
+  // EncodeImage can read the live entries without copying the heap.
+  struct TimerHeap
+      : std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> {
+    const std::vector<TimerEntry>& entries() const { return c; }
+  };
+  TimerHeap timers_;
   // Heterogeneous lookup: OnFunctionCall probes with its string_view argument
   // directly — no temporary std::string on the callout hot path.
   std::unordered_map<std::string, std::vector<Monitor*>, TransparentStringHash,
@@ -392,6 +402,9 @@ class Engine {
   // Reporter sequence at the last committed frame; the next frame's delta
   // starts here.
   uint64_t last_report_mark_ = 0;
+  // Commit buffers, kept with their capacity from one commit to the next.
+  std::string persist_image_;
+  std::string persist_delta_;
   bool uptime_dirty_ = false;  // some monitor evaluated since last publish
 };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/runtime/engine.h"
 #include "src/vm/compiler.h"
 
@@ -66,6 +68,53 @@ TEST_F(EngineTest, NextTimerDeadlineIsExposed) {
   EXPECT_EQ(*engine_.NextTimerDeadline(), Seconds(1));
   engine_.AdvanceTo(Seconds(1));
   EXPECT_EQ(*engine_.NextTimerDeadline(), Seconds(2));
+}
+
+constexpr char kEarlyAndLate[] = R"(
+  guardrail early {
+    trigger: { TIMER(1s, 1s) },
+    rule: { true },
+    action: { REPORT() }
+  }
+  guardrail late {
+    trigger: { TIMER(5s, 5s) },
+    rule: { true },
+    action: { REPORT() }
+  }
+)";
+
+TEST_F(EngineTest, NextTimerDeadlineSkipsAnUnloadedMonitor) {
+  Load(kEarlyAndLate);
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(1)));
+  // The earliest entry now belongs to no monitor: the next live deadline
+  // comes back, and once nothing is armed there is none.
+  ASSERT_TRUE(engine_.Unload("early").ok());
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(5)));
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(5)));
+  ASSERT_TRUE(engine_.Unload("late").ok());
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::nullopt);
+  engine_.AdvanceTo(Seconds(10));
+  EXPECT_EQ(engine_.stats().timer_firings, 0u);
+}
+
+TEST_F(EngineTest, NextTimerDeadlineSkipsAHotReplacedMonitor) {
+  Load(kEarlyAndLate);
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(1)));
+  // The replacement re-arms at 3s; the outgoing version's 1s entry is stale.
+  Load(R"(
+    guardrail early {
+      trigger: { TIMER(3s, 3s) },
+      rule: { true },
+      action: { REPORT() }
+    }
+  )");
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(3)));
+  engine_.AdvanceTo(Seconds(3));
+  EXPECT_EQ(Stats("early").evaluations, 1u);  // at 3s only
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::optional<SimTime>(Seconds(5)));
+  ASSERT_TRUE(engine_.Unload("early").ok());
+  ASSERT_TRUE(engine_.Unload("late").ok());
+  EXPECT_EQ(engine_.NextTimerDeadline(), std::nullopt);
 }
 
 TEST_F(EngineTest, ViolationRunsAction) {

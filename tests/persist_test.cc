@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,231 @@ TEST(PersistCodec, SnapshotRoundTripAndDamageRejection) {
       FAIL() << "bit flip at " << at << " decoded successfully";
     }
   }
+}
+
+// --- Golden files ---
+//
+// tests/corpus/valid_journal_golden.bin and valid_snapshot_golden.bin pin
+// the on-disk format byte for byte. They are the journal and the snapshot
+// that RunGoldenScript leaves in its directory: the snapshot is cut at 1s
+// and holds live and reclaimed slots and a series with samples, minima and
+// maxima; the journal frames after it carry every StoreOp kind, every Value
+// type (a nested list among them), report deltas and engine images. To
+// accept a deliberate format change, replace both files with the ones a
+// failing PersistGolden.ScriptedRunWritesTheGoldenFiles names.
+
+constexpr char kGoldenSpec[] = R"(
+guardrail lat-guard {
+  trigger: { TIMER(100ms, 100ms) },
+  rule: { COUNT(io.lat, 1s) == 0 || MAX(io.lat, 1s) <= 5ms },
+  action: { SAVE(lat.tripped, true); REPORT("lat high", MAX(io.lat, 1s)) },
+  on_satisfy: { SAVE(lat.tripped, false) },
+  meta: { severity = warning }
+}
+guardrail slow-tick {
+  trigger: { TIMER(250ms, 250ms) },
+  rule: { LOAD_OR(ticks, 0) < 2 },
+  action: { REPORT("ticks", LOAD_OR(ticks, 0)) }
+}
+persist { interval = 1s, journal_budget = 0 }
+)";
+
+// Runs the golden script in a fresh directory and returns it.
+fs::path RunGoldenScript(const std::string& name) {
+  const fs::path dir = FreshDir(name);
+  FeatureStore store;
+  PolicyRegistry registry;
+  EngineOptions engine_options;
+  engine_options.measure_wall_time = false;  // host-clock costs are not replayable
+  Engine engine(&store, &registry, nullptr, engine_options);
+  PersistOptions options;
+  options.dir = dir.string();
+  PersistManager persist(options);
+  engine.SetPersist(&persist);
+  EXPECT_TRUE(engine.LoadSource(kGoldenSpec).ok());
+  EXPECT_TRUE(persist.Open().ok());
+
+  // Up to the cut at 1s: a series whose samples rise and fall, so both
+  // extremum deques hold several entries; scalars; two reclaimed slots.
+  const double lat[] = {3e6, 1e6, 4e6, 1.5e6, 9e6, 2.6e6, 5.3e6, 5.8e6, 0.7e6, 2e6};
+  store.Save("keep.me", Value(int64_t{7}));
+  store.Save("session.a", Value("alpha"));
+  store.Save("session.b", Value(0.25));
+  for (int i = 0; i < 10; ++i) {
+    store.Observe("io.lat", Milliseconds(50) + i * Milliseconds(100), lat[i]);
+    if (i == 3) {
+      EXPECT_TRUE(store.ReclaimKey("session.a").ok());
+      EXPECT_TRUE(store.ReclaimKey("session.b").ok());
+    }
+    if (i == 6) {
+      store.Increment("ticks", 1.0);
+    }
+    engine.AdvanceTo(Milliseconds(100) * (i + 1));
+  }
+  EXPECT_EQ(persist.stats().snapshots_written, 1u);
+
+  // After the cut: every Value type and every StoreOp kind.
+  store.Save("v.nil", Value());
+  store.Save("v.int", Value(int64_t{-42}));
+  store.Save("v.float", Value(2.5));
+  store.Save("v.bool", Value(true));
+  store.Save("v.string", Value("golden"));
+  store.Save("v.list",
+             Value(std::vector<Value>{Value(1), Value("two"),
+                                      Value(std::vector<Value>{Value(3.0), Value(false)})}));
+  engine.AdvanceTo(Milliseconds(1100));
+  store.Observe("io.lat", Milliseconds(1150), 7e6);
+  SeriesOptions series;
+  series.max_samples = 64;
+  series.max_age = Seconds(2);
+  store.SetSeriesOptions("io.lat", series);
+  EXPECT_TRUE(store.Erase("v.bool").ok());
+  EXPECT_TRUE(store.ReclaimKey("v.string").ok());
+  store.Increment("ticks", 2.0);
+  engine.AdvanceTo(Milliseconds(1200));
+  engine.AdvanceTo(Milliseconds(1300));
+  EXPECT_EQ(persist.stats().snapshots_written, 1u);
+  return dir;
+}
+
+fs::path CorpusFile(const std::string& name) { return fs::path(OSGUARD_CORPUS_DIR) / name; }
+
+// Offset of the first byte where `a` and `b` differ (the shorter length if
+// one is a prefix of the other), for failure messages that stay readable.
+size_t FirstDifference(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) {
+      return i;
+    }
+  }
+  return n;
+}
+
+uint32_t BitwiseCrc32Step(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state & 1) != 0 ? (state >> 1) ^ 0xedb88320u : state >> 1;
+  }
+  return state;
+}
+
+TEST(PersistGolden, GoldenFilesReencodeByteIdentically) {
+  // The journal: decode every frame and encode it again.
+  const std::string journal = ReadFile(CorpusFile("valid_journal_golden.bin"));
+  const FrameScan scan = ScanJournal(journal);
+  ASSERT_TRUE(scan.detail.empty()) << scan.detail;
+  ASSERT_EQ(scan.valid_bytes, journal.size());
+  std::string reencoded;
+  for (const JournalFrame& frame : scan.frames) {
+    AppendFrame(frame, &reencoded);
+  }
+  EXPECT_TRUE(reencoded == journal) << "journal differs at byte "
+                                    << FirstDifference(reencoded, journal) << " of "
+                                    << journal.size();
+  // What the golden covers, so a regenerated file cannot silently lose it.
+  std::set<StoreMutation::Kind> kinds;
+  std::set<ValueType> types;
+  bool nested_list = false;
+  bool reclaim = false;
+  bool plain_erase = false;
+  bool delta = false;
+  for (const JournalFrame& frame : scan.frames) {
+    EXPECT_FALSE(frame.image.empty());
+    delta = delta || !frame.report_delta.empty();
+    for (const StoreOp& op : frame.ops) {
+      kinds.insert(op.kind);
+      if (op.kind == StoreMutation::Kind::kSave) {
+        types.insert(op.value.type());
+        if (const std::vector<Value>* items = op.value.IfList()) {
+          for (const Value& item : *items) {
+            nested_list = nested_list || item.type() == ValueType::kList;
+          }
+        }
+      }
+      if (op.kind == StoreMutation::Kind::kErase) {
+        (op.reclaim ? reclaim : plain_erase) = true;
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), 4u);
+  EXPECT_EQ(types.size(), 6u);
+  EXPECT_TRUE(nested_list);
+  EXPECT_TRUE(reclaim);
+  EXPECT_TRUE(plain_erase);
+  EXPECT_TRUE(delta);
+
+  // The snapshot: a v2 file that decodes and encodes back to itself.
+  const std::string snap_bytes = ReadFile(CorpusFile("valid_snapshot_golden.bin"));
+  ASSERT_GE(snap_bytes.size(), 16u);
+  EXPECT_EQ(snap_bytes.substr(0, 8), std::string("OGS1\x02\0\0\0", 8));
+  auto snapshot = DecodeSnapshot(snap_bytes);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const std::string snap_reencoded = EncodeSnapshot(*snapshot);
+  EXPECT_TRUE(snap_reencoded == snap_bytes)
+      << "snapshot differs at byte " << FirstDifference(snap_reencoded, snap_bytes) << " of "
+      << snap_bytes.size();
+  bool live = false;
+  bool reclaimed = false;
+  bool full_series = false;
+  for (const StoreSlotDump& slot : snapshot->store) {
+    live = live || slot.live;
+    reclaimed = reclaimed || (!slot.live && slot.free_rank > 0);
+    full_series = full_series || (slot.has_series && !slot.series.samples.empty() &&
+                                  slot.series.minima.size() > 1 &&
+                                  slot.series.maxima.size() > 1);
+  }
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(reclaimed);
+  EXPECT_TRUE(full_series);
+  EXPECT_FALSE(snapshot->report_ring.empty());
+  EXPECT_FALSE(snapshot->image.empty());
+
+  // CRC-32: the standard check value, then a bitwise reference for every
+  // length at every alignment.
+  EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
+  alignas(16) std::array<char, 2048 + 8> bytes;
+  Rng rng(0x0c0ffee);
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng.UniformInt(0, 255));
+  }
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    uint32_t state = 0xffffffffu;
+    for (size_t len = 0; len <= 2048; ++len) {
+      const uint32_t crc = Crc32(std::string_view(bytes.data() + offset, len));
+      if (crc != (state ^ 0xffffffffu) && mismatches++ == 0) {
+        ADD_FAILURE() << "Crc32 differs from the bitwise reference at offset " << offset
+                      << ", length " << len;
+      }
+      if (len < 2048) {
+        state = BitwiseCrc32Step(state, static_cast<uint8_t>(bytes[offset + len]));
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// The engine's encoders (state image, report delta and ring) and the
+// manager's commit and snapshot paths write exactly the golden bytes.
+TEST(PersistGolden, ScriptedRunWritesTheGoldenFiles) {
+  const fs::path dir = RunGoldenScript("golden-run");
+  std::vector<fs::path> snaps;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".snap") {
+      snaps.push_back(entry.path());
+    }
+  }
+  ASSERT_EQ(snaps.size(), 1u);
+  const std::string journal = ReadFile(dir / "journal.wal");
+  const std::string golden_journal = ReadFile(CorpusFile("valid_journal_golden.bin"));
+  EXPECT_TRUE(journal == golden_journal)
+      << (dir / "journal.wal") << " differs from the golden journal at byte "
+      << FirstDifference(journal, golden_journal);
+  const std::string snap = ReadFile(snaps[0]);
+  const std::string golden_snap = ReadFile(CorpusFile("valid_snapshot_golden.bin"));
+  EXPECT_TRUE(snap == golden_snap) << snaps[0] << " differs from the golden snapshot at byte "
+                                   << FirstDifference(snap, golden_snap);
 }
 
 // --- Differential crash/replay harness ---
