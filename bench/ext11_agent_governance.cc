@@ -15,7 +15,6 @@
 //       (thousands of concurrent sessions, heavy-tailed burst lengths).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/timing.h"
 #include "src/actions/agent_control.h"
 #include "src/agent/harness.h"
 #include "src/sim/agent_callout.h"
@@ -36,12 +36,6 @@
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string GovernanceSpec() {
   std::ifstream in(std::string(OSGUARD_SPECS_DIR) + "/agent_governance.osg");

@@ -12,12 +12,12 @@
 //       ladder is back at full service, across de-escalation dwell settings.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/timing.h"
 #include "src/runtime/governor/governor.h"
 #include "src/sim/kernel.h"
 #include "src/support/logging.h"
@@ -25,12 +25,6 @@
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // A monitor population wide enough that shedding is visible: one critical
 // gate, three standard watches, four best-effort probes.

@@ -6,27 +6,29 @@
 // through a retention-governed kernel and measure the three quantities the
 // docs/STORE.md design cares about:
 //
-//   BM_SessionChurn        — end-to-end cost per tool call with session-end
-//                            eager reclamation on, with live-key count and
-//                            approx store bytes reported as counters (the
-//                            boundedness signal; compare against the
-//                            retention-off label to see the leak).
-//   BM_ReclaimThroughput   — raw reclaim+re-intern cycle cost on a bare
+//   (a) session churn      — end-to-end cost per tool call with session-end
+//                            eager reclamation on, with the live-key count
+//                            and approx store bytes after each run of waves
+//                            (the boundedness signal; compare against the
+//                            retention-off row to see the leak).
+//   (b) reclaim throughput — raw reclaim+re-intern cycle cost on a bare
 //                            store (the mechanism's ceiling).
-//   BM_GovernorBytesGate   — the governor's store-bytes pressure input:
+//   (c) governor bytes gate — the governor's store-bytes pressure input:
 //                            callout cost while bytes are above the ladder's
 //                            escalation threshold vs. comfortably below.
 //
-// The aggregate-gated version of this experiment (bounded steady state,
-// zero stale-generation misreads, p99-vs-baseline) lives in
-// `benchjson --store` and emits BENCH_store.json in release CI.
+// The gated version of this experiment (>= 1M session lifecycles, bounded
+// steady state, zero stale-generation misreads, p99 against the
+// retention-off baseline) is TimingTest.StoreChurnIsBoundedAndCheap in
+// tests/timing_test.cc.
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <string>
 
+#include "bench/timing.h"
 #include "src/sim/kernel.h"
 #include "src/store/feature_store.h"
+#include "src/support/logging.h"
 #include "src/support/time.h"
 #include "src/wl/sessiongen.h"
 
@@ -73,88 +75,101 @@ void DriveWave(Kernel& kernel, const SessionChurnTrace& trace, uint64_t id_offse
   }
 }
 
-void BM_SessionChurn(benchmark::State& state) {
-  const bool retention = state.range(0) != 0;
-  Kernel kernel;
-  if (retention) {
-    (void)kernel.LoadGuardrails(kRetentionSpec);
-  }
+void SessionChurn() {
+  constexpr uint64_t kWaves = 10;
+  std::printf("# (a) session churn, %llu waves of fresh sessions\n",
+              static_cast<unsigned long long>(kWaves));
+  std::printf("%-14s %10s %14s %12s %14s %12s\n", "retention", "calls", "ns_per_call",
+              "live_keys", "store_bytes", "stale_hits");
   const SessionChurnTrace trace =
       SessionCallGenerator(ChurnOptions(), 0xE14).GenerateChurn();
-  uint64_t wave = 0;
-  uint64_t calls = 0;
-  for (auto _ : state) {
-    DriveWave(kernel, trace, wave * 10'000'000ull,
-              static_cast<SimTime>(wave) * Seconds(3));
-    ++wave;
-    calls += trace.calls.size();
+  for (const bool retention : {false, true}) {
+    Kernel kernel;
+    if (retention) {
+      (void)kernel.LoadGuardrails(kRetentionSpec);
+    }
+    const int64_t start = WallNs();
+    for (uint64_t wave = 0; wave < kWaves; ++wave) {
+      DriveWave(kernel, trace, wave * 10'000'000ull, static_cast<SimTime>(wave) * Seconds(3));
+    }
+    const int64_t elapsed = WallNs() - start;
+    const uint64_t calls = trace.calls.size() * kWaves;
+    std::printf("%-14s %10llu %14.0f %12llu %14llu %12llu\n",
+                retention ? "on" : "off", static_cast<unsigned long long>(calls),
+                static_cast<double>(elapsed) / static_cast<double>(calls),
+                static_cast<unsigned long long>(kernel.store().live_key_count()),
+                static_cast<unsigned long long>(kernel.store().approx_bytes()),
+                static_cast<unsigned long long>(kernel.store().stale_hits()));
   }
-  state.SetItemsProcessed(static_cast<int64_t>(calls));
-  state.counters["live_keys"] =
-      static_cast<double>(kernel.store().live_key_count());
-  state.counters["store_bytes"] =
-      static_cast<double>(kernel.store().approx_bytes());
-  state.counters["stale_hits"] = static_cast<double>(kernel.store().stale_hits());
-  state.SetLabel(retention ? "retention-on" : "retention-off");
 }
-BENCHMARK(BM_SessionChurn)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_ReclaimThroughput(benchmark::State& state) {
+void ReclaimThroughput() {
+  std::printf("\n# (b) reclaim + re-intern cycle on a bare store\n");
   FeatureStore store;
   uint64_t n = 0;
-  for (auto _ : state) {
-    const std::string key = "churn.k" + std::to_string(n % 1024);
+  const double ns = NsPerOp([&] {
+    std::string key = "churn.k";
+    key += std::to_string(n % 1024);
     store.Save(key, Value(static_cast<int64_t>(n)));
-    benchmark::DoNotOptimize(store.ReclaimKey(key));
+    KeepAlive(store.ReclaimKey(key));
     ++n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-  state.counters["slots"] = static_cast<double>(store.key_count());
+  });
+  std::printf("ns_per_cycle=%.0f slots=%zu\n", ns, store.key_count());
 }
-BENCHMARK(BM_ReclaimThroughput);
 
-void BM_GovernorBytesGate(benchmark::State& state) {
-  const bool pressured = state.range(0) != 0;
-  EngineOptions options;
-  options.measure_wall_time = false;
-  options.governor.enabled = true;
-  // Bytes-only ladder: the cost/queue signals are left effectively infinite
-  // so any escalation observed here is driven by the store-bytes input.
-  options.governor.pressure_up = 1e18;
-  options.governor.pressure_down = 1e17;
-  options.governor.store_bytes_up = 64 * 1024.0;
-  options.governor.store_bytes_down = 32 * 1024.0;
-  options.governor.dwell_up = 2;
-  options.governor.dwell_down = 4;
-  Kernel kernel(options);
-  (void)kernel.LoadGuardrails(R"(
-    guardrail be { trigger: { FUNCTION(f) },
-                   rule: { LOAD_OR(x.v, 0) >= 0 },
-                   action: { REPORT("be") },
-                   meta: { criticality = besteffort } }
-  )");
-  if (pressured) {
-    // Park ~1MiB of string payload in the store so bytes_ewma settles far
-    // above the escalation threshold.
-    for (int i = 0; i < 1024; ++i) {
-      kernel.store().Save("ballast.k" + std::to_string(i),
-                          Value(std::string(1024, 'x')));
+void GovernorBytesGate() {
+  std::printf("\n# (c) governor store-bytes gate: callout cost\n");
+  std::printf("%-16s %12s %6s %14s\n", "store", "ns_per_call", "mode", "bytes_ewma");
+  for (const bool pressured : {false, true}) {
+    EngineOptions options;
+    options.measure_wall_time = false;
+    options.governor.enabled = true;
+    // Bytes-only ladder: the cost/queue signals are left effectively infinite
+    // so any escalation observed here is driven by the store-bytes input.
+    options.governor.pressure_up = 1e18;
+    options.governor.pressure_down = 1e17;
+    options.governor.store_bytes_up = 64 * 1024.0;
+    options.governor.store_bytes_down = 32 * 1024.0;
+    options.governor.dwell_up = 2;
+    options.governor.dwell_down = 4;
+    Kernel kernel(options);
+    (void)kernel.LoadGuardrails(R"(
+      guardrail be { trigger: { FUNCTION(f) },
+                     rule: { LOAD_OR(x.v, 0) >= 0 },
+                     action: { REPORT("be") },
+                     meta: { criticality = besteffort } }
+    )");
+    if (pressured) {
+      // Park ~1MiB of string payload in the store so bytes_ewma settles far
+      // above the escalation threshold.
+      for (int i = 0; i < 1024; ++i) {
+        std::string key = "ballast.k";
+        key += std::to_string(i);
+        kernel.store().Save(key, Value(std::string(1024, 'x')));
+      }
     }
+    SimTime t = Milliseconds(1);
+    const double ns = NsPerOp([&] {
+      kernel.Run(t);
+      kernel.Callout("f");
+      t += Microseconds(100);
+    });
+    std::printf("%-16s %12.0f %6d %14.0f\n", pressured ? "bytes-pressured" : "bytes-idle", ns,
+                static_cast<int>(kernel.engine().governor().mode()),
+                kernel.engine().governor().bytes_ewma());
   }
-  SimTime t = Milliseconds(1);
-  for (auto _ : state) {
-    kernel.Run(t);
-    kernel.Callout("f");
-    t += Microseconds(100);
-  }
-  state.counters["mode"] =
-      static_cast<double>(kernel.engine().governor().mode());
-  state.counters["bytes_ewma"] = kernel.engine().governor().bytes_ewma();
-  state.SetLabel(pressured ? "bytes-pressured" : "bytes-idle");
 }
-BENCHMARK(BM_GovernorBytesGate)->Arg(0)->Arg(1);
+
+int Main() {
+  Logger::Global().set_level(LogLevel::kOff);
+  std::printf("# E14: bounded-memory store under session churn\n");
+  SessionChurn();
+  ReclaimThroughput();
+  GovernorBytesGate();
+  return 0;
+}
 
 }  // namespace
 }  // namespace osguard
 
-BENCHMARK_MAIN();
+int main() { return osguard::Main(); }

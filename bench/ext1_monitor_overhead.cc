@@ -7,21 +7,15 @@
 // budget a kernel deployment would pay. It also measures the per-call cost
 // of FUNCTION triggers on a hot path.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "bench/timing.h"
 #include "src/runtime/engine.h"
 #include "src/support/logging.h"
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string MakeGuardrail(int index, Duration interval) {
   return "guardrail g" + std::to_string(index) +

@@ -11,10 +11,10 @@
 //   (b) overhead: TIMER burns checks while the key is quiet, ONCHANGE costs
 //       only on writes — but pays on *every* write of a hot key.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "bench/timing.h"
 #include "src/runtime/engine.h"
 #include "src/support/logging.h"
 #include "src/support/rng.h"
@@ -22,12 +22,6 @@
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string TimerSpec(Duration interval) {
   return "guardrail timer-watch {\n"

@@ -24,18 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/timing.h"
 #include "src/chaos/chaos.h"
 #include "src/runtime/engine.h"
 #include "src/support/logging.h"
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // --- Scenario 1: the E2 oscillating pair ---
 

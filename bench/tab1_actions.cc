@@ -5,22 +5,16 @@
 // protective properties (idempotence for REPLACE, abuse throttling for
 // RETRAIN, bounded log volume for REPORT).
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 
+#include "bench/timing.h"
 #include "src/sim/kernel.h"
 #include "src/sim/scheduler.h"
 #include "src/support/logging.h"
 
 namespace osguard {
 namespace {
-
-int64_t WallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct NamedPolicy : Policy {
   std::string policy_name;

@@ -22,16 +22,24 @@ std::string_view ReportKindName(ReportKind kind) {
 }
 
 std::string ReportRecord::ToString() const {
-  std::string out = "[" + FormatDuration(time) + "] " + std::string(SeverityName(severity)) +
-                    " " + std::string(ReportKindName(kind)) + " guardrail=" + guardrail;
+  std::string out = "[";
+  out += FormatDuration(time);
+  out += "] ";
+  out += SeverityName(severity);
+  out += ' ';
+  out += ReportKindName(kind);
+  out += " guardrail=";
+  out += guardrail;
   if (!message.empty()) {
-    out += " msg=\"" + message + "\"";
+    out += " msg=\"";
+    out += message;
+    out += '"';
   }
   if (!payload.empty()) {
     out += " payload=";
     for (size_t i = 0; i < payload.size(); ++i) {
       if (i > 0) {
-        out += ",";
+        out += ',';
       }
       out += payload[i].ToString();
     }

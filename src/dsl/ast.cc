@@ -50,11 +50,21 @@ std::string Expr::ToString() const {
       return literal.ToString();
     case ExprKind::kIdent:
       return name;
-    case ExprKind::kUnary:
-      return std::string(UnaryOpName(unary_op)) + children[0]->ToString();
-    case ExprKind::kBinary:
-      return "(" + children[0]->ToString() + " " + std::string(BinaryOpName(binary_op)) + " " +
-             children[1]->ToString() + ")";
+    case ExprKind::kUnary: {
+      std::string out(UnaryOpName(unary_op));
+      out += children[0]->ToString();
+      return out;
+    }
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += children[0]->ToString();
+      out += ' ';
+      out += BinaryOpName(binary_op);
+      out += ' ';
+      out += children[1]->ToString();
+      out += ')';
+      return out;
+    }
     case ExprKind::kCall: {
       std::string out = name + "(";
       for (size_t i = 0; i < children.size(); ++i) {

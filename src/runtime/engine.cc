@@ -408,10 +408,7 @@ void Engine::AdvanceTo(SimTime t) {
     ApplyPendingRollbacks();
   }
   now_ = std::max(now_, t);
-  PublishUptimeStats();
-  RunRetention();
-  FinishCalloutGovernor();
-  CommitPersist();
+  EndBoundary();
 }
 
 void Engine::OnFunctionCall(std::string_view function, SimTime t) {
@@ -443,11 +440,7 @@ void Engine::OnFunctionCall(std::string_view function, SimTime t) {
       Evaluate(*monitor, now_);
     }
   }
-  ApplyPendingRollbacks();  // after the loop: `it` is dead past this point
-  PublishUptimeStats();
-  RunRetention();
-  FinishCalloutGovernor();
-  CommitPersist();
+  EndBoundary();  // after the loop: `it` is dead past this point
 }
 
 void Engine::OnStoreWrite(KeyId id) {
@@ -1129,6 +1122,14 @@ void Engine::SetPersist(PersistManager* persist) {
     persist_->AttachStore(store_);
     last_report_mark_ = reporter_.total_reports();
   }
+}
+
+void Engine::EndBoundary() {
+  ApplyPendingRollbacks();
+  PublishUptimeStats();
+  RunRetention();
+  FinishCalloutGovernor();
+  CommitPersist();
 }
 
 void Engine::FinishCalloutGovernor() {

@@ -319,6 +319,12 @@ class Engine {
   void QueueRollback(Monitor& monitor);
   void ApplyPendingRollbacks();
 
+  // The callout-boundary tail, in order: pending rollbacks, uptime publish,
+  // retention, the governor's ladder step, and the journal commit. AdvanceTo
+  // and OnFunctionCall both end with it; it is the only place the sequence
+  // is written out.
+  void EndBoundary();
+
   // Governor callout boundary: feed the cumulative eval/wall counters into
   // the overload ladder and publish engine.governor.* (value-diffed). No-op
   // mid-evaluation and when the governor is disabled.

@@ -99,8 +99,8 @@ struct GovernorOptions {
   double store_bytes_down = 0.0;
 };
 
-// Cumulative counters; `critical_sheds` is the invariant the benchjson
-// --governor gate pins to zero — no code path increments it, because a
+// Cumulative counters; `critical_sheds` is the invariant governor_test's E12
+// storm case pins to zero — no code path increments it, because a
 // critical monitor is only ever suppressed *behind a pinned fail-static
 // default* (counted as static_suppressed instead).
 struct GovernorStats {

@@ -33,6 +33,23 @@ void Kernel::BuildEngine() {
 Status Kernel::LoadGuardrails(const std::string& source) {
   OSGUARD_RETURN_IF_ERROR(engine_->LoadSource(source));
   guardrail_sources_.push_back(source);
+  ApplyRetentionWiring();
+  return OkStatus();
+}
+
+Status Kernel::ColdBoot() {
+  // Honest crash semantics: a rebooted kernel does not remember interning
+  // order, monitor generations, or anything else held in RAM.
+  store_.Reset();
+  BuildEngine();
+  for (const std::string& source : guardrail_sources_) {
+    OSGUARD_RETURN_IF_ERROR(engine_->LoadSource(source));
+  }
+  ApplyRetentionWiring();
+  return OkStatus();
+}
+
+void Kernel::ApplyRetentionWiring() {
   // A retention block turns on eager per-session cleanup in the agent
   // governor (kill-path data reclamation); without one the governor keeps
   // the seed behavior exactly (off == absent).
@@ -42,7 +59,6 @@ Status Kernel::LoadGuardrails(const std::string& source) {
     // families the builtin namespace governs; pinning exempts the global.
     store_.Pin(store_.InternKey(kAgentKeySessions));
   }
-  return OkStatus();
 }
 
 void Kernel::AttachPersist(PersistManager* persist) {
@@ -69,17 +85,7 @@ void Kernel::Panic() {
 
 Result<RecoveryInfo> Kernel::Reboot() {
   panicked_ = false;
-  // Honest crash semantics: a rebooted kernel does not remember interning
-  // order, monitor generations, or anything else held in RAM.
-  store_.Reset();
-  BuildEngine();
-  for (const std::string& source : guardrail_sources_) {
-    OSGUARD_RETURN_IF_ERROR(engine_->LoadSource(source));
-  }
-  agent_governor_.set_reclaim_on_kill(engine_->retention().enabled());
-  if (engine_->retention().enabled()) {
-    store_.Pin(store_.InternKey(kAgentKeySessions));
-  }
+  OSGUARD_RETURN_IF_ERROR(ColdBoot());
   if (persist_ == nullptr) {
     // No persistence attached: the reboot is a cold start by definition.
     RecoveryInfo info;
@@ -96,15 +102,7 @@ Result<RecoveryInfo> Kernel::Reboot() {
   // specs, and come back cold; journaling continues past the damage.
   OSGUARD_LOG(kWarning) << "warm restart failed (" << recovered.status().ToString()
                         << "); falling back to cold start";
-  store_.Reset();
-  BuildEngine();
-  for (const std::string& source : guardrail_sources_) {
-    OSGUARD_RETURN_IF_ERROR(engine_->LoadSource(source));
-  }
-  agent_governor_.set_reclaim_on_kill(engine_->retention().enabled());
-  if (engine_->retention().enabled()) {
-    store_.Pin(store_.InternKey(kAgentKeySessions));
-  }
+  OSGUARD_RETURN_IF_ERROR(ColdBoot());
   RecoveryInfo info;
   info.cold_start = true;
   info.detail = "warm restart failed, cold start: " + recovered.status().ToString();

@@ -151,8 +151,18 @@ class Kernel {
   };
 
   // Builds a fresh engine wired to this kernel's store/registry/task-control
-  // and re-attaches chaos + persist. Shared by the constructor and Reboot().
+  // and re-attaches chaos + persist. Shared by the constructor and ColdBoot().
   void BuildEngine();
+
+  // Cold boot: an empty store, a fresh engine, every remembered spec loaded
+  // again, then ApplyRetentionWiring(). Reboot() runs it before a warm
+  // restart and again as the fallback when the warm restart fails.
+  Status ColdBoot();
+
+  // What a loaded retention block asks of the kernel: eager reclamation on
+  // agent kill, and agent.sessions pinned. Without one, reclamation on kill
+  // stays off and nothing is pinned (off == absent).
+  void ApplyRetentionWiring();
 
   EngineOptions engine_options_;
   FeatureStore store_;

@@ -129,13 +129,16 @@ TEST(ReporterTest, CapacityBoundsRing) {
 }
 
 TEST(ReporterTest, ToStringIncludesContext) {
+  // The exact line: every log sink that formats records sees these bytes.
   ReportRecord record{7, Seconds(2), ReportKind::kViolation, Severity::kCritical,
                       "my-guard", "bad news", {Value(0.2)}};
-  const std::string text = record.ToString();
-  EXPECT_NE(text.find("my-guard"), std::string::npos);
-  EXPECT_NE(text.find("bad news"), std::string::npos);
-  EXPECT_NE(text.find("critical"), std::string::npos);
-  EXPECT_NE(text.find("0.2"), std::string::npos);
+  EXPECT_EQ(record.ToString(),
+            "[2.00s] critical violation guardrail=my-guard msg=\"bad news\" payload=0.2");
+  // No message: the msg field is left out. Several payload values are
+  // comma-separated.
+  ReportRecord bare{8, Milliseconds(1) + Microseconds(500), ReportKind::kActionPayload,
+                    Severity::kInfo, "g", "", {Value(int64_t{1}), Value(true)}};
+  EXPECT_EQ(bare.ToString(), "[1.5ms] info report guardrail=g payload=1,true");
 }
 
 TEST(ReporterTest, ClearResets) {

@@ -194,12 +194,12 @@ TEST_F(AgentTest, CleanTraceTripsNothing) {
   const DriveResult result = ReplayTrace(kernel, trace);
   EXPECT_EQ(result.allowed, trace.size());
   EXPECT_EQ(result.denied + result.throttled + result.killed, 0u);
-  // Zero false trips: not a single report from any agent guardrail, no
-  // control key engaged — even though session 1 read a secret (taint alone
-  // is not a violation).
+  // Zero false trips: not a single report from any agent guardrail, and no
+  // control key ever written (absent, not merely 0) — even though session 1
+  // read a secret (taint alone is not a violation).
   EXPECT_EQ(kernel.engine().reporter().total_reports(), 0u);
-  EXPECT_EQ(LoadNum(kernel, kAgentCtlThrottleSession), 0.0);
-  EXPECT_EQ(LoadNum(kernel, kAgentCtlKillSession), 0.0);
+  EXPECT_FALSE(kernel.store().Contains(kAgentCtlThrottleSession));
+  EXPECT_FALSE(kernel.store().Contains(kAgentCtlKillSession));
   EXPECT_FALSE(kernel.store().Contains("agent.ctl.deny.exec"));
   EXPECT_EQ(LoadNum(kernel, kAgentKeyTaintSessions), 1.0);
   EXPECT_EQ(LoadNum(kernel, kAgentKeyTaintNetAfterSecret), 0.0);

@@ -139,11 +139,15 @@ TEST_P(MonitorCountSweep, MonitorsDoNotInterfere) {
   ASSERT_TRUE(engine.LoadSource(spec).ok());
   // Violate only the even-numbered monitors.
   for (int i = 0; i < count; i += 2) {
-    store.Save("k" + std::to_string(i), Value(1000));
+    std::string key = "k";
+    key += std::to_string(i);
+    store.Save(key, Value(1000));
   }
   engine.AdvanceTo(Seconds(3));
   for (int i = 0; i < count; ++i) {
-    const double fires = store.LoadOr("f" + std::to_string(i), Value(0)).NumericOr(0);
+    std::string key = "f";
+    key += std::to_string(i);
+    const double fires = store.LoadOr(key, Value(0)).NumericOr(0);
     EXPECT_EQ(fires, i % 2 == 0 ? 3.0 : 0.0) << "monitor " << i;
   }
 }

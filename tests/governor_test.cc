@@ -6,10 +6,15 @@
 //   * kernel integration — a callout storm walks the ladder up, the calm
 //     tail walks it back down, critical monitors degrade to their corrective
 //     default instead of being shed, and engine.governor.* keys track it;
-//   * off == absent — a default-options engine interns no governor keys.
+//   * off == absent — a default-options engine interns no governor keys;
+//   * the E12 storm (tests/governor_storm.h) — fail-static reached, full
+//     service at the end, no critical shed, and fewer evaluations than the
+//     same storm ungoverned.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include "src/store/feature_store.h"
 #include "src/support/logging.h"
 #include "src/support/time.h"
+#include "tests/governor_storm.h"
 
 namespace osguard {
 namespace {
@@ -371,6 +377,36 @@ TEST_F(GovernorTest, DisabledGovernorInternsNoKeysAndShedsNothing) {
     EXPECT_EQ(kernel.store().KeyName(static_cast<KeyId>(id)).rfind("engine.governor.", 0),
               std::string::npos);
   }
+}
+
+// The E12 storm through both arms. Every signal is simulated-time derived,
+// so these ladder gates are exact: the governed arm reaches fail-static,
+// pins the critical monitor's default instead of shedding it, sheds work,
+// and walks back to full service in the calm tail.
+TEST_F(GovernorTest, E12StormReachesFailStaticAndEndsAtFullService) {
+  const std::vector<StormEvent> storm = GovernorStorm();
+  uint64_t evaluations[2] = {0, 0};
+  for (const bool governed : {false, true}) {
+    Kernel kernel(GovernorStormOptions(governed));
+    ASSERT_TRUE(kernel.LoadGuardrails(kGovernorStormSpec).ok());
+    GovernorMode deepest = GovernorMode::kFull;
+    for (const StormEvent& event : storm) {
+      StageStormEvent(kernel, event);
+      kernel.Callout("hot_path");
+      deepest = std::max(deepest, kernel.engine().governor().mode());
+    }
+    evaluations[governed ? 1 : 0] = kernel.engine().stats().evaluations;
+    if (governed) {
+      const OverloadGovernor& governor = kernel.engine().governor();
+      EXPECT_EQ(deepest, GovernorMode::kFailStatic);
+      EXPECT_EQ(governor.mode(), GovernorMode::kFull);
+      EXPECT_EQ(governor.stats().critical_sheds, 0u);
+      EXPECT_GT(governor.stats().static_applies, 0u);
+    } else {
+      EXPECT_EQ(deepest, GovernorMode::kFull);  // the ungoverned ladder never moves
+    }
+  }
+  EXPECT_LT(evaluations[1], evaluations[0]);
 }
 
 }  // namespace

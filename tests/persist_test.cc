@@ -1175,6 +1175,56 @@ TEST(PersistKernel, PanicMidDegradationRestoresTheGovernorLadder) {
   EXPECT_EQ(KernelFingerprint(kernel), want);
 }
 
+// A journal the engine refuses (here: the newest frame carries a v3 image)
+// must not leave the kernel half-restored or dead. Reboot() comes back cold:
+// ok, cold_start set, the refusal named in `detail`, every spec loaded, and
+// the kernel running.
+TEST(PersistKernel, FailedWarmRestartFallsBackToAColdBoot) {
+  const fs::path dir = FreshDir("kernel-refused");
+  Kernel kernel(DiffOptions());
+  PersistOptions options;
+  options.dir = dir.string();
+  PersistManager persist(options);
+  kernel.AttachPersist(&persist);
+  ASSERT_TRUE(persist.Open().ok());
+  ASSERT_TRUE(kernel.LoadGuardrails(kKernelSpec).ok());
+  for (int segment = 0; segment < 3; ++segment) {
+    ScheduleSegment(kernel, 31, segment);
+    kernel.Run(static_cast<SimTime>(segment + 1) * Milliseconds(50));
+  }
+  const std::string image = kernel.engine().EncodeImage();
+  std::string stamped;
+  ByteWriter w(&stamped);
+  w.U32(3);
+  w.Raw(std::string_view(image).substr(4));
+  persist.MarkDirty();
+  ASSERT_TRUE(persist.CommitFrame(kernel.engine().now(), "", stamped).ok());
+
+  kernel.Panic();
+  auto recovered = kernel.Reboot();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered.value().cold_start);
+  EXPECT_NE(recovered.value().detail.find("warm restart failed"), std::string::npos)
+      << recovered.value().detail;
+  EXPECT_NE(recovered.value().detail.find("image version 3 is not supported"),
+            std::string::npos)
+      << recovered.value().detail;
+  EXPECT_FALSE(kernel.panicked());
+
+  // Cold: the spec is loaded again with fresh counters.
+  auto stats = kernel.engine().StatsFor("io-watch");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().uptime_evals, 0u);
+
+  // And running: the next segment evaluates the monitor again.
+  ScheduleSegment(kernel, 31, 3);
+  kernel.Run(Milliseconds(200));
+  EXPECT_FALSE(kernel.panicked());
+  stats = kernel.engine().StatsFor("io-watch");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats.value().evaluations, 0u);
+}
+
 TEST(PersistKernel, RebootWithoutPersistIsACleanColdStart) {
   Kernel kernel(DiffOptions());
   ASSERT_TRUE(kernel.LoadGuardrails(kKernelSpec).ok());

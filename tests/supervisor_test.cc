@@ -281,6 +281,32 @@ TEST_F(SupervisorTest, ChaosProbeFailureKeepsBreakerOpen) {
   EXPECT_EQ(guard->reinstatements, 0u);
 }
 
+// A vm.budget_exhaust storm in burst mode: 2 s bursts every 25 s (8% duty)
+// over 120 s force every eval inside a burst into a budget abort. The
+// breaker quarantines during bursts, probes its way back between them, and
+// is closed at the end. (BreakerWalksFullCycleDeterministically drives one
+// scheduled cycle; this is the repeated, burst-shaped one.)
+TEST_F(SupervisorTest, BreakerRidesOutABudgetExhaustBurstStorm) {
+  ChaosEngine chaos(1729);
+  engine_.SetChaos(&chaos);
+  Load(R"(
+    guardrail storm-watch {
+      trigger: { TIMER(1s, 1s) },
+      rule: { LOAD_OR(x, 0) <= 100 },
+      action: { REPORT("storm-watch") },
+      health: { quarantine = 1, probe_every = 4, reinstate = 1 }
+    }
+    chaos { site vm.budget_exhaust { mode = burst, period = 25s, burst = 2s } }
+  )");
+  engine_.AdvanceTo(Seconds(120));
+  const SupervisorStats& stats = engine_.supervisor().stats();
+  EXPECT_GE(stats.quarantines, 1u);
+  EXPECT_GE(stats.reinstatements, 1u);
+  const GuardHealth* guard = engine_.supervisor().Find("storm-watch");
+  ASSERT_NE(guard, nullptr);
+  EXPECT_EQ(guard->state, BreakerState::kClosed);
+}
+
 // --- Flap detector ---
 
 TEST_F(SupervisorTest, TripFlappingOpensTheBreaker) {
@@ -303,6 +329,54 @@ TEST_F(SupervisorTest, TripFlappingOpensTheBreaker) {
   EXPECT_GE(guard->flap_events, 1u);
   EXPECT_EQ(guard->state, BreakerState::kOpen);
   EXPECT_EQ(engine_.supervisor().stats().quarantines, 1u);
+}
+
+// The E2 oscillating pair, undamped (no cooldown, hysteresis 1): a bigger
+// page cache lowers I/O latency but raises memory pressure, and the two
+// guardrails fight around the crossover. Over 120 s the flap detector must
+// quarantine and at least halve the trip rate against the bare pair, with
+// no retuning of either guardrail.
+TEST_F(SupervisorTest, FlapQuarantineHalvesTheOscillationTripRate) {
+  const Duration total = Seconds(120);
+  double trips[2] = {0.0, 0.0};
+  uint64_t quarantines = 0;
+  for (const bool supervised : {false, true}) {
+    FeatureStore store;
+    PolicyRegistry registry;
+    Engine engine(&store, &registry);
+    const std::string health =
+        supervised ? ",\n  health: { flap_window = 60s, flap_threshold = 4, "
+                     "quarantine = 1, probe_every = 10, reinstate = 4 }\n"
+                   : "\n";
+    ASSERT_TRUE(engine
+                    .LoadSource("guardrail shrink-on-pressure {\n"
+                                "  trigger: { TIMER(1s, 1s) },\n"
+                                "  rule: { LOAD_OR(mem_pressure, 0) <= 0.55 },\n"
+                                "  action: { SAVE(cache_gb, LOAD_OR(cache_gb, 4) - 2); "
+                                "INCR(trips) }" +
+                                health +
+                                "}\n"
+                                "guardrail grow-on-latency {\n"
+                                "  trigger: { TIMER(1s, 1s) },\n"
+                                "  rule: { LOAD_OR(io_latency_ms, 0) <= 1.8 },\n"
+                                "  action: { SAVE(cache_gb, LOAD_OR(cache_gb, 4) + 2); "
+                                "INCR(trips) }" +
+                                health + "}\n")
+                    .ok());
+    for (SimTime t = 0; t <= total; t += Milliseconds(500)) {
+      const double cache = store.LoadOr("cache_gb", Value(4.0)).NumericOr(4.0);
+      store.Save("mem_pressure", Value(0.10 * cache));
+      store.Save("io_latency_ms", Value(12.0 / (cache + 1.0)));
+      engine.AdvanceTo(t);
+    }
+    trips[supervised ? 1 : 0] = store.LoadOr("trips", Value(0)).NumericOr(0);
+    if (supervised) {
+      quarantines = engine.supervisor().stats().quarantines;
+    }
+  }
+  EXPECT_GE(quarantines, 1u);
+  EXPECT_GT(trips[0], 0.0);
+  EXPECT_LE(trips[1], 0.5 * trips[0]) << "bare " << trips[0] << ", supervised " << trips[1];
 }
 
 // --- Property 3: probation deploys ---
