@@ -1,5 +1,7 @@
 #include "src/actions/agent_control.h"
 
+#include <charconv>
+
 namespace osguard {
 
 std::string AgentDenyKey(agent::ToolClass tool) {
@@ -8,11 +10,24 @@ std::string AgentDenyKey(agent::ToolClass tool) {
 }
 
 std::string AgentSessionKey(uint64_t session, std::string_view suffix) {
-  std::string key = "agent.s";
-  key += std::to_string(session);
-  key += '.';
-  key += suffix;
-  return key;
+  AgentSessionKeyBuffer buffer;
+  buffer.Reset(session);
+  return std::string(buffer.Key(suffix));
+}
+
+void AgentSessionKeyBuffer::Reset(uint64_t session) {
+  char digits[20];  // any uint64_t
+  char* end = std::to_chars(digits, digits + sizeof(digits), session).ptr;
+  buffer_.assign("agent.s");
+  buffer_.append(digits, end);
+  buffer_ += '.';
+  prefix_size_ = buffer_.size();
+}
+
+std::string_view AgentSessionKeyBuffer::Key(std::string_view suffix) {
+  buffer_.resize(prefix_size_);
+  buffer_.append(suffix);
+  return buffer_;
 }
 
 const char* AgentAdmitVerdictName(AgentAdmitVerdict verdict) {
@@ -27,50 +42,6 @@ const char* AgentAdmitVerdictName(AgentAdmitVerdict verdict) {
       return "kill";
   }
   return "invalid";
-}
-
-AgentAdmitVerdict DecideAgentAdmission(const FeatureStore& store,
-                                       const agent::ToolCallEvent& event,
-                                       SimTime now) {
-  // Kill wins over everything: a terminated session makes no calls at all.
-  // NumericOr everywhere: spec actions SAVE through the VM, which may store
-  // these ids/limits as doubles; admission must not care.
-  const double kill_sid =
-      store.LoadOr(kAgentCtlKillSession, Value(int64_t{0})).NumericOr(0.0);
-  if (kill_sid != 0.0 && kill_sid == static_cast<double>(event.session)) {
-    return AgentAdmitVerdict::kKill;
-  }
-  if (store.LoadOr(AgentSessionKey(event.session, "killed"), Value(false))
-          .AsBool().value_or(false)) {
-    return AgentAdmitVerdict::kKill;
-  }
-  // Allowlist: a denied tool class is rejected regardless of session.
-  if (store.LoadOr(AgentDenyKey(event.tool), Value(false)).AsBool().value_or(false)) {
-    return AgentAdmitVerdict::kDeny;
-  }
-  // Throttle: cap the flagged session to `limit` calls per window, counting
-  // previously *accepted* calls (the governor's per-session series). The
-  // throttle self-clears as the window drains — it shapes, it does not ban.
-  const double throttled =
-      store.LoadOr(kAgentCtlThrottleSession, Value(int64_t{0})).NumericOr(0.0);
-  if (throttled != 0.0 && throttled == static_cast<double>(event.session)) {
-    const double limit =
-        store.LoadOr(kAgentCtlThrottleLimit, Value(kAgentThrottleLimitDefault))
-            .NumericOr(static_cast<double>(kAgentThrottleLimitDefault));
-    const int64_t window_ms = static_cast<int64_t>(
-        store
-            .LoadOr(kAgentCtlThrottleWindowMs, Value(kAgentThrottleWindowMsDefault))
-            .NumericOr(static_cast<double>(kAgentThrottleWindowMsDefault)));
-    const double in_window =
-        store
-            .Aggregate(AgentSessionKey(event.session, "calls"), AggKind::kCount,
-                       Milliseconds(window_ms), now)
-            .value_or(0.0);
-    if (in_window >= limit) {
-      return AgentAdmitVerdict::kThrottle;
-    }
-  }
-  return AgentAdmitVerdict::kAllow;
 }
 
 }  // namespace osguard

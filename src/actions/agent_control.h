@@ -5,8 +5,8 @@
 // that the governed component consults): a tripped spec SAVEs one of the
 // agent.ctl.* keys below, and the kernel's tool-call admission pipeline
 // (src/sim/agent_callout) reads them before every call. This module owns
-// the key vocabulary and the admission decision so the kernel, the specs,
-// and the tests all agree on the semantics:
+// the key vocabulary so the kernel, the specs, and the tests all agree on
+// the semantics (AgentGovernor applies them):
 //
 //   deny     — agent.ctl.deny.<tool> = true blocks a whole tool class
 //              (allowlist enforcement);
@@ -27,10 +27,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/agent/tool_call.h"
-#include "src/store/feature_store.h"
-#include "src/support/time.h"
 
 namespace osguard {
 
@@ -58,6 +57,20 @@ std::string AgentDenyKey(agent::ToolClass tool);
 // "agent.s<sid>.<suffix>" — per-session governance key.
 std::string AgentSessionKey(uint64_t session, std::string_view suffix);
 
+// The same keys built in one reused buffer: Reset formats "agent.s<sid>."
+// once per session, and Key appends a suffix in place, so a warmed-up
+// buffer formats a call's keys without allocating. A returned view is valid
+// until the next Reset or Key.
+class AgentSessionKeyBuffer {
+ public:
+  void Reset(uint64_t session);
+  std::string_view Key(std::string_view suffix);
+
+ private:
+  std::string buffer_;
+  size_t prefix_size_ = 0;
+};
+
 // --- Admission ---
 
 enum class AgentAdmitVerdict : uint8_t {
@@ -68,14 +81,6 @@ enum class AgentAdmitVerdict : uint8_t {
 };
 
 const char* AgentAdmitVerdictName(AgentAdmitVerdict verdict);
-
-// Pure read-side admission decision for one tool call: consults the
-// agent.ctl.* keys and the session's windowed call series. Deterministic
-// (store state + event + now only); the caller applies the side effects
-// (latching kills, counters, publication).
-AgentAdmitVerdict DecideAgentAdmission(const FeatureStore& store,
-                                       const agent::ToolCallEvent& event,
-                                       SimTime now);
 
 }  // namespace osguard
 

@@ -56,16 +56,40 @@ int DefRegOf(const Insn& insn) {
   }
 }
 
+// Index of a nil constant in `program`'s pool, appended if there is none;
+// -1 when the pool is full.
+int32_t NilConst(Program& program) {
+  for (size_t i = 0; i < program.consts.size(); ++i) {
+    if (program.consts[i].is_nil()) {
+      return static_cast<int32_t>(i);
+    }
+  }
+  if (program.consts.size() >= static_cast<size_t>(kMaxConstants)) {
+    return -1;
+  }
+  program.consts.emplace_back();
+  return static_cast<int32_t>(program.consts.size() - 1);
+}
+
 // Load-time specialization: for every store/aggregate kCall whose key operand
 // is provably the program constant loaded immediately-dominating the call,
-// intern the key into `store` and rewrite the call to kCallKeyed carrying the
-// slot id in aux. The analysis is deliberately conservative — it walks the
-// straight-line predecessor block and gives up at any join point (jump
-// target), non-fall-through instruction, or non-constant reaching definition.
-// Calls it cannot prove stay on the string path; semantics never change.
+// intern the key into `store` and rewrite the call to kCallKeyed, which reads
+// the key from the constant pool and carries the slot id in aux. The analysis
+// is deliberately conservative — it walks the straight-line predecessor block
+// and gives up at any join point (jump target), non-fall-through instruction,
+// or non-constant reaching definition. Calls it cannot prove stay on the
+// string path; semantics never change.
+//
+// When the keyed call is the key register's only reader (it overwrites the
+// register, and nothing between the load and the call reads it or branches
+// away), the load would only copy the key string for nobody, a heap
+// allocation for keys past the small-string buffer. It loads nil instead:
+// the instruction stays, so step counts, step budgets and jump offsets are
+// unchanged.
 void RewriteKeyedCalls(Program& program, FeatureStore& store) {
   const size_t n = program.insns.size();
   std::vector<char> is_target(n, 0);
+  std::vector<char> is_branch(n, 0);
   for (size_t pc = 0; pc < n; ++pc) {
     const Insn& insn = program.insns[pc];
     int32_t off = 0;
@@ -84,6 +108,7 @@ void RewriteKeyedCalls(Program& program, FeatureStore& store) {
       default:
         continue;
     }
+    is_branch[pc] = 1;
     const size_t target = pc + 1 + static_cast<size_t>(off);
     if (target < n) {
       is_target[target] = 1;
@@ -110,12 +135,22 @@ void RewriteKeyedCalls(Program& program, FeatureStore& store) {
         if (def.op == Op::kLoadConst) {
           const Value& v = program.consts[static_cast<size_t>(def.imm)];
           if (const std::string* key = v.IfString()) {
-            call.op = Op::kCallKeyed;
             const KeyId id = store.InternKey(*key);
             // The id is baked into the program, so the slot must never be
             // recycled under it (docs/STORE.md pin contract).
             store.Pin(id);
+            call.op = Op::kCallKeyed;
+            call.imm = KeyedCallImm(static_cast<HelperId>(call.imm), def.imm);
             call.aux = static_cast<int32_t>(id);
+            bool sole_reader = call.a == key_reg;
+            for (size_t m = k + 1; sole_reader && m < pc; ++m) {
+              sole_reader =
+                  !is_branch[m] && ((RegistersRead(program.insns[m]) >> key_reg) & 1) == 0;
+            }
+            const int32_t nil = sole_reader ? NilConst(program) : -1;
+            if (nil >= 0) {
+              program.insns[k].imm = nil;
+            }
           }
         }
         break;
@@ -455,9 +490,9 @@ void Engine::OnStoreWrite(KeyId id) {
     pending_changes_.push_back(id);
     return;
   }
-  // Copy: Evaluate may load/unload monitors indirectly in future revisions.
-  const std::vector<Monitor*> hooked = watch_hooks_[id];
-  for (Monitor* monitor : hooked) {
+  // In place: nothing under Evaluate rebuilds watch_hooks_ (rollbacks wait
+  // for ApplyPendingRollbacks below).
+  for (Monitor* monitor : watch_hooks_[id]) {
     if (monitor->enabled) {
       ++stats_.change_firings;
       Evaluate(*monitor, now_);

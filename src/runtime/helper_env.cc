@@ -46,18 +46,7 @@ inline AggKind AggKindForHelper(HelperId id) {
   }
 }
 
-}  // namespace
-
-Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot,
-                                                std::span<const Value> args) {
-  // Single injection point per helper call: the fallbacks below go to the
-  // unchecked body, so a fallback never draws a second chaos decision.
-  if (chaos_ != nullptr && chaos_->ShouldInject(helper_fail_site_, envelope_.now)) {
-    return ExecutionError("injected helper failure (chaos site runtime.helper_fail)");
-  }
-  if (slot >= store_->key_count()) {
-    return CallHelperUnchecked(id, args);  // unknown slot: string slow path
-  }
+bool IsStoreHelper(HelperId id) {
   switch (id) {
     case HelperId::kLoad:
     case HelperId::kLoadOr:
@@ -65,7 +54,14 @@ Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot,
     case HelperId::kIncr:
     case HelperId::kExists:
     case HelperId::kObserve:
-      return StoreHelperKeyed(id, slot, args);
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsAggregateHelper(HelperId id) {
+  switch (id) {
     case HelperId::kCount:
     case HelperId::kSum:
     case HelperId::kMean:
@@ -76,10 +72,89 @@ Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot,
     case HelperId::kNewest:
     case HelperId::kOldest:
     case HelperId::kQuantile:
-      return AggregateHelperKeyed(id, slot, args);
+      return true;
     default:
-      return CallHelperUnchecked(id, args);
+      return false;
   }
+}
+
+}  // namespace
+
+template <typename Key>
+Result<Value> MonitorHelperEnv::StoreHelper(HelperId id, Key key, std::span<const Value> rest) {
+  switch (id) {
+    case HelperId::kLoad:
+      return store_->LoadOr(key, Value());  // nil when missing (see header)
+    case HelperId::kLoadOr:
+      return store_->LoadOr(key, rest[0]);
+    case HelperId::kSave:
+      store_->Save(key, rest[0]);
+      return Value();
+    case HelperId::kIncr: {
+      double delta = 1.0;
+      if (!rest.empty()) {
+        OSGUARD_ASSIGN_OR_RETURN(delta, NumericArg(rest[0], "INCR delta"));
+      }
+      return Value(store_->Increment(key, delta));
+    }
+    case HelperId::kExists:
+      return Value(store_->Contains(key));
+    case HelperId::kObserve: {
+      OSGUARD_ASSIGN_OR_RETURN(double sample, NumericArg(rest[0], "OBSERVE sample"));
+      store_->Observe(key, envelope_.now, sample);
+      return Value();
+    }
+    default:
+      return InternalError("not a store helper");
+  }
+}
+
+template <typename Key>
+Result<Value> MonitorHelperEnv::AggregateHelper(HelperId id, Key key,
+                                                std::span<const Value> rest) {
+  if (id == HelperId::kQuantile) {
+    OSGUARD_ASSIGN_OR_RETURN(double q, NumericArg(rest[0], "QUANTILE q"));
+    if (q < 0.0 || q > 1.0) {
+      return InvalidArgumentError("QUANTILE q must be in [0, 1]");
+    }
+    OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(rest[1], "QUANTILE window"));
+    auto result = store_->AggregateQuantile(key, q, static_cast<Duration>(window),
+                                            envelope_.now);
+    if (!result.ok()) {
+      return Value();  // nil on empty window
+    }
+    return Value(result.value());
+  }
+  OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(rest[0], "aggregate window"));
+  auto result =
+      store_->Aggregate(key, AggKindForHelper(id), static_cast<Duration>(window), envelope_.now);
+  if (!result.ok()) {
+    return Value();  // nil on empty window / missing series
+  }
+  return Value(result.value());
+}
+
+Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
+                                                std::span<const Value> rest) {
+  // Single injection point per helper call: the fallbacks below go to the
+  // unchecked bodies, so a fallback never draws a second chaos decision.
+  if (chaos_ != nullptr && chaos_->ShouldInject(helper_fail_site_, envelope_.now)) {
+    return ExecutionError("injected helper failure (chaos site runtime.helper_fail)");
+  }
+  const bool store_helper = IsStoreHelper(id);
+  if (!store_helper && !IsAggregateHelper(id)) {
+    std::vector<Value> args;  // not a keyed helper: the plain call
+    args.push_back(key);
+    args.insert(args.end(), rest.begin(), rest.end());
+    return CallHelperUnchecked(id, args);
+  }
+  if (slot < store_->key_count()) {
+    const KeyId key_id = slot;
+    return store_helper ? StoreHelper(id, key_id, rest) : AggregateHelper(id, key_id, rest);
+  }
+  // Unknown slot: the string path on the constant key.
+  OSGUARD_ASSIGN_OR_RETURN(std::string_view name, KeyArg(key));
+  return store_helper ? StoreHelper(id, name, rest) : AggregateHelper(id, name, rest);
 }
 
 Result<Value> MonitorHelperEnv::CallHelper(HelperId id, std::span<const Value> args) {
@@ -90,25 +165,12 @@ Result<Value> MonitorHelperEnv::CallHelper(HelperId id, std::span<const Value> a
 }
 
 Result<Value> MonitorHelperEnv::CallHelperUnchecked(HelperId id, std::span<const Value> args) {
+  if (IsStoreHelper(id) || IsAggregateHelper(id)) {
+    OSGUARD_ASSIGN_OR_RETURN(std::string_view key, KeyArg(args[0]));
+    return IsStoreHelper(id) ? StoreHelper(id, key, args.subspan(1))
+                             : AggregateHelper(id, key, args.subspan(1));
+  }
   switch (id) {
-    case HelperId::kLoad:
-    case HelperId::kLoadOr:
-    case HelperId::kSave:
-    case HelperId::kIncr:
-    case HelperId::kExists:
-    case HelperId::kObserve:
-      return StoreHelper(id, args);
-    case HelperId::kCount:
-    case HelperId::kSum:
-    case HelperId::kMean:
-    case HelperId::kMinAgg:
-    case HelperId::kMaxAgg:
-    case HelperId::kStdDev:
-    case HelperId::kRate:
-    case HelperId::kNewest:
-    case HelperId::kOldest:
-    case HelperId::kQuantile:
-      return AggregateHelper(id, args);
     case HelperId::kAbs:
     case HelperId::kSqrt:
     case HelperId::kLog:
@@ -130,114 +192,10 @@ Result<Value> MonitorHelperEnv::CallHelperUnchecked(HelperId id, std::span<const
         return FailedPreconditionError("no action dispatcher bound to this monitor context");
       }
       return dispatcher_->Dispatch(id, args, envelope_);
+    default:
+      break;
   }
   return InternalError("unknown helper id " + std::to_string(static_cast<int>(id)));
-}
-
-Result<Value> MonitorHelperEnv::StoreHelper(HelperId id, std::span<const Value> args) {
-  OSGUARD_ASSIGN_OR_RETURN(std::string_view key, KeyArg(args[0]));
-  switch (id) {
-    case HelperId::kLoad:
-      return store_->LoadOr(key, Value());  // nil when missing (see header)
-    case HelperId::kLoadOr:
-      return store_->LoadOr(key, args[1]);
-    case HelperId::kSave:
-      store_->Save(key, args[1]);
-      return Value();
-    case HelperId::kIncr: {
-      double delta = 1.0;
-      if (args.size() > 1) {
-        OSGUARD_ASSIGN_OR_RETURN(delta, NumericArg(args[1], "INCR delta"));
-      }
-      return Value(store_->Increment(key, delta));
-    }
-    case HelperId::kExists:
-      return Value(store_->Contains(key));
-    case HelperId::kObserve: {
-      OSGUARD_ASSIGN_OR_RETURN(double sample, NumericArg(args[1], "OBSERVE sample"));
-      store_->Observe(key, envelope_.now, sample);
-      return Value();
-    }
-    default:
-      return InternalError("not a store helper");
-  }
-}
-
-Result<Value> MonitorHelperEnv::StoreHelperKeyed(HelperId id, KeyId key,
-                                                 std::span<const Value> args) {
-  switch (id) {
-    case HelperId::kLoad:
-      return store_->LoadOr(key, Value());
-    case HelperId::kLoadOr:
-      return store_->LoadOr(key, args[1]);
-    case HelperId::kSave:
-      store_->Save(key, args[1]);
-      return Value();
-    case HelperId::kIncr: {
-      double delta = 1.0;
-      if (args.size() > 1) {
-        OSGUARD_ASSIGN_OR_RETURN(delta, NumericArg(args[1], "INCR delta"));
-      }
-      return Value(store_->Increment(key, delta));
-    }
-    case HelperId::kExists:
-      return Value(store_->Contains(key));
-    case HelperId::kObserve: {
-      OSGUARD_ASSIGN_OR_RETURN(double sample, NumericArg(args[1], "OBSERVE sample"));
-      store_->Observe(key, envelope_.now, sample);
-      return Value();
-    }
-    default:
-      return InternalError("not a store helper");
-  }
-}
-
-Result<Value> MonitorHelperEnv::AggregateHelper(HelperId id, std::span<const Value> args) {
-  OSGUARD_ASSIGN_OR_RETURN(std::string_view key, KeyArg(args[0]));
-  if (id == HelperId::kQuantile) {
-    OSGUARD_ASSIGN_OR_RETURN(double q, NumericArg(args[1], "QUANTILE q"));
-    if (q < 0.0 || q > 1.0) {
-      return InvalidArgumentError("QUANTILE q must be in [0, 1]");
-    }
-    OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(args[2], "QUANTILE window"));
-    auto result = store_->AggregateQuantile(key, q, static_cast<Duration>(window),
-                                            envelope_.now);
-    if (!result.ok()) {
-      return Value();  // nil on empty window
-    }
-    return Value(result.value());
-  }
-  OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(args[1], "aggregate window"));
-  auto result =
-      store_->Aggregate(key, AggKindForHelper(id), static_cast<Duration>(window), envelope_.now);
-  if (!result.ok()) {
-    return Value();  // nil on empty window / missing series
-  }
-  return Value(result.value());
-}
-
-Result<Value> MonitorHelperEnv::AggregateHelperKeyed(HelperId id, KeyId key,
-                                                     std::span<const Value> args) {
-  if (id == HelperId::kQuantile) {
-    OSGUARD_ASSIGN_OR_RETURN(double q, NumericArg(args[1], "QUANTILE q"));
-    if (q < 0.0 || q > 1.0) {
-      return InvalidArgumentError("QUANTILE q must be in [0, 1]");
-    }
-    OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(args[2], "QUANTILE window"));
-    auto result = store_->AggregateQuantile(key, q, static_cast<Duration>(window),
-                                            envelope_.now);
-    if (!result.ok()) {
-      return Value();  // nil on empty window
-    }
-    return Value(result.value());
-  }
-  OSGUARD_ASSIGN_OR_RETURN(double window, NumericArg(args[1], "aggregate window"));
-  auto result =
-      store_->Aggregate(key, AggKindForHelper(id), static_cast<Duration>(window), envelope_.now);
-  if (!result.ok()) {
-    return Value();  // nil on empty window / missing series
-  }
-  return Value(result.value());
 }
 
 Result<Value> MonitorHelperEnv::MathHelper(HelperId id, std::span<const Value> args) {

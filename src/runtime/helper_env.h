@@ -56,20 +56,22 @@ class MonitorHelperEnv : public HelperContext {
 
   // kCallKeyed fast path: store/aggregate helpers dispatch on the pre-resolved
   // slot id, skipping the string hash probe entirely. Slots the store doesn't
-  // know about (a fuzzed or stale program) fall back to the string path, so
-  // the hint is purely an optimization.
-  Result<Value> CallHelperKeyed(HelperId id, uint32_t slot,
-                                std::span<const Value> args) override;
+  // know about (a fuzzed or stale program) fall back to the string path on
+  // the constant key, so the hint is purely an optimization.
+  Result<Value> CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
+                                std::span<const Value> rest) override;
 
   SimTime now() const override { return envelope_.now; }
 
  private:
   // The helper body after the single runtime.helper_fail chaos draw.
   Result<Value> CallHelperUnchecked(HelperId id, std::span<const Value> args);
-  Result<Value> StoreHelper(HelperId id, std::span<const Value> args);
-  Result<Value> StoreHelperKeyed(HelperId id, KeyId key, std::span<const Value> args);
-  Result<Value> AggregateHelper(HelperId id, std::span<const Value> args);
-  Result<Value> AggregateHelperKeyed(HelperId id, KeyId key, std::span<const Value> args);
+  // Store and aggregate helpers, on a key name (std::string_view) or a slot
+  // (KeyId); `rest` holds the arguments after the key.
+  template <typename Key>
+  Result<Value> StoreHelper(HelperId id, Key key, std::span<const Value> rest);
+  template <typename Key>
+  Result<Value> AggregateHelper(HelperId id, Key key, std::span<const Value> rest);
   Result<Value> MathHelper(HelperId id, std::span<const Value> args);
 
   FeatureStore* store_;

@@ -50,7 +50,7 @@ void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* 
   store_ = store;
   const size_t n = options_.namespaces.size();
   tracked_.clear();
-  members_.assign(n, {});
+  write_order_.assign(n, {});
   ns_keys_.assign(n, 0);
   ns_bytes_.assign(n, 0);
   cursor_ = 0;
@@ -112,17 +112,54 @@ int32_t RetentionManager::Classify(std::string_view key) const {
   return best;
 }
 
+void RetentionManager::LinkNewest(KeyId id, Tracked& t) {
+  WriteOrder& order = write_order_[t.ns];
+  t.older = order.newest;
+  t.newer = kInvalidKeyId;
+  if (order.newest != kInvalidKeyId) {
+    tracked_[order.newest].newer = id;
+  } else {
+    order.oldest = id;
+  }
+  order.newest = id;
+}
+
+void RetentionManager::Unlink(Tracked& t) {
+  WriteOrder& order = write_order_[t.ns];
+  if (t.older != kInvalidKeyId) {
+    tracked_[t.older].newer = t.newer;
+  } else {
+    order.oldest = t.newer;
+  }
+  if (t.newer != kInvalidKeyId) {
+    tracked_[t.newer].older = t.older;
+  } else {
+    order.newest = t.older;
+  }
+  t.older = t.newer = kInvalidKeyId;
+}
+
+bool RetentionManager::AnyIdle(SimTime now) const {
+  for (size_t i = 0; i < write_order_.size(); ++i) {
+    const Duration ttl = options_.namespaces[i].idle_ttl;
+    const KeyId oldest = write_order_[i].oldest;
+    if (ttl > 0 && oldest != kInvalidKeyId && now - tracked_[oldest].last_write >= ttl) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void RetentionManager::Untrack(KeyId id, Tracked& t) {
   (void)id;
   if (t.valid && t.ns >= 0) {
     ns_keys_[t.ns] -= 1;
     ns_bytes_[t.ns] -= t.bytes;
+    Unlink(t);
   }
   t.valid = false;
   t.ns = -1;
   t.bytes = 0;
-  // in_list stays as-is: the member entry (if any) is pruned by the next
-  // collection pass, which clears the flag.
 }
 
 void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& key,
@@ -160,10 +197,10 @@ void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& ke
     t.ns = ns;
     t.bytes = 0;
     ns_keys_[ns] += 1;
-    if (!t.in_list) {
-      members_[ns].push_back(info.id);
-      t.in_list = true;
-    }
+    LinkNewest(info.id, t);
+  } else if (write_order_[t.ns].newest != info.id) {
+    Unlink(t);
+    LinkNewest(info.id, t);
   }
   t.last_write = now;
   ns_bytes_[t.ns] += info.approx_bytes - t.bytes;
@@ -192,6 +229,14 @@ bool RetentionManager::TryReclaim(KeyId id, Tracked& t, bool quota) {
 
 void RetentionManager::ScanChunk(SimTime now, bool storm) {
   if (tracked_.empty()) {
+    return;
+  }
+  if (!storm && !AnyIdle(now)) {
+    // The walk below would reclaim nothing; leave the cursor where its
+    // scan_chunk steps would have: one past the last slot visited.
+    const uint64_t size = tracked_.size();
+    const uint64_t start = cursor_ >= size ? 0 : cursor_;
+    cursor_ = (start + (options_.scan_chunk - 1) % size) % size + 1;
     return;
   }
   const uint64_t budget = storm ? tracked_.size() : options_.scan_chunk;
@@ -225,35 +270,24 @@ void RetentionManager::EnforceQuota(SimTime now, bool breach_all) {
     } else if (configured == 0 || ns_keys_[i] <= configured) {
       continue;
     }
-    // Collection pass: compact the member list, recompute the exact count,
-    // and fix any tracking the lazy bookkeeping left behind.
-    std::vector<KeyId>& members = members_[i];
+    // Census over the namespace's tracked slots. A slot only counts against
+    // the budget if it still holds the tenant we stamped: externally
+    // reclaimed or recycled slots would inflate the census and evict
+    // healthy keys, so they are untracked here (and the count with them).
     std::vector<KeyId> live;
-    live.reserve(members.size());
-    for (const KeyId id : members) {
+    live.reserve(ns_keys_[i]);
+    for (KeyId id = write_order_[i].oldest; id != kInvalidKeyId;) {
       Tracked& t = tracked_[id];
-      if (t.valid && t.ns == static_cast<int32_t>(i)) {
-        // A tracked entry only counts against the budget if the slot still
-        // holds the tenant we stamped: externally reclaimed or recycled
-        // slots would inflate the census and evict healthy keys.
-        if (store_->IsLive(id) && store_->GenerationOf(id) == t.generation) {
-          if (store_->IsPinned(id)) {
-            Untrack(id, t);  // pinned after tracking: now exempt
-            t.in_list = false;
-            continue;
-          }
-          live.push_back(id);
-          continue;
-        }
+      const KeyId newer = t.newer;
+      if (!store_->IsLive(id) || store_->GenerationOf(id) != t.generation) {
         ++stats_.stale_tracks_fixed;
         Untrack(id, t);
+      } else if (store_->IsPinned(id)) {
+        Untrack(id, t);  // pinned after tracking: now exempt
+      } else {
+        live.push_back(id);
       }
-      t.in_list = false;
-    }
-    members = live;
-    if (ns_keys_[i] != live.size()) {
-      // Count drifted (external reclaims); the exact census wins.
-      ns_keys_[i] = live.size();
+      id = newer;
     }
     if (budget >= live.size() || live.empty()) {
       continue;
@@ -329,31 +363,18 @@ void RetentionManager::AdoptKey(KeyId id, SimTime now) {
   t.last_write = now;
   ns_keys_[ns] += 1;
   ns_bytes_[ns] += t.bytes;
-  if (!t.in_list) {
-    members_[ns].push_back(id);
-    t.in_list = true;
-  }
+  LinkNewest(id, t);
 }
 
-uint64_t RetentionManager::ReclaimPrefix(std::string_view prefix) {
-  if (!options_.enabled || store_ == nullptr) {
-    return 0;
+bool RetentionManager::ReclaimTracked(KeyId id) {
+  if (!options_.enabled || store_ == nullptr || id >= tracked_.size()) {
+    return false;
   }
-  uint64_t reclaimed = 0;
-  for (KeyId id = 0; id < tracked_.size(); ++id) {
-    Tracked& t = tracked_[id];
-    if (!t.valid || t.ns < 0) {
-      continue;
-    }
-    const std::string& key = store_->KeyName(id);
-    if (key.size() < prefix.size() || key.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    if (TryReclaim(id, t, /*quota=*/false)) {
-      ++reclaimed;
-    }
+  Tracked& t = tracked_[id];
+  if (!t.valid || t.ns < 0) {
+    return false;
   }
-  return reclaimed;
+  return TryReclaim(id, t, /*quota=*/false);
 }
 
 void RetentionManager::Publish() {
@@ -432,7 +453,7 @@ void RetentionManager::ResyncAfterRestore(SimTime now) {
     return;
   }
   const size_t n = options_.namespaces.size();
-  members_.assign(n, {});
+  write_order_.assign(n, {});
   ns_keys_.assign(n, 0);
   ns_bytes_.assign(n, 0);
   const size_t count = store_->key_count();
@@ -448,13 +469,12 @@ void RetentionManager::ResyncAfterRestore(SimTime now) {
     Tracked& t = tracked_[id];
     t.ns = ns;
     t.valid = true;
-    t.in_list = true;
     t.generation = store_->GenerationOf(id);
     t.bytes = store_->SlotApproxBytes(id);
     // Restore-time stamp: write times are not persisted, and both sides of
     // a differential restore identically, so this stays deterministic.
     t.last_write = now;
-    members_[ns].push_back(id);
+    LinkNewest(id, t);
     ns_keys_[ns] += 1;
     ns_bytes_[ns] += t.bytes;
   }

@@ -16,7 +16,13 @@
 //                          by longest-prefix match.
 //   * idle reclamation   — an incremental cursor walks `scan_chunk` slots
 //                          per callout boundary and reclaims governed keys
-//                          whose idle age exceeded their namespace TTL.
+//                          whose idle age exceeded their namespace TTL. Each
+//                          namespace also keeps its tracked slots in
+//                          last-write order (an intrusive list, O(1) per
+//                          write), so a boundary at which no namespace's
+//                          oldest write has reached its TTL moves the cursor
+//                          to where the walk would have left it and walks
+//                          nothing.
 //   * quota eviction     — a namespace over its key budget evicts its
 //                          least-recently-written members first (stable
 //                          tie-break: lower slot id), down to the budget.
@@ -31,11 +37,14 @@
 // bit-identically, and the chaos sites `store.evict_storm` /
 // `store.quota_breach` replay exactly.
 //
-// Self-correction: bookkeeping (namespace counts, byte gauges, membership
-// lists) tolerates reclamations it did not perform (agent session teardown
+// Self-correction: bookkeeping (namespace counts, byte gauges, last-write
+// lists) tolerates reclamations it did not perform (the agent kill path
 // calls FeatureStore::ReclaimKey directly). A tracked slot that turns out to
 // be dead or pinned when touched is untracked on the spot, so counts
 // converge instead of drifting.
+//
+// Write stamps must be non-decreasing (the engine's clock is monotone):
+// the last-write lists rely on it to keep their oldest entry first.
 //
 // Off == absent: without a `retention { }` block nothing is stamped, no keys
 // are interned, and every boundary pays a single branch.
@@ -67,7 +76,7 @@ struct RetentionOptions {
 };
 
 struct RetentionStats {
-  uint64_t reclaimed_idle = 0;    // idle-TTL reclamations (incl. storm)
+  uint64_t reclaimed_idle = 0;    // idle-TTL, storm and session-teardown reclamations
   uint64_t reclaimed_quota = 0;   // LRU quota evictions
   uint64_t quota_breaches = 0;    // boundaries where a namespace was over budget
   uint64_t chaos_storms = 0;      // store.evict_storm injections taken
@@ -126,12 +135,13 @@ class RetentionManager {
   // slots.
   void AdoptKey(KeyId id, SimTime now);
 
-  // Eagerly reclaims every governed, unpinned live key with the given
-  // prefix (agent session teardown). Returns the number reclaimed. Unlike
-  // boundary reclamation this may run mid-callout, but only at fixed points
-  // of the event sequence (Kernel::OnSessionEnd), so determinism is
-  // preserved.
-  uint64_t ReclaimPrefix(std::string_view prefix);
+  // Eagerly reclaims one governed slot with the boundary walk's bookkeeping
+  // (counted in reclaimed_idle). Returns true when the slot was reclaimed;
+  // untracked slots are left alone. Agent session teardown
+  // (Kernel::OnSessionEnd) calls it for the session's keys in ascending
+  // slot order. Unlike boundary reclamation this may run mid-callout, but
+  // only at fixed points of the event sequence, so determinism is preserved.
+  bool ReclaimTracked(KeyId id);
 
   RetentionImage ExportState() const;
   void RestoreState(const RetentionImage& image);
@@ -146,14 +156,30 @@ class RetentionManager {
   // the slot's key matches no governed prefix (or the slot is pinned).
   struct Tracked {
     int32_t ns = -1;
-    bool valid = false;    // believed live with this tenant
-    bool in_list = false;  // physically present in members_[ns]
+    bool valid = false;  // believed live with this tenant
     uint32_t generation = 0;
+    // Neighbours in the namespace's last-write list; every valid slot is
+    // linked, and nothing else is.
+    KeyId older = kInvalidKeyId;
+    KeyId newer = kInvalidKeyId;
     uint64_t bytes = 0;
     SimTime last_write = 0;
   };
 
+  // A namespace's valid slots, oldest last write first: the TTL sweep's
+  // skip test reads the oldest, the quota census walks them all.
+  struct WriteOrder {
+    KeyId oldest = kInvalidKeyId;
+    KeyId newest = kInvalidKeyId;
+  };
+
   int32_t Classify(std::string_view key) const;
+  // Last-write list maintenance for a valid slot (t.ns >= 0).
+  void LinkNewest(KeyId id, Tracked& t);
+  void Unlink(Tracked& t);
+  // Whether some valid slot's idle age has reached its namespace TTL: the
+  // only case in which the boundary walk can reclaim anything.
+  bool AnyIdle(SimTime now) const;
   void Untrack(KeyId id, Tracked& t);
   // Reclaims via the store; fixes tracking on pinned/dead surprises.
   // Returns true when the slot was actually reclaimed.
@@ -169,9 +195,9 @@ class RetentionManager {
   ChaosSiteId breach_site_ = kInvalidChaosSite;
 
   std::vector<Tracked> tracked_;
-  std::vector<std::vector<KeyId>> members_;  // per namespace; lazily pruned
-  std::vector<uint64_t> ns_keys_;            // tracked live keys per namespace
-  std::vector<uint64_t> ns_bytes_;           // tracked approx bytes per namespace
+  std::vector<WriteOrder> write_order_;  // per namespace
+  std::vector<uint64_t> ns_keys_;        // tracked live keys per namespace
+  std::vector<uint64_t> ns_bytes_;       // tracked approx bytes per namespace
   uint64_t cursor_ = 0;
   RetentionStats stats_;
 

@@ -4,7 +4,7 @@
 // is the governance path it runs through:
 //
 //   chaos (event_drop / dup_session)        — Kernel::OnToolCall
-//     -> admission (deny / throttle / kill) — DecideAgentAdmission,
+//     -> admission (deny / throttle / kill) — AgentGovernor::Process,
 //        reading the agent.ctl.* control keys guardrail actions SAVE
 //     -> feature publication                — AgentGovernor::Process,
 //        per-session windowed call rates, per-tool counters, the
@@ -15,10 +15,21 @@
 // Every piece of governance state lives in the feature store, never in
 // kernel RAM: publication is expressed entirely through Save / Increment /
 // Observe, so crash consistency (persist journal) and bit-identical replay
-// fall out of the existing infrastructure. The governor object
-// itself is stateless apart from configuration and chaos site ids, which is
-// what makes Kernel::Reboot's store Reset() safe — there are no cached
-// KeyIds to go stale.
+// fall out of the existing infrastructure. What the governor object holds
+// besides configuration and chaos site ids is a cache of KeyIds:
+//
+//   * global agent.* keys — interned at their first write (so the interning
+//     order is the store's own) and pinned, so no reclamation can recycle a
+//     cached slot; the agent.ctl.* keys specs write are cached and pinned
+//     once they exist. Kernel::ColdBoot resets the store and calls
+//     ForgetKeyIds, so no id outlives the store it came from.
+//   * per-session keys (agent.s<sid>.*) — formatted into one reused buffer
+//     and resolved once per call. They stay unpinned (retention governs
+//     them) and the ids are dropped when the call returns; nothing
+//     reclaims mid-call except the kill path, which returns right after.
+//
+// Either way a call performs the same store operations, in the same order,
+// as string-keyed access would.
 //
 // Sequence property support: on a secret file read the governor sets the
 // session's taint bit; on a network call from a tainted session it SAVEs
@@ -31,6 +42,7 @@
 #ifndef SRC_SIM_AGENT_CALLOUT_H_
 #define SRC_SIM_AGENT_CALLOUT_H_
 
+#include <array>
 #include <cstdint>
 
 #include "src/actions/agent_control.h"
@@ -88,13 +100,22 @@ struct AgentGovernorOptions {
   SeriesOptions stream_series{.max_samples = 65536, .max_age = Seconds(60)};
 };
 
+// The live slots of the keys the governor writes for one session: calls,
+// seen, taint, file, net, exec and killed.
+struct AgentSessionSlots {
+  std::array<KeyId, 7> ids{};
+  size_t count = 0;  // ids[0, count) are live, in ascending slot order
+};
+
 // Admission + publication for one tool call. Owned by the Kernel; borrows
 // the store. Deterministic: output state is a pure function of (store
 // state, event, now).
 class AgentGovernor {
  public:
   explicit AgentGovernor(FeatureStore* store, AgentGovernorOptions options = {})
-      : store_(store), options_(options) {}
+      : store_(store), options_(options) {
+    ForgetKeyIds();
+  }
 
   // Registers the chaos sites (null detaches). Site ids are stable for the
   // chaos engine's lifetime, so re-attaching after Kernel::Reboot is cheap.
@@ -116,16 +137,79 @@ class AgentGovernor {
 
   // Runs admission and, when admitted, publishes the call's features.
   // Does NOT fire the engine callout — the Kernel does that, so the
-  // governor stays engine-agnostic.
+  // governor stays engine-agnostic. `event.tool` must be a valid class.
   AgentAdmitVerdict Process(const agent::ToolCallEvent& event, SimTime now);
 
+  // Finds the session's keys by name (session teardown). O(keys of the
+  // session): no scan of the store.
+  AgentSessionSlots FindSessionKeys(uint64_t session);
+
+  // Drops every cached KeyId. Required whenever the store is Reset().
+  void ForgetKeyIds() { global_ids_.fill(kInvalidKeyId); }
+
  private:
+  // The global keys the governor writes (first group) or reads (agent.ctl.*).
+  // Per-tool entries are consecutive in agent::ToolClass order.
+  enum GlobalKey : uint8_t {
+    kEvents,
+    kSessions,
+    kCallsStream,
+    kCallsFile,
+    kCallsNet,
+    kCallsExec,
+    kRateSession,
+    kRateCurrent,
+    kLastSession,
+    kLastTool,
+    kLastFingerprint,
+    kTaintSessions,
+    kTaintLastSession,
+    kTaintNetAfterSecret,
+    kGovDenied,
+    kGovThrottled,
+    kGovKilled,
+    kGovRejected,
+    kCtlKillSession,
+    kCtlDenyFile,
+    kCtlDenyNet,
+    kCtlDenyExec,
+    kCtlThrottleSession,
+    kCtlThrottleLimit,
+    kCtlThrottleWindowMs,
+    kGlobalKeyCount,
+  };
+  // Per-session key suffixes; kFile..kExec follow agent::ToolClass order.
+  enum SessionKey : uint8_t {
+    kCalls,
+    kSeen,
+    kTaint,
+    kFile,
+    kNet,
+    kExec,
+    kKilled,
+    kSessionKeyCount,
+  };
+
+  // Cached id of a global key: WriteId interns and pins it (call it right
+  // before the first write, so interning order is unchanged); ReadId finds
+  // it, kInvalidKeyId (read as absent) while it does not exist.
+  KeyId WriteId(GlobalKey key);
+  KeyId ReadId(GlobalKey key);
+  // This call's id of a per-session key. Absent keys are looked up again on
+  // every use (a write may have created them since); `create` interns.
+  KeyId SessionId(SessionKey key, bool create);
+  // The deny / throttle / kill decision (read-only).
+  AgentAdmitVerdict Admit(const agent::ToolCallEvent& event, SimTime now);
+
   FeatureStore* store_;
   AgentGovernorOptions options_;
   ChaosEngine* chaos_ = nullptr;
   ChaosSiteId drop_site_ = kInvalidChaosSite;
   ChaosSiteId dup_site_ = kInvalidChaosSite;
   bool reclaim_on_kill_ = false;
+  std::array<KeyId, kGlobalKeyCount> global_ids_{};
+  AgentSessionKeyBuffer session_keys_;
+  std::array<KeyId, kSessionKeyCount> session_ids_{};
 };
 
 }  // namespace osguard

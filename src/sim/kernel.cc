@@ -41,6 +41,7 @@ Status Kernel::ColdBoot() {
   // Honest crash semantics: a rebooted kernel does not remember interning
   // order, monitor generations, or anything else held in RAM.
   store_.Reset();
+  agent_governor_.ForgetKeyIds();
   BuildEngine();
   for (const std::string& source : guardrail_sources_) {
     OSGUARD_RETURN_IF_ERROR(engine_->LoadSource(source));
@@ -113,7 +114,14 @@ uint64_t Kernel::OnSessionEnd(uint64_t session) {
   if (panicked_ || !engine_->retention().enabled()) {
     return 0;
   }
-  return engine_->retention().ReclaimPrefix(AgentSessionKey(session, ""));
+  // Ascending slot order: the free list, and so every later slot
+  // assignment, depends on the order of reclaims.
+  const AgentSessionSlots slots = agent_governor_.FindSessionKeys(session);
+  uint64_t reclaimed = 0;
+  for (size_t i = 0; i < slots.count; ++i) {
+    reclaimed += engine_->retention().ReclaimTracked(slots.ids[i]) ? 1 : 0;
+  }
+  return reclaimed;
 }
 
 AgentAdmitVerdict Kernel::OnToolCall(const agent::ToolCallEvent& event) {

@@ -119,11 +119,15 @@ class Kernel {
   AgentGovernor& agent_governor() { return agent_governor_; }
 
   // Marks an agent session as finished and — when the loaded specs carry a
-  // `retention { }` block — eagerly reclaims its entire per-session key
-  // family (agent.s<id>.*), including the kill latch: a session that ended
-  // cleanly cannot come back, so nothing needs to age out via TTL. Returns
-  // the number of keys reclaimed (0 without retention, on a panicked
-  // kernel, or when the session never published anything).
+  // `retention { }` block — eagerly reclaims the seven keys the agent
+  // governor writes for it (agent.s<id>.calls, .seen, .taint, .file, .net,
+  // .exec and the .killed latch), found by name in O(keys of the session):
+  // a session that ended cleanly cannot come back, so nothing needs to age
+  // out via TTL. Other keys under the session's prefix (a spec writing
+  // agent.s<id>.foo) are left to the TTL. Keys retention does not track
+  // (pinned ones) are not reclaimed. Returns the number of keys reclaimed
+  // (0 without retention, on a panicked kernel, or when the session never
+  // published anything).
   uint64_t OnSessionEnd(uint64_t session);
 
   // Marks an instrumented kernel function call at the current time. Dead
@@ -168,8 +172,8 @@ class Kernel {
   FeatureStore store_;
   PolicyRegistry registry_;
   EventQueue queue_;
-  // Stateless apart from config + chaos site ids (all governance state is
-  // in store_), so it survives BuildEngine/Reboot untouched.
+  // All governance state is in store_; the governor holds config, chaos
+  // site ids and KeyIds into store_, which ColdBoot() makes it forget.
   AgentGovernor agent_governor_{&store_};
   TaskControlShim task_control_shim_;
   std::unique_ptr<Engine> engine_;

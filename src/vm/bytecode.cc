@@ -64,6 +64,53 @@ std::string_view OpName(Op op) {
   return "???";
 }
 
+uint64_t RegistersRead(const Insn& insn) {
+  auto window = [](int first, int count) {
+    uint64_t mask = 0;
+    for (int i = 0; i < count; ++i) {
+      mask |= uint64_t{1} << (first + i);
+    }
+    return mask;
+  };
+  switch (insn.op) {
+    case Op::kLoadConst:
+    case Op::kJump:
+      return 0;
+    case Op::kMov:
+    case Op::kNeg:
+    case Op::kNot:
+    case Op::kCmpConst:
+    case Op::kCmpConstJf:
+    case Op::kCmpConstJt:
+      return window(insn.b, 1);
+    case Op::kJumpIfFalse:
+    case Op::kJumpIfTrue:
+    case Op::kRet:
+      return window(insn.a, 1);
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMul:
+    case Op::kDiv:
+    case Op::kMod:
+    case Op::kCmpLt:
+    case Op::kCmpLe:
+    case Op::kCmpGt:
+    case Op::kCmpGe:
+    case Op::kCmpEq:
+    case Op::kCmpNe:
+    case Op::kCmpRegJf:
+    case Op::kCmpRegJt:
+      return window(insn.b, 1) | window(insn.c, 1);
+    case Op::kMakeList:
+      return window(insn.b, insn.imm);
+    case Op::kCall:
+      return window(insn.b, insn.c);
+    case Op::kCallKeyed:  // the key is a constant: r[b] is not read
+      return window(insn.b + 1, insn.c - 1);
+  }
+  return 0;
+}
+
 std::string Program::Disassemble() const {
   std::string out;
   out += "; program '" + name + "', " + std::to_string(insns.size()) + " insns, " +
@@ -141,11 +188,15 @@ std::string Program::Disassemble() const {
         break;
       }
       case Op::kCallKeyed: {
-        const Builtin* builtin = FindBuiltinById(static_cast<HelperId>(insn.imm));
-        std::snprintf(line, sizeof(line), "%4zu  callk r%u, %s(r%u..r%u) slot=%d\n", pc,
-                      insn.a,
+        const Builtin* builtin = FindBuiltinById(KeyedCallHelper(insn));
+        const size_t key = KeyedCallKey(insn);
+        std::string args = key < consts.size() ? consts[key].ToString() : "<bad const>";
+        if (insn.c > 1) {
+          args += ", r" + std::to_string(insn.b + 1) + "..r" + std::to_string(insn.b + insn.c - 1);
+        }
+        std::snprintf(line, sizeof(line), "%4zu  callk r%u, %s(%s) slot=%d\n", pc, insn.a,
                       builtin != nullptr ? std::string(builtin->name).c_str() : "<bad helper>",
-                      insn.b, insn.b + (insn.c > 0 ? insn.c - 1 : 0), insn.aux);
+                      args.c_str(), insn.aux);
         break;
       }
       default:

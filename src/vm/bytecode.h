@@ -60,10 +60,13 @@ enum class Op : uint8_t {
   kCmpConstJt,     // r[a] = cmp<c>(r[b], consts[imm]); if  r[a] pc += aux
   kCmpRegJf,       // r[a] = cmp<imm>(r[b], r[c]); if !r[a] pc += aux
   kCmpRegJt,       // r[a] = cmp<imm>(r[b], r[c]); if  r[a] pc += aux
-  // Keyed helper call: like kCall, but aux carries the feature-store slot id
-  // pre-resolved (by Engine::Load) for the key in r[b]. The helper context
-  // may use it to skip the string lookup; semantics are identical to kCall.
-  kCallKeyed,      // r[a] = helper<imm>(slot aux; r[b] .. r[b]+c-1)
+  // Keyed helper call, made by Engine::Load from a kCall whose key argument
+  // is a string constant: the key is read from the constant pool, not from
+  // r[b], and aux carries the feature-store slot id pre-resolved for it. imm
+  // packs the helper id and the key's constant index (KeyedCallImm). The
+  // helper context may use the slot to skip the string lookup; semantics
+  // are identical to kCall.
+  kCallKeyed,      // r[a] = helper(consts[key] at slot aux; r[b+1] .. r[b]+c-1)
 };
 
 inline constexpr int kOpCount = static_cast<int>(Op::kCallKeyed) + 1;
@@ -87,6 +90,20 @@ struct Insn {
   int32_t imm = 0; // constant index / jump offset / helper id / list length
   int32_t aux = 0; // superinstruction extra: fused jump offset / store slot id
 };
+
+// kCallKeyed's imm: the helper id in the low 16 bits (HelperId is 16 bits
+// wide), the key's constant-pool index above them.
+inline constexpr int32_t KeyedCallImm(HelperId helper, int32_t key_const) {
+  return static_cast<int32_t>(helper) | (key_const << 16);
+}
+inline HelperId KeyedCallHelper(const Insn& insn) {
+  return static_cast<HelperId>(static_cast<uint32_t>(insn.imm) & 0xffffu);
+}
+inline size_t KeyedCallKey(const Insn& insn) { return static_cast<uint32_t>(insn.imm) >> 16; }
+
+// The registers `insn` reads, bit r for r[r]. The instruction must be
+// structurally valid: every register it names is below kMaxRegisters.
+uint64_t RegistersRead(const Insn& insn);
 
 struct Program {
   std::string name;               // e.g. "low-false-submit.rule"

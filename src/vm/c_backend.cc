@@ -263,8 +263,12 @@ std::string EmitCFunction(const Program& program, const std::string& function_na
             << "])) goto L" << (pc + 1 + static_cast<size_t>(insn.aux)) << ";\n";
         break;
       case Op::kCallKeyed:
-        out << "  r[" << a << "] = osg_call(ctx, " << HelperToken(insn.imm) << ", &r[" << b
-            << "], " << c << ");\n";
+        // The key lives in the constant pool; C has no slot ids, so the key
+        // goes back in r[b] for the string-keyed helper call.
+        out << "  r[" << b << "] = " << ConstToC(program.consts[KeyedCallKey(insn)]) << ";\n";
+        out << "  r[" << a << "] = osg_call(ctx, "
+            << HelperToken(static_cast<int32_t>(KeyedCallHelper(insn))) << ", &r[" << b << "], "
+            << c << ");\n";
         break;
     }
   }

@@ -373,77 +373,29 @@ struct PeepEffects {
 
 PeepEffects PeepEffectsOf(const Insn& insn) {
   PeepEffects e;
-  auto use = [&e](int r) { e.uses |= 1ull << r; };
-  auto def = [&e](int r) { e.defs |= 1ull << r; };
+  e.uses = RegistersRead(insn);
   switch (insn.op) {
-    case Op::kLoadConst:
-      def(insn.a);
-      break;
-    case Op::kMov:
-    case Op::kNeg:
-    case Op::kNot:
-      use(insn.b);
-      def(insn.a);
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kCmpLt:
-    case Op::kCmpLe:
-    case Op::kCmpGt:
-    case Op::kCmpGe:
-    case Op::kCmpEq:
-    case Op::kCmpNe:
-      use(insn.b);
-      use(insn.c);
-      def(insn.a);
-      break;
     case Op::kJump:
       e.is_jump = true;
       e.falls_through = false;
       break;
     case Op::kJumpIfFalse:
     case Op::kJumpIfTrue:
-      use(insn.a);
       e.is_jump = true;
       break;
-    case Op::kMakeList:
-      for (int i = 0; i < insn.imm; ++i) {
-        use(insn.b + i);
-      }
-      def(insn.a);
-      break;
-    case Op::kCall:
-    case Op::kCallKeyed:
-      for (int i = 0; i < insn.c; ++i) {
-        use(insn.b + i);
-      }
-      def(insn.a);
-      break;
     case Op::kRet:
-      use(insn.a);
       e.falls_through = false;
-      break;
-    case Op::kCmpConst:
-      use(insn.b);
-      def(insn.a);
       break;
     case Op::kCmpConstJf:
     case Op::kCmpConstJt:
-      use(insn.b);
-      def(insn.a);
+    case Op::kCmpRegJf:
+    case Op::kCmpRegJt:
+      e.defs = uint64_t{1} << insn.a;
       e.is_jump = true;
       e.jump_in_aux = true;
       break;
-    case Op::kCmpRegJf:
-    case Op::kCmpRegJt:
-      use(insn.b);
-      use(insn.c);
-      def(insn.a);
-      e.is_jump = true;
-      e.jump_in_aux = true;
+    default:  // every other op writes r[a]
+      e.defs = uint64_t{1} << insn.a;
       break;
   }
   return e;

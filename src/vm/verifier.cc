@@ -124,7 +124,8 @@ Result<Effects> EffectsOf(const Insn& insn) {
       e.jump_in_aux = true;
       return e;
     case Op::kCallKeyed: {
-      for (int i = 0; i < insn.c; ++i) {
+      // The key comes from the constant pool: r[b] is not read.
+      for (int i = 1; i < insn.c; ++i) {
         OSGUARD_RETURN_IF_ERROR(use(insn.b + i));
       }
       OSGUARD_RETURN_IF_ERROR(def(insn.a));
@@ -253,7 +254,12 @@ Status Verify(const Program& program, const VerifyOptions& options) {
         if (insn.aux < 0) {
           return VerifierError("program '" + program.name + "': negative store slot" + At(pc));
         }
-        OSGUARD_RETURN_IF_ERROR(check_call(insn.imm, insn.c));
+        if (insn.c < 1 || KeyedCallKey(insn) >= program.consts.size() ||
+            program.consts[KeyedCallKey(insn)].IfString() == nullptr) {
+          return VerifierError("program '" + program.name +
+                               "': keyed call without a string key constant" + At(pc));
+        }
+        OSGUARD_RETURN_IF_ERROR(check_call(static_cast<int32_t>(KeyedCallHelper(insn)), insn.c));
         break;
       case Op::kCmpConst:
         OSGUARD_RETURN_IF_ERROR(check_cmp_kind(insn.c));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 // The interpreter dispatches with computed goto (a label address table
 // indexed by opcode), which gives each handler its own indirect branch and
@@ -17,6 +18,16 @@
 #endif
 
 namespace osguard {
+
+Result<Value> HelperContext::CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
+                                             std::span<const Value> rest) {
+  (void)slot;
+  std::vector<Value> args;
+  args.reserve(rest.size() + 1);
+  args.push_back(key);
+  args.insert(args.end(), rest.begin(), rest.end());
+  return CallHelper(id, args);
+}
 
 bool TruthyValue(const Value& value) {
   switch (value.type()) {
@@ -518,9 +529,9 @@ Result<Value> Vm::Execute(const Program& program, HelperContext& context,
   }
   VM_CASE(CallKeyed) {
     ++stats_.helper_calls;
-    std::span<const Value> args(&regs[insn->b], static_cast<size_t>(insn->c));
-    auto result = context.CallHelperKeyed(static_cast<HelperId>(insn->imm),
-                                          static_cast<uint32_t>(insn->aux), args);
+    std::span<const Value> rest(regs + insn->b + 1, static_cast<size_t>(insn->c) - 1);
+    auto result = context.CallHelperKeyed(KeyedCallHelper(*insn), static_cast<uint32_t>(insn->aux),
+                                          consts[KeyedCallKey(*insn)], rest);
     if (!result.ok()) {
       stats_.insns_executed += executed;
       return ExecutionError("program '" + program.name + "': helper failed: " +

@@ -31,15 +31,14 @@ class HelperContext {
   // verifier admits (arity is pre-checked; types are not).
   virtual Result<Value> CallHelper(HelperId id, std::span<const Value> args) = 0;
 
-  // Keyed variant used by kCallKeyed: `slot` is the feature-store slot id that
-  // Engine::Load resolved for the (constant) key argument. Contexts that can
-  // exploit it override this; the default ignores the hint, so a stale or
-  // foreign slot id can never change behavior — only speed.
-  virtual Result<Value> CallHelperKeyed(HelperId id, uint32_t slot,
-                                        std::span<const Value> args) {
-    (void)slot;
-    return CallHelper(id, args);
-  }
+  // Keyed variant used by kCallKeyed: `key` is the constant key argument,
+  // `slot` the feature-store slot id Engine::Load resolved for it, and
+  // `rest` the arguments after the key. Contexts that can exploit the slot
+  // override this; the default ignores the hint (and copies the arguments
+  // into one list for CallHelper), so a stale or foreign slot id can never
+  // change behavior — only speed.
+  virtual Result<Value> CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
+                                        std::span<const Value> rest);
 
   // Current simulated time, for the NOW() helper.
   virtual SimTime now() const = 0;

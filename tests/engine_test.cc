@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "src/runtime/engine.h"
 #include "src/vm/compiler.h"
@@ -463,6 +464,53 @@ TEST_F(EngineTest, TwoTimersOnOneMonitorBothFire) {
   engine_.AdvanceTo(Seconds(4));
   // t = 1, 3 from the first timer; t = 2, 4 from the second.
   EXPECT_EQ(Stats("dual").evaluations, 4u);
+}
+
+// Engine::Load rewrites a store call on a constant key into kCallKeyed, which
+// reads the key from the constant pool; the load that copied the key into a
+// register the call alone read now loads nil. A slot the executing store
+// does not know (the program was resolved against another store) still
+// reads the key by name.
+TEST_F(EngineTest, KeyedCallsReadTheirKeyFromTheConstantPool) {
+  for (int i = 0; i < 100; ++i) {
+    store_.InternKey("pad." + std::to_string(i));
+  }
+  Load(R"(
+    guardrail keyed {
+      trigger: { TIMER(1s, 1s) },
+      rule: { LOAD_OR(queue.depth.long.name, 0) <= 10 },
+      action: { SAVE(tripped, true) }
+    }
+  )");
+  const Program& rule = engine_.FindGuardrail("keyed")->rule;
+  const Insn* keyed = nullptr;
+  for (const Insn& insn : rule.insns) {
+    if (insn.op == Op::kCallKeyed) {
+      keyed = &insn;
+    }
+    if (insn.op == Op::kLoadConst) {
+      EXPECT_EQ(rule.consts[static_cast<size_t>(insn.imm)].IfString(), nullptr)
+          << "the key is still copied into a register";
+    }
+  }
+  ASSERT_NE(keyed, nullptr);
+  EXPECT_EQ(rule.consts[KeyedCallKey(*keyed)], Value("queue.depth.long.name"));
+  EXPECT_EQ(static_cast<KeyId>(keyed->aux), store_.FindKey("queue.depth.long.name"));
+
+  Vm vm;
+  MonitorHelperEnv env(&store_, nullptr);
+  store_.Save("queue.depth.long.name", Value(3));
+  EXPECT_EQ(vm.Execute(rule, env).value(), Value(true));
+  store_.Save("queue.depth.long.name", Value(20));
+  EXPECT_EQ(vm.Execute(rule, env).value(), Value(false));
+
+  FeatureStore other;
+  other.Save("queue.depth.long.name", Value(20));
+  ASSERT_LT(other.key_count(), static_cast<size_t>(keyed->aux));
+  MonitorHelperEnv other_env(&other, nullptr);
+  EXPECT_EQ(vm.Execute(rule, other_env).value(), Value(false));
+  other.Save("queue.depth.long.name", Value(4));
+  EXPECT_EQ(vm.Execute(rule, other_env).value(), Value(true));
 }
 
 }  // namespace

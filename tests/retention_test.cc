@@ -5,6 +5,10 @@
 //     the incremental cursor, LRU quota eviction with the stable tie-break,
 //     builtin namespace defaults, telemetry publication, chaos storm/breach
 //     injection, self-correcting bookkeeping under external reclaims;
+//   * the TTL sweep against a reference walk that shares no code with
+//     RetentionManager, over 1,000 seeds: the manager skips boundaries at
+//     which nothing can expire, and must still reclaim the same slots in
+//     the same order and leave the cursor and counters where the walk does;
 //   * engine/kernel integration — TTL reclamation at callout boundaries,
 //     quota-breach ONCHANGE corrective hooks, unloaded-monitor counter
 //     adoption, agent kill-path and session-end eager reclamation, warm
@@ -17,6 +21,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +37,7 @@
 #include "src/sim/kernel.h"
 #include "src/store/feature_store.h"
 #include "src/support/logging.h"
+#include "src/support/rng.h"
 #include "src/support/time.h"
 
 namespace osguard {
@@ -238,6 +244,26 @@ TEST_F(RetentionTest, BookkeepingConvergesUnderExternalReclaims) {
   EXPECT_EQ(bare.manager.stats().reclaimed_quota, 0u);
 }
 
+TEST_F(RetentionTest, QuotaCountsASlotRecycledFromAnotherNamespace) {
+  RetentionOptions options = OneNamespace("a.", 5, 0);
+  options.namespaces.push_back(RetentionNamespaceOptions{"b.", 1, 0});
+  BareRetention bare(options);
+  bare.store.Save("a.k", Value(1));
+  const KeyId slot = bare.store.FindKey("a.k");
+  ASSERT_TRUE(bare.store.ReclaimKey("a.k").ok());  // behind the manager's back
+  bare.now = Milliseconds(1);
+  bare.store.Save("b.old", Value(1));  // recycles a.k's slot
+  ASSERT_EQ(bare.store.FindKey("b.old"), slot);
+  bare.now = Milliseconds(2);
+  bare.store.Save("b.new", Value(2));
+  bare.manager.RunAtBoundary(bare.now);
+  // Two live keys against a budget of one: the older write goes.
+  EXPECT_FALSE(bare.store.Contains("b.old"));
+  EXPECT_TRUE(bare.store.Contains("b.new"));
+  EXPECT_EQ(bare.manager.stats().reclaimed_quota, 1u);
+  EXPECT_EQ(bare.manager.stats().quota_breaches, 1u);
+}
+
 TEST_F(RetentionTest, RecycledSlotIsTrackedAsNewTenant) {
   BareRetention bare(OneNamespace("tmp.", 0, Seconds(1)));
   bare.store.Save("tmp.first", Value(1));
@@ -364,15 +390,175 @@ TEST_F(RetentionTest, ChaosBreachCollapsesBudgetsToHalf) {
   }
 }
 
-TEST_F(RetentionTest, ReclaimPrefixTearsDownAFamily) {
+TEST_F(RetentionTest, ReclaimTrackedTearsDownGovernedSlotsOnly) {
   BareRetention bare(OneNamespace("agent.s", 0, Seconds(100)));
   bare.store.Save("agent.s7.calls", Value(3));
   bare.store.Save("agent.s7.taint", Value(true));
   bare.store.Save("agent.s8.calls", Value(1));
-  EXPECT_EQ(bare.manager.ReclaimPrefix("agent.s7."), 2u);
+  bare.store.Save("other.key", Value(1));
+  EXPECT_TRUE(bare.manager.ReclaimTracked(bare.store.FindKey("agent.s7.calls")));
+  EXPECT_TRUE(bare.manager.ReclaimTracked(bare.store.FindKey("agent.s7.taint")));
   EXPECT_FALSE(bare.store.Contains("agent.s7.calls"));
   EXPECT_FALSE(bare.store.Contains("agent.s7.taint"));
   EXPECT_TRUE(bare.store.Contains("agent.s8.calls"));
+  EXPECT_EQ(bare.manager.stats().reclaimed_idle, 2u);
+  // Ungoverned, already reclaimed and unknown slots are left alone.
+  EXPECT_FALSE(bare.manager.ReclaimTracked(bare.store.FindKey("other.key")));
+  EXPECT_TRUE(bare.store.Contains("other.key"));
+  EXPECT_FALSE(bare.manager.ReclaimTracked(kInvalidKeyId));
+  EXPECT_EQ(bare.manager.stats().reclaimed_idle, 2u);
+}
+
+// --- The TTL sweep against a reference walk ---
+
+// The boundary walk restated from its contract: at each boundary step the
+// cursor over the slot table scan_chunk times (every slot on a storm),
+// wrapping at the table's end, and reclaim each tracked slot whose idle age
+// has reached its namespace TTL (any tracked slot on a storm). A reclaim of
+// a slot the store already freed only untracks it, and so does one of a
+// pinned slot.
+struct ReferenceSweep {
+  struct Slot {
+    bool tracked = false;
+    int ns = -1;
+    uint32_t generation = 0;
+    SimTime last_write = 0;
+  };
+  std::vector<RetentionNamespaceOptions> namespaces;
+  uint64_t chunk = 0;
+  std::vector<Slot> slots;
+  uint64_t cursor = 0;
+  RetentionStats stats;
+
+  void OnWrite(const StoreWriteInfo& info, const std::string& key, SimTime now) {
+    if (info.id >= slots.size()) {
+      slots.resize(info.id + 1);
+    }
+    Slot& slot = slots[info.id];
+    if (info.pinned) {
+      slot.tracked = false;
+      return;
+    }
+    if (!slot.tracked || slot.generation != info.generation) {
+      slot.generation = info.generation;
+      slot.ns = -1;
+      size_t longest = 0;
+      for (size_t i = 0; i < namespaces.size(); ++i) {
+        const std::string& prefix = namespaces[i].prefix;
+        if (key.rfind(prefix, 0) == 0 && prefix.size() >= longest) {
+          slot.ns = static_cast<int>(i);
+          longest = prefix.size();
+        }
+      }
+      slot.tracked = slot.ns >= 0;
+    }
+    slot.last_write = now;
+  }
+
+  std::vector<KeyId> Boundary(SimTime now, bool storm, const FeatureStore& store) {
+    std::vector<KeyId> reclaimed;
+    stats.chaos_storms += storm ? 1 : 0;
+    const uint64_t steps = slots.empty() ? 0 : storm ? slots.size() : chunk;
+    for (uint64_t step = 0; step < steps; ++step) {
+      cursor = cursor >= slots.size() ? 0 : cursor;
+      const KeyId id = static_cast<KeyId>(cursor++);
+      Slot& slot = slots[id];
+      const Duration ttl = slot.tracked ? namespaces[slot.ns].idle_ttl : 0;
+      if (!slot.tracked || (!storm && (ttl <= 0 || now - slot.last_write < ttl))) {
+        continue;
+      }
+      slot.tracked = false;
+      if (!store.IsLive(id)) {
+        ++stats.stale_tracks_fixed;
+      } else if (!store.IsPinned(id)) {
+        ++stats.reclaimed_idle;
+        reclaimed.push_back(id);
+      }
+    }
+    return reclaimed;
+  }
+};
+
+TEST_F(RetentionTest, TtlSweepMatchesAReferenceWalkOver1000Seeds) {
+  const char* const kPrefixes[] = {"a.", "a.x.", "b.", "u."};  // u. is ungoverned
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    RetentionOptions options;
+    options.enabled = true;
+    options.scan_chunk = static_cast<uint64_t>(rng.UniformInt(1, 24));
+    for (int i = 0; i < 3; ++i) {
+      // TTLs of 0 (quota-only, never idle) to 40 ms; no key budgets.
+      const Duration ttl = rng.Bernoulli(0.2) ? 0 : Milliseconds(rng.UniformInt(1, 40));
+      options.namespaces.push_back(RetentionNamespaceOptions{kPrefixes[i], 0, ttl});
+    }
+    FeatureStore store;
+    RetentionManager manager;
+    ReferenceSweep reference;
+    reference.namespaces = options.namespaces;
+    reference.chunk = options.scan_chunk;
+    SimTime now = 0;
+    store.SetWriteObserver([&](const StoreWriteInfo& info, const std::string& key) {
+      manager.OnWrite(info, key, now);
+      reference.OnWrite(info, key, now);
+    });
+    std::vector<KeyId> reclaimed;
+    store.SetMutationObserver([&reclaimed](const StoreMutation& m, const std::string&) {
+      if (m.kind == StoreMutation::Kind::kErase && m.reclaim) {
+        reclaimed.push_back(m.id);
+      }
+    });
+    manager.Configure(options, &store);
+    // Storm boundaries: store.evict_storm on a seeded schedule.
+    ChaosEngine chaos(seed);
+    FaultPlanConfig plan;
+    plan.mode = FaultMode::kSchedule;
+    for (uint64_t b = 0; b < 200; ++b) {
+      if (rng.Bernoulli(0.03)) {
+        plan.nth.push_back(b);
+      }
+    }
+    if (!plan.nth.empty()) {
+      ASSERT_TRUE(chaos.Arm(kChaosSiteStoreEvictStorm, plan).ok());
+    }
+    manager.AttachChaos(&chaos);
+
+    uint64_t boundary = 0;
+    size_t next_storm = 0;
+    for (int op = 0; op < 600 && boundary < 200; ++op) {
+      const std::string key = std::string(kPrefixes[rng.UniformInt(0, 3)]) + "k" +
+                              std::to_string(rng.UniformInt(0, 9));
+      const double roll = rng.NextDouble();
+      if (roll < 0.5) {
+        store.Save(key, Value(op));  // new keys recycle freed slots
+      } else if (roll < 0.6) {
+        (void)store.ReclaimKey(key);  // behind the manager's back (kill path)
+      } else if (roll < 0.63) {
+        const KeyId id = store.FindKey(key);
+        if (id != kInvalidKeyId) {
+          store.Pin(id);
+        }
+      } else {
+        now += rng.Bernoulli(0.1) ? Milliseconds(rng.UniformInt(20, 80))
+                                  : Microseconds(rng.UniformInt(0, 3000));
+        const bool storm = next_storm < plan.nth.size() && plan.nth[next_storm] == boundary;
+        next_storm += storm ? 1 : 0;
+        ++boundary;
+        const std::vector<KeyId> expected = reference.Boundary(now, storm, store);
+        reclaimed.clear();
+        manager.RunAtBoundary(now);
+        const RetentionStats& got = manager.stats();
+        ASSERT_EQ(reclaimed, expected) << "seed " << seed << " boundary " << boundary;
+        ASSERT_EQ(manager.ExportState().cursor, reference.cursor)
+            << "seed " << seed << " boundary " << boundary;
+        ASSERT_EQ(got.reclaimed_idle, reference.stats.reclaimed_idle) << "seed " << seed;
+        ASSERT_EQ(got.stale_tracks_fixed, reference.stats.stale_tracks_fixed)
+            << "seed " << seed;
+        ASSERT_EQ(got.chaos_storms, reference.stats.chaos_storms) << "seed " << seed;
+        ASSERT_EQ(got.reclaimed_quota, 0u) << "seed " << seed;
+        ASSERT_EQ(got.quota_breaches, 0u) << "seed " << seed;
+      }
+    }
+  }
 }
 
 // --- Engine / kernel integration ---

@@ -14,7 +14,9 @@
 //     storm delivers (tests/governor_storm.h);
 //   * store: >= 1M session lifecycles stay bounded (final and peak within 2x
 //     of the settled wave), read no stale slot, and cost at most 1.05x the
-//     retention-off p99 per tool call;
+//     retention-off p99 per event, where an event is a tool call with the
+//     Kernel::Run before it (retention's boundary work) or a session end
+//     (its teardown);
 //   * persist: a crash at step 1,503 of 2,000 recovers byte-identical to the
 //     uninterrupted run, in at most 500 ms.
 
@@ -223,9 +225,12 @@ struct Footprint {
 };
 
 // The retention-governed run is 110 waves; the retention-off baseline runs
-// the first 10 alongside it, call by call, and then stops: its store grows
+// the first 10 alongside it, event by event, and then stops: its store grows
 // without bound, and ten waves keep that affordable. Every wave is new
-// sessions: ids and times are offset per wave.
+// sessions: ids and times are offset per wave. A sample is one event: the
+// Kernel::Run up to a call plus the call (retention reclaims at the
+// boundaries Run reaches), or one session end (where it tears the session's
+// keys down).
 TEST_F(TimingTest, StoreChurnIsBoundedAndCheap) {
   constexpr uint64_t kWaves = 110;
   constexpr uint64_t kBaselineWaves = 10;
@@ -240,8 +245,9 @@ TEST_F(TimingTest, StoreChurnIsBoundedAndCheap) {
   Kernel* kernels[2] = {&governed, &baseline};
   const SessionChurnTrace trace = SessionCallGenerator(ChurnOptions(), 0xE14).GenerateChurn();
   std::vector<int64_t> samples[2];
-  samples[0].reserve(trace.calls.size() * kWaves);
-  samples[1].reserve(trace.calls.size() * kBaselineWaves);
+  const size_t events = trace.calls.size() + trace.ends.size();
+  samples[0].reserve(events * kWaves);
+  samples[1].reserve(events * kBaselineWaves);
   uint64_t sessions = 0;
   Footprint settled;
   Footprint peak;
@@ -250,27 +256,33 @@ TEST_F(TimingTest, StoreChurnIsBoundedAndCheap) {
     const int arms = wave < kBaselineWaves ? 2 : 1;
     const uint64_t id_offset = wave * 10'000'000ull;
     const SimTime time_offset = static_cast<SimTime>(wave) * Seconds(3);
+    // Which arm goes first alternates event by event.
+    auto end_session = [&](size_t e) {
+      const uint64_t session = trace.ends[e].session + id_offset;
+      for (int turn = 0; turn < arms; ++turn) {
+        const int arm = arms == 2 ? (turn + static_cast<int>(e % 2)) % 2 : 0;
+        samples[arm].push_back(TimeNs([&] { kernels[arm]->OnSessionEnd(session); }));
+      }
+    };
     size_t end_cursor = 0;
     for (size_t c = 0; c < trace.calls.size(); ++c) {
       agent::ToolCallEvent ev = trace.calls[c];
       for (; end_cursor < trace.ends.size() && trace.ends[end_cursor].at <= ev.at;
            ++end_cursor) {
-        for (int arm = 0; arm < arms; ++arm) {
-          kernels[arm]->OnSessionEnd(trace.ends[end_cursor].session + id_offset);
-        }
+        end_session(end_cursor);
       }
       ev.at += time_offset;
       ev.session += id_offset;
       for (int turn = 0; turn < arms; ++turn) {
         const int arm = arms == 2 ? (turn + static_cast<int>(c % 2)) % 2 : 0;
-        kernels[arm]->Run(ev.at);
-        samples[arm].push_back(TimeNs([&] { kernels[arm]->OnToolCall(ev); }));
+        samples[arm].push_back(TimeNs([&] {
+          kernels[arm]->Run(ev.at);
+          kernels[arm]->OnToolCall(ev);
+        }));
       }
     }
     for (; end_cursor < trace.ends.size(); ++end_cursor) {
-      for (int arm = 0; arm < arms; ++arm) {
-        kernels[arm]->OnSessionEnd(trace.ends[end_cursor].session + id_offset);
-      }
+      end_session(end_cursor);
     }
     sessions += trace.ends.size();
     last = {governed.store().live_key_count(), governed.store().approx_bytes()};
@@ -283,7 +295,7 @@ TEST_F(TimingTest, StoreChurnIsBoundedAndCheap) {
   const double governed_p99 = QuantileNs(samples[0], 0.99);
   const double baseline_p99 = QuantileNs(samples[1], 0.99);
   std::printf("store churn: %llu sessions; live keys settled/peak/final %llu/%llu/%llu, "
-              "bytes %llu/%llu/%llu; p99 per call: governed %.0f ns, retention off %.0f ns\n",
+              "bytes %llu/%llu/%llu; p99 per event: governed %.0f ns, retention off %.0f ns\n",
               static_cast<unsigned long long>(sessions),
               static_cast<unsigned long long>(settled.live_keys),
               static_cast<unsigned long long>(peak.live_keys),
