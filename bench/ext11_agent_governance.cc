@@ -45,9 +45,7 @@ std::string GovernanceSpec() {
 }
 
 std::unique_ptr<Kernel> MakeKernel(const std::string& spec) {
-  EngineOptions options;
-  options.measure_wall_time = false;
-  auto kernel = std::make_unique<Kernel>(options);
+  auto kernel = std::make_unique<Kernel>();
   if (!spec.empty()) {
     (void)kernel->LoadGuardrails(spec);
   }

@@ -64,7 +64,6 @@ constexpr char kBenchSpec[] = R"(
 
 EngineOptions GovernedOptions(bool governed, int dwell_down = 8) {
   EngineOptions options;
-  options.measure_wall_time = false;
   options.governor.enabled = governed;
   options.governor.pressure_up = 20000.0;
   options.governor.pressure_down = 2000.0;

@@ -122,7 +122,6 @@ void GovernorBytesGate() {
   std::printf("%-16s %12s %6s %14s\n", "store", "ns_per_call", "mode", "bytes_ewma");
   for (const bool pressured : {false, true}) {
     EngineOptions options;
-    options.measure_wall_time = false;
     options.governor.enabled = true;
     // Bytes-only ladder: the cost/queue signals are left effectively infinite
     // so any escalation observed here is driven by the store-bytes input.

@@ -84,9 +84,7 @@ void FunctionTriggerCost() {
   for (int hooked : {0, 1, 4}) {
     FeatureStore store;
     PolicyRegistry registry;
-    EngineOptions options;
-    options.measure_wall_time = false;  // measure end to end, not per eval
-    Engine engine(&store, &registry, nullptr, options);
+    Engine engine(&store, &registry);
     std::string spec;
     for (int i = 0; i < hooked; ++i) {
       spec += "guardrail f" + std::to_string(i) +

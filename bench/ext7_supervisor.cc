@@ -177,9 +177,7 @@ struct OverheadResult {
 OverheadResult RunOverhead(bool supervised, int batches) {
   FeatureStore store;
   PolicyRegistry registry;
-  EngineOptions options;
-  options.measure_wall_time = false;
-  Engine engine(&store, &registry, nullptr, options);
+  Engine engine(&store, &registry);
   const std::string health =
       supervised ? ",\n  health: { budget_steps = 1000000, quarantine = 1000000, "
                    "flap_threshold = 1000000 }\n"

@@ -1,7 +1,6 @@
 #include "src/actions/dispatcher.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace osguard {
 
@@ -52,42 +51,9 @@ Result<Value> ActionDispatcher::RunAction(HelperId id, std::span<const Value> ar
 
 Result<Value> ActionDispatcher::Dispatch(HelperId id, std::span<const Value> args,
                                          const ActionEnvelope& envelope) {
-  if (!measure_wall_time_) {
-    Result<Value> result = DispatchChain(id, args, envelope);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.dispatches;
-    return result;
-  }
-  const auto start = std::chrono::steady_clock::now();
   Result<Value> result = DispatchChain(id, args, envelope);
-  const int64_t elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-  uint64_t dispatches;
-  int64_t min_ns;
-  int64_t max_ns;
-  int64_t total_ns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.dispatches;
-    if (stats_.dispatches == 1 || elapsed_ns < stats_.latency_min_ns) {
-      stats_.latency_min_ns = elapsed_ns;
-    }
-    if (elapsed_ns > stats_.latency_max_ns) {
-      stats_.latency_max_ns = elapsed_ns;
-    }
-    stats_.latency_total_ns += elapsed_ns;
-    dispatches = stats_.dispatches;
-    min_ns = stats_.latency_min_ns;
-    max_ns = stats_.latency_max_ns;
-    total_ns = stats_.latency_total_ns;
-  }
-  if (store_ != nullptr) {
-    store_->Save(kActionLatencyMinKey, Value(min_ns));
-    store_->Save(kActionLatencyMeanKey,
-                 Value(total_ns / static_cast<int64_t>(dispatches)));
-    store_->Save(kActionLatencyMaxKey, Value(max_ns));
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.dispatches;
   return result;
 }
 

@@ -23,6 +23,11 @@
 //   * failure counters surfaced through the feature store
 //     (actions.failures / actions.retries / actions.fallbacks), so
 //     guardrails can guard their own corrective actions with ONCHANGE.
+//
+// The dispatcher reads no host clock: everything it counts or writes is a
+// function of the simulation, so a replay reproduces it byte for byte. The
+// host-clock cost of an action is the engine's (MonitorStats::action_wall_ns
+// times the whole action program, dispatches included).
 
 #ifndef SRC_ACTIONS_DISPATCHER_H_
 #define SRC_ACTIONS_DISPATCHER_H_
@@ -64,12 +69,7 @@ struct ActionStats {
   uint64_t retries = 0;            // re-attempts after a failed attempt
   uint64_t fallbacks = 0;          // fallback engagements (<= exhausted chains)
   uint64_t injected_failures = 0;  // attempts failed by the chaos layer
-  // Per-dispatch host-clock latency of the full chain (attempts + retries +
-  // fallback), in nanoseconds. min is 0 until the first dispatch completes.
-  uint64_t dispatches = 0;
-  int64_t latency_min_ns = 0;
-  int64_t latency_max_ns = 0;
-  int64_t latency_total_ns = 0;  // mean = total / dispatches
+  uint64_t dispatches = 0;         // action helper calls (a retried chain counts once)
 };
 
 // Bounded-retry policy for failing actions. The defaults reproduce the
@@ -84,10 +84,6 @@ struct RetryOptions {
 inline constexpr char kActionFailuresKey[] = "actions.failures";
 inline constexpr char kActionRetriesKey[] = "actions.retries";
 inline constexpr char kActionFallbacksKey[] = "actions.fallbacks";
-// Dispatch-latency gauges (nanoseconds, host clock), refreshed per dispatch.
-inline constexpr char kActionLatencyMinKey[] = "actions.latency.min_ns";
-inline constexpr char kActionLatencyMeanKey[] = "actions.latency.mean_ns";
-inline constexpr char kActionLatencyMaxKey[] = "actions.latency.max_ns";
 
 class ActionDispatcher {
  public:
@@ -113,13 +109,6 @@ class ActionDispatcher {
   // Feature store for the actions.* counters. Borrowed; may be null (no
   // counters published — unit-test dispatchers need no store).
   void SetStore(FeatureStore* store) { store_ = store; }
-
-  // Host-clock latency measurement around each dispatch (on by default).
-  // When off, the latency stats stay zero and the actions.latency.* keys are
-  // never published — deterministic replays (persist differential, chaos
-  // replay) need two runs of the same simulation to write identical store
-  // contents, and wall-clock gauges are the one source of divergence.
-  void SetMeasureWallTime(bool measure) { measure_wall_time_ = measure; }
 
   // Reinstates persisted counters (osguard::persist warm restart).
   void RestoreStats(const ActionStats& stats);
@@ -158,7 +147,6 @@ class ActionDispatcher {
   RecordingTaskControl fallback_task_control_;
 
   RetryOptions retry_;
-  bool measure_wall_time_ = true;
   ChaosEngine* chaos_ = nullptr;
   ChaosSiteId fail_site_ = kInvalidChaosSite;
   FeatureStore* store_ = nullptr;

@@ -174,7 +174,6 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
       dispatcher_(&reporter_, registry, &retrain_queue_, task_control),
       env_(store, &dispatcher_) {
   dispatcher_.SetStore(store);  // publishes the actions.* failure counters
-  dispatcher_.SetMeasureWallTime(options_.measure_wall_time);
   supervisor_.SetStore(store);  // publishes the supervisor.* health keys
   governor_.Configure(options_.governor, store);  // interns engine.governor.*
   // Third pressure input: approximate store bytes — a deterministic function
@@ -509,17 +508,6 @@ void Engine::OnStoreWrite(const StoreWriteInfo& info, const std::string& key) {
   OnStoreWrite(info.id);
 }
 
-void Engine::OnStoreWrite(const std::string& key) {
-  if (watch_hook_count_ == 0) {
-    return;
-  }
-  const KeyId id = store_->FindKey(key);
-  if (id == kInvalidKeyId) {
-    return;  // never interned, so certainly unwatched
-  }
-  OnStoreWrite(id);
-}
-
 void Engine::DrainPendingChanges() {
   if (draining_) {
     return;  // the outermost drain loop owns the queue
@@ -638,13 +626,11 @@ void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
   }
   const uint64_t failures_before =
       monitor.guard != nullptr ? dispatcher_.failure_count() : 0;
-  const int64_t start = options_.measure_wall_time ? WallNowNs() : 0;
+  const int64_t start = WallNowNs();
   auto result = vm_.Execute(program, env_, budget_ptr);
-  if (options_.measure_wall_time) {
-    const int64_t elapsed = WallNowNs() - start;
-    monitor.stats.action_wall_ns += elapsed;
-    stats_.total_wall_ns += elapsed;
-  }
+  const int64_t elapsed = WallNowNs() - start;
+  monitor.stats.action_wall_ns += elapsed;
+  stats_.total_wall_ns += elapsed;
   if (!result.ok()) {
     ++monitor.stats.errors;
     ++stats_.errors;
@@ -703,13 +689,13 @@ void Engine::EvaluateInner(Monitor& monitor, SimTime t) {
   if (monitor.guard != nullptr) {
     steps_before = vm_.stats().insns_executed;
   }
-  const int64_t start = options_.measure_wall_time ? WallNowNs() : 0;
+  const int64_t start = WallNowNs();
   auto result = prep.injected_budget
                     ? Result<Value>(ResourceExhaustedError(
                           "rule of guardrail '" + monitor.guardrail.name +
                           "' aborted by chaos site vm.budget_exhaust"))
                     : vm_.Execute(monitor.guardrail.rule, env_, budget_ptr);
-  const int64_t wall_ns = options_.measure_wall_time ? WallNowNs() - start : 0;
+  const int64_t wall_ns = WallNowNs() - start;
   const int64_t steps =
       monitor.guard != nullptr ? vm_.stats().insns_executed - steps_before : 0;
   FinishRuleEval(monitor, t, prep, std::move(result), steps, wall_ns);
@@ -775,10 +761,8 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
 void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& prep,
                             Result<Value> result, int64_t steps, int64_t wall_ns) {
   MonitorStats& stats = monitor.stats;
-  if (options_.measure_wall_time) {
-    stats.rule_wall_ns += wall_ns;
-    stats_.total_wall_ns += wall_ns;
-  }
+  stats.rule_wall_ns += wall_ns;
+  stats_.total_wall_ns += wall_ns;
   GuardHealth* guard = monitor.guard;
   if (guard != nullptr) {
     EvalOutcome outcome = EvalOutcome::kOk;
@@ -875,8 +859,11 @@ namespace {
 // v2 appended the overload-governor ladder state (global + per-monitor): a
 // panic landing mid-degradation must warm-restart into the same ladder state.
 // v3 added the governor's bytes_ewma and the retention image; v4 dropped the
-// native-tier counters and per-monitor promotion state.
-constexpr uint32_t kImageVersion = 4;
+// native-tier counters and per-monitor promotion state; v5 dropped every
+// value read from the host clock (engine and per-monitor wall costs, the
+// dispatcher's latency stats, the governor's wall mark), so an image is a
+// function of the simulation alone.
+constexpr uint32_t kImageVersion = 5;
 
 void WriteReportRecord(ByteWriter& w, const ReportRecord& record) {
   w.U64(record.sequence);
@@ -942,7 +929,6 @@ void WriteGovernorImage(ByteWriter& w, const GovernorImage& g) {
   w.F64(g.depth_ewma);
   w.I64(g.last_now);
   w.U64(g.last_evals);
-  w.I64(g.last_wall_ns);
   w.F64(g.bytes_ewma);
   w.I64(g.streak_up);
   w.I64(g.streak_down);
@@ -976,7 +962,6 @@ Status ReadGovernorImage(ByteReader& r, GovernorImage* g) {
   OSGUARD_ASSIGN_OR_RETURN(g->depth_ewma, r.F64());
   OSGUARD_ASSIGN_OR_RETURN(g->last_now, r.I64());
   OSGUARD_ASSIGN_OR_RETURN(g->last_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->last_wall_ns, r.I64());
   OSGUARD_ASSIGN_OR_RETURN(g->bytes_ewma, r.F64());
   OSGUARD_ASSIGN_OR_RETURN(g->streak_up, r.I64());
   OSGUARD_ASSIGN_OR_RETURN(g->streak_down, r.I64());
@@ -1131,8 +1116,6 @@ Status ReadMonitorImage(ByteReader& r, MonitorImage* m) {
   OSGUARD_ASSIGN_OR_RETURN(s.errors, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(s.suppressed_hysteresis, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(s.suppressed_cooldown, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.rule_wall_ns, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(s.action_wall_ns, r.I64());
   OSGUARD_ASSIGN_OR_RETURN(uint8_t in_violation, r.U8());
   s.in_violation = in_violation != 0;
   OSGUARD_ASSIGN_OR_RETURN(int64_t consecutive, r.I64());
@@ -1171,7 +1154,7 @@ void Engine::FinishCalloutGovernor() {
   if (!governor_.enabled() || evaluating_) {
     return;
   }
-  governor_.OnCalloutEnd(now_, stats_.evaluations, stats_.total_wall_ns);
+  governor_.OnCalloutEnd(now_, stats_.evaluations);
   governor_.Publish();
 }
 
@@ -1244,7 +1227,6 @@ void Engine::EncodeImageTo(std::string* out) const {
   w.U64(stats_.errors);
   w.U64(stats_.callouts_dropped);
   w.U64(stats_.callouts_delayed);
-  w.I64(stats_.total_wall_ns);
   const ActionStats actions = dispatcher_.stats();
   w.U64(actions.reports);
   w.U64(actions.replaces);
@@ -1257,9 +1239,6 @@ void Engine::EncodeImageTo(std::string* out) const {
   w.U64(actions.fallbacks);
   w.U64(actions.injected_failures);
   w.U64(actions.dispatches);
-  w.I64(actions.latency_min_ns);
-  w.I64(actions.latency_max_ns);
-  w.I64(actions.latency_total_ns);
   const ReporterSnapshot reports = reporter_.SnapshotCounters();
   w.U64(reports.next_sequence);
   w.U32(static_cast<uint32_t>(reports.per_guardrail.size()));
@@ -1319,8 +1298,6 @@ void Engine::EncodeImageTo(std::string* out) const {
     w.U64(s.errors);
     w.U64(s.suppressed_hysteresis);
     w.U64(s.suppressed_cooldown);
-    w.I64(s.rule_wall_ns);
-    w.I64(s.action_wall_ns);
     w.U8(s.in_violation ? 1 : 0);
     w.I64(s.consecutive_violations);
     w.I64(s.last_action_time);
@@ -1374,7 +1351,6 @@ Status Engine::ApplyImage(std::string_view image) {
   OSGUARD_ASSIGN_OR_RETURN(stats_.errors, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_dropped, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_delayed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.total_wall_ns, r.I64());
   ActionStats actions;
   OSGUARD_ASSIGN_OR_RETURN(actions.reports, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(actions.replaces, r.U64());
@@ -1387,9 +1363,6 @@ Status Engine::ApplyImage(std::string_view image) {
   OSGUARD_ASSIGN_OR_RETURN(actions.fallbacks, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(actions.injected_failures, r.U64());
   OSGUARD_ASSIGN_OR_RETURN(actions.dispatches, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.latency_min_ns, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.latency_max_ns, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.latency_total_ns, r.I64());
   dispatcher_.RestoreStats(actions);
   ReporterSnapshot reports;
   OSGUARD_ASSIGN_OR_RETURN(reports.next_sequence, r.U64());

@@ -62,8 +62,10 @@ namespace osguard {
 //     reset with it. Only the violation-protocol clocks (in_violation,
 //     consecutive_violations, last_action_time) and uptime_evals (which
 //     describes the monitored *name*, not the program version) carry over.
-//   * warm restart (osguard::persist) — every field is restored verbatim;
-//     a reboot is invisible to the stats.
+//   * warm restart (osguard::persist) — every field is restored verbatim
+//     except the two host-clock costs (rule_wall_ns, action_wall_ns), which
+//     are process-local and restart from zero: no value read from the host
+//     clock enters the engine image or the feature store.
 struct MonitorStats {
   uint64_t evaluations = 0;
   uint64_t violations = 0;            // evaluations where the rule was false
@@ -95,15 +97,14 @@ struct EngineStats {
   uint64_t errors = 0;
   uint64_t callouts_dropped = 0;  // FUNCTION callouts eaten by the chaos layer
   uint64_t callouts_delayed = 0;  // FUNCTION callouts time-shifted by chaos
-  int64_t total_wall_ns = 0;  // rule + action host-clock cost across monitors
+  // Rule + action host-clock cost across monitors. Process-local like the
+  // per-monitor costs: never journaled, zero after a warm restart.
+  int64_t total_wall_ns = 0;
 };
 
 struct EngineOptions {
   size_t reporter_capacity = 4096;
   RetrainQueueOptions retrain;
-  // Measure per-evaluation host-clock cost (small overhead itself; the E1
-  // bench turns it on, unit tests don't care).
-  bool measure_wall_time = true;
   // Overload governor (src/runtime/governor): load shedding by criticality
   // class when callout pressure spikes. Off by default (off == absent).
   GovernorOptions governor;
@@ -170,21 +171,14 @@ class Engine {
   // triggers registered for it.
   void OnFunctionCall(std::string_view function, SimTime t);
 
-  // Feature-store key `key` was written; fires ONCHANGE triggers watching
-  // it at the engine's current time. Writes performed *by monitor programs*
-  // (actions SAVE-ing state) are deferred until the running evaluation
-  // finishes and are processed with a bounded cascade budget, so two
-  // ONCHANGE guardrails whose actions touch each other's keys cannot loop
-  // the engine (§6's feedback-loop hazard, contained at the trigger layer).
-  //
-  // The KeyId overload is the hot path — the store's write observer hands the
-  // interned slot id straight through, so dispatch is an array index. The
-  // string overload resolves the id first (never interning a key the store
-  // doesn't know).
-  void OnStoreWrite(KeyId id);
-  void OnStoreWrite(const std::string& key);
-  // Write-observer entry (kernel wiring): stamps the retention manager's
-  // last-write clock before the ONCHANGE dispatch.
+  // Write-observer entry (kernel wiring): the store wrote `key` (interned as
+  // `info.id`). Stamps the retention manager's last-write clock, then fires
+  // the ONCHANGE triggers watching the key at the engine's current time.
+  // Writes performed *by monitor programs* (actions SAVE-ing state) are
+  // deferred until the running evaluation finishes and are processed with a
+  // bounded cascade budget, so two ONCHANGE guardrails whose actions touch
+  // each other's keys cannot loop the engine (§6's feedback-loop hazard,
+  // contained at the trigger layer).
   void OnStoreWrite(const StoreWriteInfo& info, const std::string& key);
 
   // --- Introspection ---
@@ -313,6 +307,9 @@ class Engine {
                       Result<Value> result, int64_t steps, int64_t wall_ns);
 
   void RunActions(Monitor& monitor, const Program& program, SimTime t);
+  // ONCHANGE dispatch for a written slot. The hot path: the write observer
+  // hands the interned id straight through, so dispatch is an array index.
+  void OnStoreWrite(KeyId id);
   void DrainPendingChanges();
   // Rollbacks are queued during evaluation and applied at callout
   // boundaries, where no Monitor pointers or trigger references are live.
@@ -325,7 +322,7 @@ class Engine {
   // is written out.
   void EndBoundary();
 
-  // Governor callout boundary: feed the cumulative eval/wall counters into
+  // Governor callout boundary: feed the cumulative evaluation count into
   // the overload ladder and publish engine.governor.* (value-diffed). No-op
   // mid-evaluation and when the governor is disabled.
   void FinishCalloutGovernor();

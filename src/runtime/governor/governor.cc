@@ -84,17 +84,14 @@ GovernorDecision OverloadGovernor::Admit(Criticality criticality, uint64_t attem
   return GovernorDecision::kEvaluate;
 }
 
-void OverloadGovernor::OnCalloutEnd(SimTime now, uint64_t evals_cum, int64_t wall_cum_ns) {
+void OverloadGovernor::OnCalloutEnd(SimTime now, uint64_t evals_cum) {
   if (!options_.enabled) {
     return;
   }
   ++stats_.callouts;
-  const double cost = options_.wall_cost
-                          ? static_cast<double>(wall_cum_ns - last_wall_ns_)
-                          : static_cast<double>(evals_cum - last_evals_);
+  const double cost = static_cast<double>(evals_cum - last_evals_);
   const double gap = static_cast<double>(std::max<SimTime>(now - last_now_, 1));
   last_evals_ = evals_cum;
-  last_wall_ns_ = wall_cum_ns;
   last_now_ = now;
   const double depth =
       probe_ ? static_cast<double>(probe_()) : 0.0;
@@ -115,17 +112,13 @@ void OverloadGovernor::OnCalloutEnd(SimTime now, uint64_t evals_cum, int64_t wal
     depth_ewma_ = a * depth + (1.0 - a) * depth_ewma_;
     bytes_ewma_ = a * bytes + (1.0 - a) * bytes_ewma_;
   }
-  // Pressure: cost per unit time. Sim mode: evaluations per simulated
-  // second. Wall mode: host-busy ns per simulated ns (utilization ratio).
-  pressure_ = options_.wall_cost
-                  ? cost_ewma_ / std::max(gap_ewma_, 1.0)
-                  : cost_ewma_ / std::max(gap_ewma_, 1.0) * 1e9;
-  const double up = options_.wall_cost ? options_.wall_up : options_.pressure_up;
-  const double down = options_.wall_cost ? options_.wall_down : options_.pressure_down;
+  // Pressure: evaluations per simulated second.
+  pressure_ = cost_ewma_ / std::max(gap_ewma_, 1.0) * 1e9;
   const bool bytes_gated = options_.store_bytes_up > 0.0;
-  const bool over = pressure_ > up || depth_ewma_ > options_.depth_up ||
+  const bool over = pressure_ > options_.pressure_up || depth_ewma_ > options_.depth_up ||
                     (bytes_gated && bytes_ewma_ > options_.store_bytes_up);
-  const bool under = pressure_ < down && depth_ewma_ < options_.depth_down &&
+  const bool under = pressure_ < options_.pressure_down &&
+                     depth_ewma_ < options_.depth_down &&
                      (!bytes_gated || bytes_ewma_ < options_.store_bytes_down);
   streak_up_ = over ? streak_up_ + 1 : 0;
   streak_down_ = under ? streak_down_ + 1 : 0;
@@ -187,7 +180,6 @@ GovernorImage OverloadGovernor::ExportState() const {
   image.depth_ewma = depth_ewma_;
   image.last_now = last_now_;
   image.last_evals = last_evals_;
-  image.last_wall_ns = last_wall_ns_;
   image.bytes_ewma = bytes_ewma_;
   image.streak_up = streak_up_;
   image.streak_down = streak_down_;
@@ -210,7 +202,6 @@ void OverloadGovernor::RestoreState(const GovernorImage& image) {
   depth_ewma_ = image.depth_ewma;
   last_now_ = image.last_now;
   last_evals_ = image.last_evals;
-  last_wall_ns_ = image.last_wall_ns;
   bytes_ewma_ = image.bytes_ewma;
   streak_up_ = image.streak_up;
   streak_down_ = image.streak_down;

@@ -20,13 +20,11 @@
 // queue depth; escalation/de-escalation use distinct thresholds plus dwell
 // counts (hysteresis), so the ladder cannot flap on a noisy boundary.
 //
-// Determinism contract (docs/GOVERNOR.md): in the default configuration the
-// cost signal is the *evaluation count* and the time base is *simulated*
-// time, so a governed run replays bit-identically — transitions, shed
-// decisions, and the engine.governor.* store keys are part of the state the
-// differential tests compare. The optional wall-clock mode
-// (GovernorOptions::wall_cost) keys the cost signal off host nanoseconds and
-// is excluded from differentials.
+// Determinism contract (docs/GOVERNOR.md): the cost signal is the
+// *evaluation count* and the time base is *simulated* time; the governor
+// reads no host clock. So a governed run replays bit-identically —
+// transitions, shed decisions, and the engine.governor.* store keys are part
+// of the state the differential tests compare.
 //
 // Off == absent: with `enabled = false` (the default) the engine pays one
 // branch per evaluation and nothing else; no keys are interned, no state
@@ -85,13 +83,6 @@ struct GovernorOptions {
   uint64_t sample_every = 4;
   // EWMA smoothing factor in (0, 1].
   double alpha = 0.2;
-  // Wall-clock cost mode: the cost signal becomes host nanoseconds per
-  // callout and `pressure` becomes wall-busy ns per simulated ns (a
-  // utilization ratio), compared against wall_up / wall_down instead of the
-  // pressure thresholds. Not replayable — excluded from differentials.
-  bool wall_cost = false;
-  double wall_up = 0.5;
-  double wall_down = 0.1;
   // Store-bytes EWMA thresholds (SetBytesProbe; approximate feature-store
   // bytes sampled once per callout boundary). 0 disables the signal, so a
   // spec without retention pressure wiring behaves exactly as before.
@@ -127,7 +118,6 @@ struct GovernorImage {
   double depth_ewma = 0.0;
   SimTime last_now = 0;
   uint64_t last_evals = 0;
-  int64_t last_wall_ns = 0;
   double bytes_ewma = 0.0;
   int64_t streak_up = 0;
   int64_t streak_down = 0;
@@ -155,8 +145,8 @@ class OverloadGovernor {
   // kFailStatic, so a monitor's pinned default is re-applied once per
   // episode (Engine::Monitor::gov_static_epoch remembers the episode).
   uint64_t fail_static_epoch() const { return fail_static_epoch_; }
-  // Last computed pressure signal (evals/sim-second, or the wall-utilization
-  // ratio in wall mode) — introspection for tests and benches.
+  // Last computed pressure signal in evaluations per simulated second —
+  // introspection for tests and benches.
   double pressure() const { return pressure_; }
   double depth_ewma() const { return depth_ewma_; }
   double bytes_ewma() const { return bytes_ewma_; }
@@ -178,9 +168,9 @@ class OverloadGovernor {
                          uint64_t static_epoch_seen);
   void CountStaticApply() { ++stats_.static_applies; }
 
-  // Callout boundary: feed the cumulative engine counters (the governor
-  // diffs them internally), update the EWMAs, and move the ladder.
-  void OnCalloutEnd(SimTime now, uint64_t evals_cum, int64_t wall_cum_ns);
+  // Callout boundary: feed the cumulative evaluation count (the governor
+  // diffs it internally), update the EWMAs, and move the ladder.
+  void OnCalloutEnd(SimTime now, uint64_t evals_cum);
   // Value-diffed engine.governor.* store export; callout boundaries only.
   void Publish();
 
@@ -202,7 +192,6 @@ class OverloadGovernor {
   double pressure_ = 0.0;
   SimTime last_now_ = 0;
   uint64_t last_evals_ = 0;
-  int64_t last_wall_ns_ = 0;
   int64_t streak_up_ = 0;
   int64_t streak_down_ = 0;
   uint64_t fail_static_epoch_ = 0;

@@ -26,6 +26,7 @@
 #include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/wl/sessiongen.h"
+#include "tests/test_dir.h"
 
 #ifndef OSGUARD_SPECS_DIR
 #define OSGUARD_SPECS_DIR "specs"
@@ -72,9 +73,7 @@ SessionWorkloadOptions WorkloadFor(uint64_t seed) {
 // event index. Every OnToolCall commits a journal frame, so recovery
 // restores the state as of the last delivered event.
 std::string RunWorkload(uint64_t seed, const std::string& persist_dir, bool reboot) {
-  EngineOptions engine_options;
-  engine_options.measure_wall_time = false;
-  Kernel kernel(engine_options);
+  Kernel kernel;
   PersistOptions persist_options;
   persist_options.dir = persist_dir;
   PersistManager persist(persist_options);
@@ -108,19 +107,12 @@ std::string RunWorkload(uint64_t seed, const std::string& persist_dir, bool rebo
 class AgentDiffTest : public ::testing::Test {
  protected:
   AgentDiffTest() { Logger::Global().set_level(LogLevel::kOff); }
-
-  fs::path FreshDir(const std::string& name) {
-    fs::path dir = fs::temp_directory_path() / ("osguard_agent_diff_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 };
 
 TEST_F(AgentDiffTest, PersistWarmRestartSeeds) {
   const uint64_t base = SeedBase() + 0x80000;
-  const fs::path reference_dir = FreshDir("reference");
-  const fs::path restart_dir = FreshDir("restart");
+  const fs::path reference_dir = FreshTestDir("reference");
+  const fs::path restart_dir = FreshTestDir("restart");
   for (uint64_t i = 0; i < 100; ++i) {
     const uint64_t seed = base + i;
     const fs::path reference = reference_dir / std::to_string(seed);

@@ -46,12 +46,6 @@ std::string ReadSpecFile(const std::string& name) {
   return buffer.str();
 }
 
-EngineOptions QuietEngineOptions() {
-  EngineOptions options;
-  options.measure_wall_time = false;
-  return options;
-}
-
 std::string SnapshotBytes(Kernel& kernel) {
   Snapshot snapshot;
   snapshot.store = kernel.store().DumpSlots();
@@ -150,7 +144,7 @@ TEST_F(AgentTest, TraceDecoderRejectsMalformedInput) {
 // --- Guardrail families on scripted traces ---
 
 TEST_F(AgentTest, IncidentTraceTripsAllThreeFamilies) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
   const auto trace = MakeIncidentTrace();
   const DriveResult result = ReplayTrace(kernel, trace);
@@ -188,7 +182,7 @@ TEST_F(AgentTest, IncidentTraceTripsAllThreeFamilies) {
 }
 
 TEST_F(AgentTest, CleanTraceTripsNothing) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
   const auto trace = MakeCleanTrace();
   const DriveResult result = ReplayTrace(kernel, trace);
@@ -208,7 +202,7 @@ TEST_F(AgentTest, CleanTraceTripsNothing) {
 }
 
 TEST_F(AgentTest, NetFingerprintOutsideBandKillsTheSession) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
   // A net call whose fingerprint exceeds the catalogued 32-bit band trips
   // family 2b within its own callout: the kill control key is set before
@@ -240,7 +234,7 @@ TEST_F(AgentTest, NetFingerprintOutsideBandKillsTheSession) {
 }
 
 TEST_F(AgentTest, FingerprintBandOnlyConstrainsNetworkCalls) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
   // File and exec fingerprints are uncatalogued hashes over paths/argv —
   // out-of-band values there are normal and must not trip the net family.
@@ -265,7 +259,7 @@ TEST_F(AgentTest, FingerprintBandOnlyConstrainsNetworkCalls) {
 // --- Action effects at admission (no specs: control keys set directly) ---
 
 TEST_F(AgentTest, DenyControlKeyRejectsToolClass) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   kernel.store().Save(AgentDenyKey(ToolClass::kNet), Value(true));
   EXPECT_EQ(kernel.OnToolCall({Milliseconds(1), 1, ToolClass::kNet, 1, false}),
             AgentAdmitVerdict::kDeny);
@@ -277,7 +271,7 @@ TEST_F(AgentTest, DenyControlKeyRejectsToolClass) {
 }
 
 TEST_F(AgentTest, ThrottleCapsPerWindowAndDrains) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   kernel.store().Save(kAgentCtlThrottleSession, Value(int64_t{7}));
   // Default budget: 8 calls per 1s window.
   for (int i = 0; i < 12; ++i) {
@@ -300,7 +294,7 @@ TEST_F(AgentTest, ThrottleCapsPerWindowAndDrains) {
 }
 
 TEST_F(AgentTest, KillControlKeyIsPermanent) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   kernel.store().Save(kAgentCtlKillSession, Value(int64_t{5}));
   EXPECT_EQ(kernel.OnToolCall({Milliseconds(1), 5, ToolClass::kFile, 1, false}),
             AgentAdmitVerdict::kKill);
@@ -324,7 +318,7 @@ TEST_F(AgentTest, ReplayIsBitIdentical) {
   Harness harness(options, 1234);
   std::string first;
   for (int round = 0; round < 2; ++round) {
-    Kernel kernel(QuietEngineOptions());
+    Kernel kernel;
     ASSERT_TRUE(
         kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
     harness.Drive(kernel);
@@ -345,7 +339,7 @@ TEST_F(AgentTest, UnarmedAgentChaosSitesChangeNothing) {
   options.duration = Seconds(1);
   Harness harness(options, 99);
   auto run = [&](bool attach_chaos) {
-    Kernel kernel(QuietEngineOptions());
+    Kernel kernel;
     ChaosEngine chaos(555);
     if (attach_chaos) {
       kernel.AttachChaos(&chaos);  // registers agent.* sites, leaves them off
@@ -361,7 +355,7 @@ TEST_F(AgentTest, UnarmedAgentChaosSitesChangeNothing) {
 TEST_F(AgentTest, NoToolCallsMeansNoAgentKeys) {
   // A kernel that never sees a tool call must not intern a single agent.*
   // key or evaluate anything agent-related: the domain is pay-as-you-go.
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   kernel.store().Observe("io.lat", Milliseconds(1), 100.0);
   kernel.Callout("submit_io");
   kernel.Run(Seconds(1));
@@ -378,7 +372,7 @@ TEST_F(AgentTest, EventDropLosesEventsDeterministically) {
   options.duration = Seconds(1);
   Harness harness(options, 321);
   auto run = [&](const char* chaos_spec) {
-    Kernel kernel(QuietEngineOptions());
+    Kernel kernel;
     ChaosEngine chaos(777);
     kernel.AttachChaos(&chaos);
     EXPECT_TRUE(
@@ -405,7 +399,7 @@ TEST_F(AgentTest, EventDropLosesEventsDeterministically) {
 }
 
 TEST_F(AgentTest, DupSessionDeliversGhostTwin) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ChaosEngine chaos(42);
   kernel.AttachChaos(&chaos);
   ASSERT_TRUE(
@@ -424,7 +418,7 @@ TEST_F(AgentTest, DupSessionDeliversGhostTwin) {
 // --- Reboot safety ---
 
 TEST_F(AgentTest, ColdRebootForgetsGovernanceState) {
-  Kernel kernel(QuietEngineOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(ReadSpecFile("agent_governance.osg")).ok());
   ReplayTrace(kernel, MakeIncidentTrace());
   EXPECT_GT(LoadNum(kernel, kAgentKeyEvents), 0.0);

@@ -67,9 +67,7 @@ std::string TimerGuardrail(int index, Duration interval) {
 TEST_F(AllocTest, HookedFunctionCalloutDoesNotAllocate) {
   FeatureStore store;
   PolicyRegistry registry;
-  EngineOptions options;
-  options.measure_wall_time = false;
-  Engine engine(&store, &registry, nullptr, options);
+  Engine engine(&store, &registry);
   ASSERT_TRUE(engine
                   .LoadSource("guardrail f0 { trigger: { FUNCTION(blk_mq_submit_bio_hotpath) }, "
                               "rule: { LOAD_OR(x, 0) <= 1 }, action: { REPORT() } }\n")

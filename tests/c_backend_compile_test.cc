@@ -21,6 +21,7 @@
 #include "src/dsl/sema.h"
 #include "src/vm/c_backend.h"
 #include "src/vm/compiler.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -64,8 +65,7 @@ std::vector<std::filesystem::path> SpecFiles() {
 // -Wall -Wextra -Werror; any diagnostic at all is a failure whose message
 // carries the compiler log.
 testing::AssertionResult CompilesClean(const std::string& source, const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "osguard-cbackend-check";
+  const std::filesystem::path dir = TestRoot() / "cbackend-check";
   std::filesystem::create_directories(dir);
   const std::string c_path = (dir / (tag + ".c")).string();
   const std::string o_path = (dir / (tag + ".o")).string();

@@ -5,7 +5,9 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "src/persist/persist.h"
 #include "src/runtime/engine.h"
 #include "src/vm/compiler.h"
 
@@ -441,6 +443,83 @@ TEST_F(EngineTest, EngineStatsAggregateAcrossMonitors) {
   EXPECT_EQ(stats.evaluations, 3u);
   EXPECT_EQ(stats.violations, 3u);
   EXPECT_GT(stats.total_wall_ns, 0);
+}
+
+// Host time is measured, never stored: the engine times every rule and
+// action program, yet two runs of one spec under default options leave the
+// same image, store slots and report ring, and the store holds only the keys
+// the spec and the engine's simulated-time exports (monitor.*, supervisor.*)
+// write.
+constexpr char kClockSpec[] = R"(
+  guardrail ticker {
+    trigger: { TIMER(1s, 1s) },
+    rule: { LOAD_OR(x, 0) <= 10 },
+    action: { SAVE(ticker.seen, LOAD_OR(x, 0)); REPORT("ticker", LOAD_OR(x, 0)) }
+  }
+  guardrail hook {
+    trigger: { FUNCTION(blk_submit) },
+    rule: { LOAD_OR(x, 0) <= 20 },
+    action: { SAVE(hook.tripped, true); REPORT("hook") },
+    meta: { cooldown = 500ms }
+  }
+)";
+
+struct ClockRun {
+  std::string image;
+  std::string slots;  // DumpSlots() in the snapshot codec
+  std::string reports;
+  std::vector<std::string> keys;
+  EngineStats stats;
+  MonitorStats ticker;
+  MonitorStats hook;
+};
+
+ClockRun RunClockSpec() {
+  FeatureStore store;
+  PolicyRegistry registry;
+  Engine engine(&store, &registry);
+  EXPECT_TRUE(engine.LoadSource(kClockSpec).ok());
+  for (int step = 1; step <= 40; ++step) {
+    const SimTime t = Milliseconds(step * 100);
+    store.Save("x", Value(step));
+    engine.OnFunctionCall("blk_submit", t);
+    engine.AdvanceTo(t);
+  }
+  ClockRun run;
+  run.image = engine.EncodeImage();
+  Snapshot snapshot;
+  snapshot.store = store.DumpSlots();
+  run.slots = EncodeSnapshot(snapshot);
+  for (const StoreSlotDump& slot : snapshot.store) {
+    if (slot.live) {
+      run.keys.push_back(slot.key);
+    }
+  }
+  run.reports = engine.EncodeReportRing();
+  run.stats = engine.stats();
+  run.ticker = engine.StatsFor("ticker").value_or(MonitorStats{});
+  run.hook = engine.StatsFor("hook").value_or(MonitorStats{});
+  return run;
+}
+
+TEST_F(EngineTest, HostClockNeverReachesTheStoreOrTheImage) {
+  const ClockRun first = RunClockSpec();
+  const ClockRun second = RunClockSpec();
+  ASSERT_GT(first.ticker.action_firings, 0u);
+  ASSERT_GT(first.hook.action_firings, 0u);
+  EXPECT_TRUE(first.image == second.image) << "engine images differ";
+  EXPECT_TRUE(first.slots == second.slots) << "store slots differ";
+  EXPECT_TRUE(first.reports == second.reports) << "report rings differ";
+  for (const std::string& key : first.keys) {
+    EXPECT_TRUE(key == "x" || key == "ticker.seen" || key == "hook.tripped" ||
+                key.starts_with("monitor.") || key.starts_with("supervisor."))
+        << key << " is neither written by the spec nor an engine export";
+  }
+  // The clock is still read: every evaluation and action program is timed.
+  EXPECT_GT(first.stats.total_wall_ns, 0);
+  EXPECT_GT(first.ticker.rule_wall_ns, 0);
+  EXPECT_GT(first.ticker.action_wall_ns, 0);
+  EXPECT_GT(first.hook.action_wall_ns, 0);
 }
 
 TEST_F(EngineTest, LoadRejectsUnverifiableProgram) {

@@ -6,8 +6,9 @@
 // storm-shaped workload (osguard::wl::StormGenerator) through two journaled
 // kernels and compares the full observable state (store slots, report ring,
 // engine image — including the governor ladder) byte for byte via the
-// persist codec. The governor runs on simulated-time signals only
-// (measure_wall_time = false), so its transitions replay bit-identically.
+// persist codec. The governor reads only simulated-time signals, and no
+// host-clock value enters the image or the store, so its transitions replay
+// bit-identically with the engine's host clock on.
 //
 // 150 seeds per run. OSGUARD_CHAOS_SEED offsets the seed base so CI matrices
 // explore fresh seeds without code changes.
@@ -29,6 +30,7 @@
 #include "src/support/rng.h"
 #include "src/support/time.h"
 #include "src/wl/stormgen.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -89,7 +91,6 @@ constexpr char kGovDiffSpec[] = R"(
 // Governor tuned so realistic storm rates actually walk the ladder.
 EngineOptions GovDiffEngineOptions() {
   EngineOptions options;
-  options.measure_wall_time = false;
   options.governor.enabled = true;
   options.governor.pressure_up = 8000.0;
   options.governor.pressure_down = 800.0;
@@ -181,19 +182,12 @@ std::string RunStorm(uint64_t seed, const std::string& persist_dir, bool reboot,
 class GovernorDiffTest : public ::testing::Test {
  protected:
   GovernorDiffTest() { Logger::Global().set_level(LogLevel::kOff); }
-
-  fs::path FreshDir(const std::string& name) {
-    fs::path dir = fs::temp_directory_path() / ("osguard_gov_diff_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 };
 
 TEST_F(GovernorDiffTest, PanicWarmRestartSeeds) {
   const uint64_t base = SeedBase() + 0x70000;
-  const fs::path reference_dir = FreshDir("reference");
-  const fs::path restart_dir = FreshDir("restart");
+  const fs::path reference_dir = FreshTestDir("reference");
+  const fs::path restart_dir = FreshTestDir("restart");
   uint64_t transitions = 0;
   uint64_t critical_sheds = 0;
   for (uint64_t i = 0; i < 150; ++i) {

@@ -53,7 +53,6 @@ inline constexpr char kGovernorStormSpec[] = R"(
 // The engine options of both arms; only `governor.enabled` differs.
 inline EngineOptions GovernorStormOptions(bool governed) {
   EngineOptions options;
-  options.measure_wall_time = false;
   options.governor.enabled = governed;
   options.governor.pressure_up = 20000.0;
   options.governor.pressure_down = 2000.0;

@@ -57,7 +57,7 @@ GovernorOptions TightOptions() {
 void HotCallout(OverloadGovernor& governor, SimTime& now, uint64_t& evals) {
   now += Microseconds(1);
   evals += 100;
-  governor.OnCalloutEnd(now, evals, 0);
+  governor.OnCalloutEnd(now, evals);
 }
 
 // One "cold" callout: a single evaluation after a quiet second (1 eval/s,
@@ -65,7 +65,7 @@ void HotCallout(OverloadGovernor& governor, SimTime& now, uint64_t& evals) {
 void ColdCallout(OverloadGovernor& governor, SimTime& now, uint64_t& evals) {
   now += Seconds(1);
   evals += 1;
-  governor.OnCalloutEnd(now, evals, 0);
+  governor.OnCalloutEnd(now, evals);
 }
 
 TEST_F(GovernorTest, LadderEscalatesWithDwellAndDeescalatesWithHysteresis) {
@@ -120,7 +120,7 @@ TEST_F(GovernorTest, MiddlingPressureInsideHysteresisBandHoldsTheRung) {
   for (int i = 0; i < 50; ++i) {
     now += Milliseconds(1);
     evals += 3;
-    governor.OnCalloutEnd(now, evals, 0);
+    governor.OnCalloutEnd(now, evals);
   }
   EXPECT_EQ(governor.mode(), GovernorMode::kSampled);
   EXPECT_EQ(governor.stats().transitions, 1u);
@@ -293,7 +293,6 @@ constexpr char kGovSpec[] = R"(
 
 EngineOptions GovernedEngineOptions() {
   EngineOptions options;
-  options.measure_wall_time = false;
   options.governor.enabled = true;
   // pressure_up sits well below the storm's critical-only residual rate
   // (1 eval / 100us = 10000/s), so even a fully degraded storm keeps the
@@ -361,9 +360,7 @@ TEST_F(GovernorTest, StormDegradesAndCalmRecoversThroughTheKernel) {
 }
 
 TEST_F(GovernorTest, DisabledGovernorInternsNoKeysAndShedsNothing) {
-  EngineOptions options;
-  options.measure_wall_time = false;  // governor stays default-disabled
-  Kernel kernel(options);
+  Kernel kernel;  // governor stays default-disabled
   ASSERT_TRUE(kernel.LoadGuardrails(kGovSpec).ok());
   SimTime t = Milliseconds(1);
   for (int i = 0; i < 40; ++i) {

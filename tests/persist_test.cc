@@ -32,6 +32,7 @@
 #include "src/store/feature_store.h"
 #include "src/support/rng.h"
 #include "src/support/time.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -41,13 +42,6 @@ namespace fs = std::filesystem;
 uint64_t SeedBase() {
   const char* env = std::getenv("OSGUARD_CHAOS_SEED");
   return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 0;
-}
-
-fs::path FreshDir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "osguard-persist" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
 }
 
 std::string ReadFile(const fs::path& path) {
@@ -213,12 +207,10 @@ persist { interval = 1s, journal_budget = 0 }
 
 // Runs the golden script in a fresh directory and returns it.
 fs::path RunGoldenScript(const std::string& name) {
-  const fs::path dir = FreshDir(name);
+  const fs::path dir = FreshTestDir(name);
   FeatureStore store;
   PolicyRegistry registry;
-  EngineOptions engine_options;
-  engine_options.measure_wall_time = false;  // host-clock costs are not replayable
-  Engine engine(&store, &registry, nullptr, engine_options);
+  Engine engine(&store, &registry);
   PersistOptions options;
   options.dir = dir.string();
   PersistManager persist(options);
@@ -450,15 +442,9 @@ struct DiffRun {
   std::unique_ptr<PersistManager> persist;
 };
 
-EngineOptions DiffOptions() {
-  EngineOptions options;
-  options.measure_wall_time = false;  // host-clock costs are not replayable
-  return options;
-}
-
 std::unique_ptr<DiffRun> StartRun(const fs::path& dir, ChaosEngine* chaos) {
   auto run = std::make_unique<DiffRun>();
-  run->engine = std::make_unique<Engine>(&run->store, &run->registry, nullptr, DiffOptions());
+  run->engine = std::make_unique<Engine>(&run->store, &run->registry);
   run->store.SetWriteObserver(
       [engine = run->engine.get()](const StoreWriteInfo& info, const std::string& key) {
         engine->OnStoreWrite(info, key);
@@ -584,7 +570,7 @@ std::string CrashedFingerprint(const fs::path& dir, uint64_t seed, int total_ste
 TEST(PersistDifferential, CrashReplayIsBitIdenticalOver1000Seeds) {
   const uint64_t base = SeedBase();
   constexpr int kTotalSteps = 16;
-  const fs::path root = FreshDir("diff-clean");
+  const fs::path root = FreshTestDir("diff-clean");
   for (uint64_t i = 0; i < 1000; ++i) {
     const uint64_t seed = base * 1000 + i;
     Rng rng(seed ^ 0xD1F7ull);
@@ -614,7 +600,7 @@ TEST(PersistDifferential, CrashReplaySurvivesPersistChaos) {
   // correctness — the final state must still match bit-for-bit.
   const uint64_t base = SeedBase();
   constexpr int kTotalSteps = 16;
-  const fs::path root = FreshDir("diff-chaos");
+  const fs::path root = FreshTestDir("diff-chaos");
   uint64_t damaged_runs = 0;
   for (uint64_t i = 0; i < 200; ++i) {
     const uint64_t seed = base * 1000 + i;
@@ -666,7 +652,7 @@ TEST(PersistDifferential, CrashReplaySurvivesPersistChaos) {
 // --- Recovery ladder ---
 
 TEST(PersistRecovery, FallsBackToPreviousSnapshotAndColdStart) {
-  const fs::path dir = FreshDir("ladder");
+  const fs::path dir = FreshTestDir("ladder");
   // Produce a run with at least two snapshots (tight interval + budget).
   {
     auto run = StartRun(dir, nullptr);
@@ -730,7 +716,7 @@ TEST(PersistRecovery, FallsBackToPreviousSnapshotAndColdStart) {
 
 TEST(PersistRecovery, ArbitraryFileDamageNeverCrashesRecovery) {
   const uint64_t base = SeedBase();
-  const fs::path root = FreshDir("damage-sweep");
+  const fs::path root = FreshTestDir("damage-sweep");
   for (uint64_t i = 0; i < 50; ++i) {
     const uint64_t seed = base + i;
     const fs::path dir = root / std::to_string(i);
@@ -781,7 +767,7 @@ TEST(PersistRecovery, ArbitraryFileDamageNeverCrashesRecovery) {
 // older version stamp. Recovery refuses such an image with an error naming
 // both versions rather than misreading its fields.
 TEST(PersistRecovery, ImageFromAnOlderVersionIsRefused) {
-  const fs::path dir = FreshDir("old-image");
+  const fs::path dir = FreshTestDir("old-image");
   {
     auto run = StartRun(dir, nullptr);
     ASSERT_TRUE(run->persist->Open().ok());
@@ -804,7 +790,7 @@ TEST(PersistRecovery, ImageFromAnOlderVersionIsRefused) {
   auto recovered = run->engine->Restore(*run->persist);
   ASSERT_FALSE(recovered.ok());
   EXPECT_NE(recovered.status().message().find(
-                "image version 3 is not supported (expected 4)"),
+                "image version 3 is not supported (expected 5)"),
             std::string::npos)
       << recovered.status().ToString();
 }
@@ -831,10 +817,10 @@ guardrail pinned {
   meta: { hysteresis = 2, cooldown = 50ms }
 }
 )";
-  const fs::path dir = FreshDir("stats-matrix");
+  const fs::path dir = FreshTestDir("stats-matrix");
 
   auto run = std::make_unique<DiffRun>();
-  run->engine = std::make_unique<Engine>(&run->store, &run->registry, nullptr, DiffOptions());
+  run->engine = std::make_unique<Engine>(&run->store, &run->registry);
   PersistOptions options;
   options.dir = dir.string();
   run->persist = std::make_unique<PersistManager>(options);
@@ -884,10 +870,10 @@ guardrail pinned {
   EXPECT_GT(at_crash.uptime_evals, before.uptime_evals);
   run.reset();  // crash
 
-  // Warm restart: every field is restored verbatim — a reboot is invisible.
+  // Warm restart: every field is restored verbatim except the two host-clock
+  // costs, which are process-local and restart from zero.
   auto rebooted = std::make_unique<DiffRun>();
-  rebooted->engine =
-      std::make_unique<Engine>(&rebooted->store, &rebooted->registry, nullptr, DiffOptions());
+  rebooted->engine = std::make_unique<Engine>(&rebooted->store, &rebooted->registry);
   rebooted->persist = std::make_unique<PersistManager>(options);
   rebooted->engine->SetPersist(rebooted->persist.get());
   ASSERT_TRUE(rebooted->engine->LoadSource(kV1).ok());
@@ -908,15 +894,19 @@ guardrail pinned {
   EXPECT_EQ(after.consecutive_violations, at_crash.consecutive_violations);
   EXPECT_EQ(after.last_action_time, at_crash.last_action_time);
   EXPECT_EQ(after.uptime_evals, at_crash.uptime_evals);
+  EXPECT_GT(at_crash.rule_wall_ns, 0);
+  EXPECT_GT(at_crash.action_wall_ns, 0);
+  EXPECT_EQ(after.rule_wall_ns, 0);
+  EXPECT_EQ(after.action_wall_ns, 0);
 }
 
 // --- DSL surface ---
 
 TEST(PersistSpec, PersistBlockConfiguresTheManagerAndOffIsAbsent) {
-  const fs::path dir = FreshDir("dsl-surface");
+  const fs::path dir = FreshTestDir("dsl-surface");
   FeatureStore store;
   PolicyRegistry registry;
-  Engine engine(&store, &registry, nullptr, DiffOptions());
+  Engine engine(&store, &registry);
   PersistOptions options;
   options.dir = dir.string();
   options.snapshot_interval = Seconds(10);
@@ -944,7 +934,7 @@ TEST(PersistSpec, PersistBlockConfiguresTheManagerAndOffIsAbsent) {
 
   // And with no manager attached, the block is validated but inert.
   FeatureStore bare_store;
-  Engine bare(&bare_store, &registry, nullptr, DiffOptions());
+  Engine bare(&bare_store, &registry);
   EXPECT_TRUE(bare.LoadSource("persist { interval = 2s }").ok());
   EXPECT_FALSE(bare.LoadSource("persist { interval = teapot }").ok());
 }
@@ -994,8 +984,8 @@ TEST(PersistKernel, PanicRebootMatchesUninterruptedRun) {
   constexpr int kSegments = 8;
 
   // Reference: no crash.
-  const fs::path ref_dir = FreshDir("kernel-ref");
-  Kernel reference(DiffOptions());
+  const fs::path ref_dir = FreshTestDir("kernel-ref");
+  Kernel reference;
   PersistOptions ref_options;
   ref_options.dir = ref_dir.string();
   PersistManager ref_persist(ref_options);
@@ -1009,8 +999,8 @@ TEST(PersistKernel, PanicRebootMatchesUninterruptedRun) {
   const std::string want = KernelFingerprint(reference);
 
   // Crash run: panic at a segment boundary, reboot, finish the run.
-  const fs::path crash_dir = FreshDir("kernel-crash");
-  Kernel kernel(DiffOptions());
+  const fs::path crash_dir = FreshTestDir("kernel-crash");
+  Kernel kernel;
   PersistOptions options;
   options.dir = crash_dir.string();
   PersistManager persist(options);
@@ -1038,8 +1028,8 @@ TEST(PersistKernel, PanicRebootMatchesUninterruptedRun) {
 }
 
 TEST(PersistKernel, ScheduledPanicDropsEventsAndRebootRecovers) {
-  const fs::path dir = FreshDir("kernel-sched-panic");
-  Kernel kernel(DiffOptions());
+  const fs::path dir = FreshTestDir("kernel-sched-panic");
+  Kernel kernel;
   PersistOptions options;
   options.dir = dir.string();
   PersistManager persist(options);
@@ -1101,7 +1091,7 @@ TEST(PersistKernel, PanicMidDegradationRestoresTheGovernorLadder) {
     }
     persist { interval = 100ms, journal_budget = 0 }
   )";
-  EngineOptions governed = DiffOptions();
+  EngineOptions governed;
   governed.governor.enabled = true;
   governed.governor.pressure_up = 5000.0;
   governed.governor.pressure_down = 500.0;
@@ -1126,7 +1116,7 @@ TEST(PersistKernel, PanicMidDegradationRestoresTheGovernorLadder) {
   };
 
   // Reference: no crash.
-  const fs::path ref_dir = FreshDir("gov-ladder-ref");
+  const fs::path ref_dir = FreshTestDir("gov-ladder-ref");
   Kernel reference(governed);
   PersistOptions ref_options;
   ref_options.dir = ref_dir.string();
@@ -1143,7 +1133,7 @@ TEST(PersistKernel, PanicMidDegradationRestoresTheGovernorLadder) {
   const std::string want = KernelFingerprint(reference);
 
   // Crash run: panic mid-degradation, warm-restart, finish the drive.
-  const fs::path crash_dir = FreshDir("gov-ladder-crash");
+  const fs::path crash_dir = FreshTestDir("gov-ladder-crash");
   Kernel kernel(governed);
   PersistOptions options;
   options.dir = crash_dir.string();
@@ -1180,8 +1170,8 @@ TEST(PersistKernel, PanicMidDegradationRestoresTheGovernorLadder) {
 // ok, cold_start set, the refusal named in `detail`, every spec loaded, and
 // the kernel running.
 TEST(PersistKernel, FailedWarmRestartFallsBackToAColdBoot) {
-  const fs::path dir = FreshDir("kernel-refused");
-  Kernel kernel(DiffOptions());
+  const fs::path dir = FreshTestDir("kernel-refused");
+  Kernel kernel;
   PersistOptions options;
   options.dir = dir.string();
   PersistManager persist(options);
@@ -1206,7 +1196,7 @@ TEST(PersistKernel, FailedWarmRestartFallsBackToAColdBoot) {
   EXPECT_TRUE(recovered.value().cold_start);
   EXPECT_NE(recovered.value().detail.find("warm restart failed"), std::string::npos)
       << recovered.value().detail;
-  EXPECT_NE(recovered.value().detail.find("image version 3 is not supported"),
+  EXPECT_NE(recovered.value().detail.find("image version 3 is not supported (expected 5)"),
             std::string::npos)
       << recovered.value().detail;
   EXPECT_FALSE(kernel.panicked());
@@ -1226,7 +1216,7 @@ TEST(PersistKernel, FailedWarmRestartFallsBackToAColdBoot) {
 }
 
 TEST(PersistKernel, RebootWithoutPersistIsACleanColdStart) {
-  Kernel kernel(DiffOptions());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(kKernelSpec).ok());
   kernel.Run(Milliseconds(100));
   kernel.Panic();

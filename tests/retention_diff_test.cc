@@ -31,6 +31,7 @@
 #include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/support/time.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -90,12 +91,6 @@ constexpr char kRetentionDiffSpec[] = R"(
   }
 )";
 
-EngineOptions DiffEngineOptions() {
-  EngineOptions options;
-  options.measure_wall_time = false;
-  return options;
-}
-
 // Runs the seed's workload to completion through a kernel journaled into
 // `persist_dir`, panicking and warm-restarting half-way, and returns the
 // wire-encoded observable state. The workload mixes plain store traffic
@@ -104,7 +99,7 @@ EngineOptions DiffEngineOptions() {
 // interleave — everything derived from `seed`, identically in both runs.
 std::string RunWorkload(uint64_t seed, const std::string& persist_dir,
                         RetentionStats* retention_out = nullptr) {
-  Kernel kernel(DiffEngineOptions());
+  Kernel kernel;
   PersistOptions persist_options;
   persist_options.dir = persist_dir;
   PersistManager persist(persist_options);
@@ -173,19 +168,12 @@ std::string RunWorkload(uint64_t seed, const std::string& persist_dir,
 class RetentionDiffTest : public ::testing::Test {
  protected:
   RetentionDiffTest() { Logger::Global().set_level(LogLevel::kOff); }
-
-  fs::path FreshDir(const std::string& name) {
-    fs::path dir = fs::temp_directory_path() / ("osguard_retention_diff_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 };
 
 TEST_F(RetentionDiffTest, PanicWarmRestartSeeds) {
   const uint64_t base = SeedBase() + 0x120000;
-  const fs::path first_dir = FreshDir("first");
-  const fs::path second_dir = FreshDir("second");
+  const fs::path first_dir = FreshTestDir("first");
+  const fs::path second_dir = FreshTestDir("second");
   uint64_t reclaims = 0;
   uint64_t breaches = 0;
   for (uint64_t i = 0; i < 200; ++i) {

@@ -39,6 +39,7 @@
 #include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/support/time.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -688,10 +689,7 @@ TEST_F(RetentionTest, KillPathReclaimsDataButKeepsTheLatch) {
 }
 
 TEST_F(RetentionTest, WarmRestartCarriesRetentionState) {
-  const fs::path dir =
-      fs::temp_directory_path() / "osguard_retention_restart";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const fs::path dir = FreshTestDir("retention-restart");
   PersistOptions popts;
   popts.dir = dir.string();
   PersistManager persist(popts);

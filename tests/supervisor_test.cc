@@ -479,12 +479,6 @@ TEST_F(SupervisorTest, CleanProbationCommits) {
 
 // --- Rollback report order (pinned by src/actions/report.h) ---
 
-EngineOptions NoWallTime() {
-  EngineOptions options;
-  options.measure_wall_time = false;
-  return options;
-}
-
 // Replace/rollback records are emitted in rollback-queue insertion order,
 // which is evaluation order — NOT name order. On the timer path, deadline
 // order decides: zz_early (deadline 1s) regresses before aa_late (deadline
@@ -504,7 +498,7 @@ TEST(RollbackReportOrderTest, RollbackReportOrder) {
            "rule: { LOAD_OR(x, 0) <= 99 }, action: { REPORT(\"v2\") }, " +
            "health: { budget_steps = 1, quarantine = 1, probation = 60s } }";
   };
-  Kernel kernel(NoWallTime());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(v1("zz_early", "1s") + "\n" + v1("aa_late", "2s")).ok());
   ASSERT_TRUE(kernel.LoadGuardrails(v2("zz_early", "1s") + "\n" + v2("aa_late", "2s")).ok());
   kernel.Run(Seconds(3));
@@ -540,7 +534,7 @@ TEST(RollbackReportOrderTest, TwoRollbacksInOneCallout) {
     }
     return out;
   };
-  Kernel kernel(NoWallTime());
+  Kernel kernel;
   ASSERT_TRUE(kernel.LoadGuardrails(spec("quarantine = 5")).ok());
   kernel.Run(Milliseconds(1));
   kernel.Callout("fn");
@@ -754,33 +748,6 @@ TEST(SupervisorReplayTest, ThousandSeedsReplayBitIdentically) {
   }
   // Different seeds exercise genuinely different breaker trajectories.
   EXPECT_GT(distinct.size(), 500u);
-}
-
-// --- Dispatcher latency satellite ---
-
-TEST_F(SupervisorTest, DispatchLatencyGaugesArePublished) {
-  Load(R"(
-    guardrail latency {
-      trigger: { TIMER(1s, 1s) },
-      rule: { LOAD_OR(x, 0) <= 10 },
-      action: { REPORT("fired") }
-    }
-  )");
-  store_.Save("x", Value(50));
-  engine_.AdvanceTo(Seconds(3));
-  const ActionStats stats = engine_.dispatcher().stats();
-  ASSERT_GE(stats.dispatches, 1u);
-  EXPECT_GE(stats.latency_min_ns, 0);
-  EXPECT_GE(stats.latency_max_ns, stats.latency_min_ns);
-  EXPECT_GE(stats.latency_total_ns, stats.latency_max_ns);
-  const int64_t mean =
-      store_.LoadOr(kActionLatencyMeanKey, Value(-1)).AsInt().value();
-  EXPECT_EQ(store_.LoadOr(kActionLatencyMinKey, Value(-1)).AsInt().value(),
-            stats.latency_min_ns);
-  EXPECT_EQ(store_.LoadOr(kActionLatencyMaxKey, Value(-1)).AsInt().value(),
-            stats.latency_max_ns);
-  EXPECT_GE(mean, stats.latency_min_ns);
-  EXPECT_LE(mean, stats.latency_max_ns);
 }
 
 }  // namespace

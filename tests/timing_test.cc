@@ -40,6 +40,7 @@
 #include "src/support/time.h"
 #include "src/wl/sessiongen.h"
 #include "tests/governor_storm.h"
+#include "tests/test_dir.h"
 
 namespace osguard {
 namespace {
@@ -94,7 +95,7 @@ class TimingTest : public ::testing::Test {
 // One `hot` monitor on a 1 ms TIMER, warmed up for a simulated second. The
 // supervised one carries a health block that never trips.
 struct HotMonitor {
-  explicit HotMonitor(bool supervised) : engine(&store, &registry, nullptr, Options()) {
+  explicit HotMonitor(bool supervised) : engine(&store, &registry) {
     const std::string health =
         supervised ? ",\n  health: { budget_steps = 1000000, quarantine = 1000000, "
                      "flap_threshold = 1000000 }\n"
@@ -108,12 +109,6 @@ struct HotMonitor {
              .ok();
     engine.AdvanceTo(Seconds(1));
   }
-  static EngineOptions Options() {
-    EngineOptions options;
-    options.measure_wall_time = false;
-    return options;
-  }
-
   FeatureStore store;
   PolicyRegistry registry;
   Engine engine;
@@ -336,9 +331,7 @@ constexpr Duration kStepWindow = Milliseconds(50);
 // An engine journaling into `dir`, with the store's writes routed to it.
 struct JournaledRun {
   explicit JournaledRun(const fs::path& dir) {
-    EngineOptions options;
-    options.measure_wall_time = false;
-    engine = std::make_unique<Engine>(&store, &registry, nullptr, options);
+    engine = std::make_unique<Engine>(&store, &registry);
     store.SetWriteObserver([e = engine.get()](const StoreWriteInfo& info, const std::string& key) {
       e->OnStoreWrite(info, key);
     });
@@ -386,8 +379,7 @@ TEST_F(TimingTest, PersistRecoveryIsExactAndFast) {
   // Mid-way between snapshots (the 250 ms interval snapshots every 5th step),
   // so recovery replays a journal suffix rather than landing on a snapshot.
   constexpr int kCrashStep = 1503;
-  const fs::path root = fs::path(::testing::TempDir()) / "osguard-timing-persist";
-  fs::remove_all(root);
+  const fs::path root = FreshTestDir("timing-persist");
   fs::create_directories(root / "ref");
   fs::create_directories(root / "crash");
 
