@@ -245,11 +245,6 @@ ActionStats ActionDispatcher::stats() const {
   return stats_;
 }
 
-void ActionDispatcher::RestoreStats(const ActionStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = stats;
-}
-
 uint64_t ActionDispatcher::failure_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_.failures;

@@ -33,6 +33,7 @@
 #define SRC_ACTIONS_DISPATCHER_H_
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,9 +111,6 @@ class ActionDispatcher {
   // counters published — unit-test dispatchers need no store).
   void SetStore(FeatureStore* store) { store_ = store; }
 
-  // Reinstates persisted counters (osguard::persist warm restart).
-  void RestoreStats(const ActionStats& stats);
-
   // Fallback policies for exhausted REPLACE chains, tried in order; the
   // first one the registry accepts wins. At most one fallback engagement
   // per exhausted chain.
@@ -127,6 +125,24 @@ class ActionDispatcher {
   // the supervisor to snapshot around every supervised evaluation.
   uint64_t failure_count() const;
   RecordingTaskControl& fallback_task_control() { return fallback_task_control_; }
+
+  // The ActionStats the engine image carries, in image order
+  // (src/persist/wire.h).
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& d) {
+    std::lock_guard<std::mutex> lock(d.mu_);
+    io.U64(d.stats_.reports);
+    io.U64(d.stats_.replaces);
+    io.U64(d.stats_.replace_noops);
+    io.U64(d.stats_.retrains_requested);
+    io.U64(d.stats_.retrains_suppressed);
+    io.U64(d.stats_.deprioritizes);
+    io.U64(d.stats_.failures);
+    io.U64(d.stats_.retries);
+    io.U64(d.stats_.fallbacks);
+    io.U64(d.stats_.injected_failures);
+    io.U64(d.stats_.dispatches);
+  }
 
  private:
   Result<Value> DispatchChain(HelperId id, std::span<const Value> args,

@@ -1,6 +1,5 @@
 #include "src/actions/report.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/support/logging.h"
@@ -83,30 +82,6 @@ std::vector<ReportRecord> Reporter::RecordsFor(const std::string& guardrail) con
     }
   }
   return out;
-}
-
-ReporterSnapshot Reporter::SnapshotCounters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ReporterSnapshot snapshot;
-  snapshot.next_sequence = next_sequence_;
-  snapshot.per_guardrail.assign(per_guardrail_.begin(), per_guardrail_.end());
-  std::sort(snapshot.per_guardrail.begin(), snapshot.per_guardrail.end());
-  snapshot.per_kind.assign(per_kind_.begin(), per_kind_.end());
-  std::sort(snapshot.per_kind.begin(), snapshot.per_kind.end());
-  return snapshot;
-}
-
-void Reporter::RestoreCounters(const ReporterSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  next_sequence_ = snapshot.next_sequence;
-  per_guardrail_.clear();
-  for (const auto& [name, count] : snapshot.per_guardrail) {
-    per_guardrail_[name] = count;
-  }
-  per_kind_.clear();
-  for (const auto& [kind, count] : snapshot.per_kind) {
-    per_kind_[kind] = count;
-  }
 }
 
 void Reporter::RestoreRecord(ReportRecord record) {

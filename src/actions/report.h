@@ -59,15 +59,19 @@ struct ReportRecord {
   std::vector<Value> payload;   // raw REPORT(...) arguments, if any
 
   std::string ToString() const;
-};
 
-// Counter state of a Reporter, in deterministic (sorted) order so two
-// reporters with identical history snapshot to identical bytes. Used by
-// osguard::persist via the engine's state image.
-struct ReporterSnapshot {
-  uint64_t next_sequence = 0;
-  std::vector<std::pair<std::string, uint64_t>> per_guardrail;  // sorted by name
-  std::vector<std::pair<int, uint64_t>> per_kind;               // sorted by kind
+  // The wire layout of one record in a report delta or ring
+  // (src/persist/wire.h).
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& r) {
+    io.U64(r.sequence);
+    io.I64(r.time);
+    io.Enum(r.kind, ReportKind::kMonitorError, "kind");
+    io.Enum(r.severity, Severity::kCritical, "severity");
+    io.Str(r.guardrail);
+    io.Str(r.message);
+    io.Seq(r.payload, "payload", [&](auto& value) { io.Val(value); });
+  }
 };
 
 class Reporter {
@@ -104,12 +108,26 @@ class Reporter {
 
   // --- Persistence (osguard::persist) ---
 
-  ReporterSnapshot SnapshotCounters() const;
-  void RestoreCounters(const ReporterSnapshot& snapshot);
+  // The counters the engine image carries, in image order
+  // (src/persist/wire.h). The tallies are written sorted by key, so two
+  // reporters with identical history encode identical bytes.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& r) {
+    std::lock_guard<std::mutex> lock(r.mu_);
+    io.U64(r.next_sequence_);
+    io.SortedMap(r.per_guardrail_, "guardrail tally", [&](auto& guardrail, auto& count) {
+      io.Str(guardrail);
+      io.U64(count);
+    });
+    io.SortedMap(r.per_kind_, "kind tally", [&](auto& kind, auto& count) {
+      io.U32(kind);
+      io.U64(count);
+    });
+  }
 
   // Re-inserts a persisted record verbatim, in the order it was persisted
   // (so the ring stays ordered by sequence): the stored sequence number is
-  // preserved, counters do not advance (RestoreCounters carries them), and
+  // preserved, counters do not advance (the image carries them), and
   // nothing is mirrored to the logger. Evicts at capacity, so replaying a
   // baseline run's records yields a bit-identical ring even when the replay
   // spans more records than the ring holds.

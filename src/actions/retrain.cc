@@ -1,7 +1,5 @@
 #include "src/actions/retrain.h"
 
-#include <algorithm>
-
 namespace osguard {
 
 bool RetrainQueue::Request(const std::string& model, const std::string& data_key, SimTime now) {
@@ -54,32 +52,6 @@ void RetrainQueue::Clear() {
   queued_count_.clear();
   last_accepted_.clear();
   stats_ = RetrainQueueStats{};
-}
-
-RetrainQueueState RetrainQueue::ExportState() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  RetrainQueueState state;
-  state.queue.assign(queue_.begin(), queue_.end());
-  state.last_accepted.assign(last_accepted_.begin(), last_accepted_.end());
-  std::sort(state.last_accepted.begin(), state.last_accepted.end());
-  state.queued_count.assign(queued_count_.begin(), queued_count_.end());
-  std::sort(state.queued_count.begin(), state.queued_count.end());
-  state.stats = stats_;
-  return state;
-}
-
-void RetrainQueue::RestoreState(const RetrainQueueState& state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_.assign(state.queue.begin(), state.queue.end());
-  last_accepted_.clear();
-  for (const auto& [model, at] : state.last_accepted) {
-    last_accepted_[model] = at;
-  }
-  queued_count_.clear();
-  for (const auto& [model, count] : state.queued_count) {
-    queued_count_[model] = count;
-  }
-  stats_ = state.stats;
 }
 
 }  // namespace osguard

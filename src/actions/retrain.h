@@ -20,7 +20,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/support/status.h"
 #include "src/support/time.h"
@@ -48,16 +47,6 @@ struct RetrainQueueStats {
   uint64_t drained = 0;
 };
 
-// Full queue state in deterministic (sorted) order, for osguard::persist.
-// The throttle map matters across a reboot: forgetting last_accepted would
-// let a crash bypass the §3.2 anti-abuse rate limit.
-struct RetrainQueueState {
-  std::vector<RetrainRequest> queue;  // FIFO order
-  std::vector<std::pair<std::string, SimTime>> last_accepted;  // sorted by model
-  std::vector<std::pair<std::string, int>> queued_count;       // sorted by model
-  RetrainQueueStats stats;
-};
-
 class RetrainQueue {
  public:
   explicit RetrainQueue(RetrainQueueOptions options = {}) : options_(options) {}
@@ -76,9 +65,33 @@ class RetrainQueue {
   RetrainQueueStats stats() const;
   void Clear();
 
-  // --- Persistence (osguard::persist) ---
-  RetrainQueueState ExportState() const;
-  void RestoreState(const RetrainQueueState& state);
+  // The queue state the engine image carries, in image order
+  // (src/persist/wire.h): requests in FIFO order, then the throttle and
+  // outstanding-count maps sorted by model. The throttle map matters across
+  // a reboot: forgetting last_accepted would let a crash bypass the §3.2
+  // anti-abuse rate limit.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& q) {
+    std::lock_guard<std::mutex> lock(q.mu_);
+    io.Seq(q.queue_, "retrain request", [&](auto& request) {
+      io.Str(request.model);
+      io.Str(request.data_key);
+      io.I64(request.requested_at);
+    });
+    io.SortedMap(q.last_accepted_, "retrain throttle", [&](auto& model, auto& at) {
+      io.Str(model);
+      io.I64(at);
+    });
+    io.SortedMap(q.queued_count_, "retrain outstanding", [&](auto& model, auto& count) {
+      io.Str(model);
+      io.I64(count);
+    });
+    io.U64(q.stats_.accepted);
+    io.U64(q.stats_.throttled);
+    io.U64(q.stats_.coalesced);
+    io.U64(q.stats_.overflowed);
+    io.U64(q.stats_.drained);
+  }
 
  private:
   RetrainQueueOptions options_;

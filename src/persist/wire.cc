@@ -197,4 +197,19 @@ Result<Value> ReadValue(ByteReader& r, int depth) {
                               std::to_string(r.offset() - 1));
 }
 
+uint32_t FieldReader::Count(const char* what) {
+  uint32_t n = 0;
+  U32(n);
+  if (ok() && n > r_.remaining()) {
+    Fail(std::string(what) + " count " + std::to_string(n) + " exceeds input");
+  }
+  return ok() ? n : 0;
+}
+
+void FieldReader::Fail(const std::string& message) {
+  if (ok()) {
+    status_ = InvalidArgumentError(std::string(context_) + ": " + message);
+  }
+}
+
 }  // namespace osguard

@@ -16,10 +16,14 @@
 #ifndef SRC_PERSIST_WIRE_H_
 #define SRC_PERSIST_WIRE_H_
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/store/value.h"
 #include "src/support/status.h"
@@ -114,6 +118,181 @@ class ByteReader {
 // lists, depth-limited to 32 on decode).
 void WriteValue(ByteWriter& w, const Value& value);
 Result<Value> ReadValue(ByteReader& r, int depth = 0);
+
+// --- Field lists ---
+//
+// Each piece of state the engine image carries, and the report record,
+// lists its persisted fields once, in wire order, in a static member
+// template of the component that owns the state:
+//
+//   template <class Io, class Self>
+//   static void PersistFields(Io& io, Self& self);
+//
+// Encoding instantiates it with a FieldWriter and `Self = const T`, decoding
+// with a FieldReader and `Self = T`, so the two directions cannot drift
+// apart. Both classes offer the same operations:
+//
+//   U32 U64 I64 F64           fixed-width little-endian numbers
+//   Bool                      one byte, 0 or 1 (decoded as != 0)
+//   Str                       u32 length + bytes
+//   Val                       a tagged Value
+//   Enum(e, max, what)        one byte; decoding refuses values above `max`
+//   Seq(c, what, each)        u32 count, then each(element) in container order
+//   SortedMap(m, what, each)  u32 count, then each(key, value) in key order
+//   Optional(p, each)         presence byte, then each(*p) when p is not null
+
+class FieldWriter {
+ public:
+  explicit FieldWriter(std::string* out) : w_(out) {}
+
+  void U32(uint32_t v) { w_.U32(v); }
+  void U64(uint64_t v) { w_.U64(v); }
+  void I64(int64_t v) { w_.I64(v); }
+  void F64(double v) { w_.F64(v); }
+  void Bool(bool v) { w_.U8(v ? 1 : 0); }
+  void Str(std::string_view s) { w_.Str(s); }
+  void Val(const Value& v) { WriteValue(w_, v); }
+  template <class E>
+  void Enum(E e, E /*max*/, const char* /*what*/) { w_.U8(static_cast<uint8_t>(e)); }
+  template <class C, class Each>
+  void Seq(const C& seq, const char* /*what*/, Each&& each) {
+    w_.U32(static_cast<uint32_t>(seq.size()));
+    for (const auto& element : seq) {
+      each(element);
+    }
+  }
+  // Sorts pointers to the entries, so no key is copied.
+  template <class Map, class Each>
+  void SortedMap(const Map& map, const char* /*what*/, Each&& each) {
+    std::vector<const typename Map::value_type*> entries;
+    entries.reserve(map.size());
+    for (const auto& entry : map) {
+      entries.push_back(&entry);
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    w_.U32(static_cast<uint32_t>(entries.size()));
+    for (const auto* entry : entries) {
+      each(entry->first, entry->second);
+    }
+  }
+  template <class T, class Each>
+  void Optional(const T* p, Each&& each) {
+    w_.U8(p != nullptr ? 1 : 0);
+    if (p != nullptr) {
+      each(*p);
+    }
+  }
+
+ private:
+  ByteWriter w_;
+};
+
+// Decodes into live state and keeps the first error: after it, every
+// operation is a no-op that leaves its target untouched. Errors the reader
+// raises itself open with `context` ("image: bad governor mode 7"); a short
+// read keeps ByteReader's message. Every count is checked against the
+// remaining input before anything is allocated for it: each element takes
+// at least one byte.
+class FieldReader {
+ public:
+  // `context` must outlive the reader (a string literal, in practice).
+  FieldReader(std::string_view data, std::string_view context) : r_(data), context_(context) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  size_t remaining() const { return r_.remaining(); }
+  bool done() const { return r_.done(); }
+  // Optional sections the input carried for a null target: read, then dropped.
+  uint64_t dropped() const { return dropped_; }
+
+  template <std::integral T>
+  void U32(T& v) { Take([this] { return r_.U32(); }, v); }
+  template <std::integral T>
+  void U64(T& v) { Take([this] { return r_.U64(); }, v); }
+  template <std::integral T>
+  void I64(T& v) { Take([this] { return r_.I64(); }, v); }
+  void F64(double& v) { Take([this] { return r_.F64(); }, v); }
+  void Bool(bool& v) {
+    uint8_t byte = v ? 1 : 0;
+    Take([this] { return r_.U8(); }, byte);
+    v = byte != 0;
+  }
+  void Str(std::string& s) { Take([this] { return r_.Str(); }, s); }
+  void Val(Value& v) { Take([this] { return ReadValue(r_); }, v); }
+  template <class E>
+  void Enum(E& e, E max, const char* what) {
+    uint8_t byte = 0;
+    Take([this] { return r_.U8(); }, byte);
+    if (ok() && byte > static_cast<uint8_t>(max)) {
+      Fail(std::string("bad ") + what + " " + std::to_string(byte));
+    }
+    if (ok()) {
+      e = static_cast<E>(byte);
+    }
+  }
+  template <class C, class Each>
+  void Seq(C& seq, const char* what, Each&& each) {
+    const uint32_t n = Count(what);
+    if (ok()) {
+      seq.clear();
+    }
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      each(seq.emplace_back());
+    }
+  }
+  template <class Map, class Each>
+  void SortedMap(Map& map, const char* what, Each&& each) {
+    const uint32_t n = Count(what);
+    if (ok()) {
+      map.clear();
+    }
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      typename Map::key_type key{};
+      typename Map::mapped_type value{};
+      each(key, value);
+      if (ok()) {
+        map.insert_or_assign(std::move(key), value);
+      }
+    }
+  }
+  template <class T, class Each>
+  void Optional(T* p, Each&& each) {
+    bool present = false;
+    Bool(present);
+    if (present && p != nullptr) {
+      each(*p);
+    } else if (present) {
+      T spare{};
+      each(spare);
+      ++dropped_;
+    }
+  }
+
+  // A u32 count, refused ("<what> count N exceeds input") when it is larger
+  // than the remaining input. 0 once an error is held.
+  uint32_t Count(const char* what);
+
+ private:
+  template <class Read, class T>
+  void Take(Read read, T& v) {
+    if (!ok()) {
+      return;
+    }
+    auto got = read();
+    if (got.ok()) {
+      v = static_cast<T>(std::move(got).value());
+    } else {
+      status_ = got.status();
+    }
+  }
+  void Fail(const std::string& message);
+
+  ByteReader r_;
+  std::string_view context_;
+  Status status_;
+  uint64_t dropped_ = 0;
+};
 
 }  // namespace osguard
 

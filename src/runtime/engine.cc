@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "src/dsl/parser.h"
+#include "src/persist/wire.h"
 #include "src/vm/verifier.h"
 
 #include "src/support/logging.h"
@@ -865,273 +866,6 @@ namespace {
 // function of the simulation alone.
 constexpr uint32_t kImageVersion = 5;
 
-void WriteReportRecord(ByteWriter& w, const ReportRecord& record) {
-  w.U64(record.sequence);
-  w.I64(record.time);
-  w.U8(static_cast<uint8_t>(record.kind));
-  w.U8(static_cast<uint8_t>(record.severity));
-  w.Str(record.guardrail);
-  w.Str(record.message);
-  w.U32(static_cast<uint32_t>(record.payload.size()));
-  for (const Value& v : record.payload) {
-    WriteValue(w, v);
-  }
-}
-
-Result<ReportRecord> ReadReportRecord(ByteReader& r) {
-  ReportRecord record;
-  OSGUARD_ASSIGN_OR_RETURN(record.sequence, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(record.time, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-  if (kind > static_cast<uint8_t>(ReportKind::kMonitorError)) {
-    return InvalidArgumentError("report record: bad kind " + std::to_string(kind));
-  }
-  record.kind = static_cast<ReportKind>(kind);
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t severity, r.U8());
-  if (severity > static_cast<uint8_t>(Severity::kCritical)) {
-    return InvalidArgumentError("report record: bad severity " + std::to_string(severity));
-  }
-  record.severity = static_cast<Severity>(severity);
-  OSGUARD_ASSIGN_OR_RETURN(std::string_view guardrail, r.Str());
-  record.guardrail = std::string(guardrail);
-  OSGUARD_ASSIGN_OR_RETURN(std::string_view message, r.Str());
-  record.message = std::string(message);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t payload_count, r.U32());
-  if (payload_count > r.remaining()) {
-    return InvalidArgumentError("report record: payload count " +
-                                std::to_string(payload_count) + " exceeds input");
-  }
-  record.payload.reserve(payload_count);
-  for (uint32_t i = 0; i < payload_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(Value v, ReadValue(r));
-    record.payload.push_back(std::move(v));
-  }
-  return record;
-}
-
-// Per-monitor image payload, decoded whether or not the monitor still
-// exists (the bytes must be consumed either way).
-struct MonitorImage {
-  std::string name;
-  bool enabled = true;
-  MonitorStats stats;
-  bool has_guard = false;
-  GuardHealth guard;  // config / export keys unused; protocol fields only
-  uint64_t gov_attempts = 0;
-  uint64_t gov_static_epoch = 0;
-};
-
-void WriteGovernorImage(ByteWriter& w, const GovernorImage& g) {
-  w.U8(g.mode);
-  w.U8(g.primed ? 1 : 0);
-  w.F64(g.cost_ewma);
-  w.F64(g.gap_ewma);
-  w.F64(g.depth_ewma);
-  w.I64(g.last_now);
-  w.U64(g.last_evals);
-  w.F64(g.bytes_ewma);
-  w.I64(g.streak_up);
-  w.I64(g.streak_down);
-  w.U64(g.fail_static_epoch);
-  w.U64(g.stats.callouts);
-  w.U64(g.stats.transitions);
-  w.U64(g.stats.escalations);
-  w.U64(g.stats.deescalations);
-  w.U64(g.stats.sheds_besteffort);
-  w.U64(g.stats.sheds_standard);
-  w.U64(g.stats.sampled_evals);
-  w.U64(g.stats.static_applies);
-  w.U64(g.stats.static_suppressed);
-  w.U64(g.stats.critical_sheds);
-  w.U8(g.keys_published ? 1 : 0);
-  w.I64(g.pub_mode);
-  w.U64(g.pub_transitions);
-  w.U64(g.pub_sheds);
-  w.U64(g.pub_static);
-}
-
-Status ReadGovernorImage(ByteReader& r, GovernorImage* g) {
-  OSGUARD_ASSIGN_OR_RETURN(g->mode, r.U8());
-  if (g->mode > static_cast<uint8_t>(GovernorMode::kFailStatic)) {
-    return InvalidArgumentError("image: bad governor mode " + std::to_string(g->mode));
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t primed, r.U8());
-  g->primed = primed != 0;
-  OSGUARD_ASSIGN_OR_RETURN(g->cost_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(g->gap_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(g->depth_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(g->last_now, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->last_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->bytes_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(g->streak_up, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->streak_down, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->fail_static_epoch, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.callouts, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.transitions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.escalations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.deescalations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.sheds_besteffort, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.sheds_standard, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.sampled_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.static_applies, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.static_suppressed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->stats.critical_sheds, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t keys_published, r.U8());
-  g->keys_published = keys_published != 0;
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_mode, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_transitions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_sheds, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->pub_static, r.U64());
-  return OkStatus();
-}
-
-void WriteRetentionImage(ByteWriter& w, const RetentionImage& ret) {
-  w.U64(ret.cursor);
-  w.U64(ret.stats.reclaimed_idle);
-  w.U64(ret.stats.reclaimed_quota);
-  w.U64(ret.stats.quota_breaches);
-  w.U64(ret.stats.chaos_storms);
-  w.U64(ret.stats.chaos_breaches);
-  w.U64(ret.stats.stale_tracks_fixed);
-  w.U8(ret.keys_published ? 1 : 0);
-  w.U64(ret.pub_reclaimed);
-  w.U64(ret.pub_evictions);
-  w.U64(ret.pub_breaches);
-  w.U64(ret.pub_bytes_total);
-  w.U64(ret.pub_live_keys);
-  w.U32(static_cast<uint32_t>(ret.pub_ns_keys.size()));
-  for (size_t i = 0; i < ret.pub_ns_keys.size(); ++i) {
-    w.U64(ret.pub_ns_keys[i]);
-    w.U64(ret.pub_ns_bytes[i]);
-  }
-}
-
-Status ReadRetentionImage(ByteReader& r, RetentionImage* ret) {
-  OSGUARD_ASSIGN_OR_RETURN(ret->cursor, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.reclaimed_idle, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.reclaimed_quota, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.quota_breaches, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.chaos_storms, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.chaos_breaches, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->stats.stale_tracks_fixed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t published, r.U8());
-  ret->keys_published = published != 0;
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_reclaimed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_evictions, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_breaches, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_bytes_total, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(ret->pub_live_keys, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t ns_count, r.U32());
-  ret->pub_ns_keys.resize(ns_count);
-  ret->pub_ns_bytes.resize(ns_count);
-  for (uint32_t i = 0; i < ns_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(ret->pub_ns_keys[i], r.U64());
-    OSGUARD_ASSIGN_OR_RETURN(ret->pub_ns_bytes[i], r.U64());
-  }
-  return OkStatus();
-}
-
-void WriteGuardHealth(ByteWriter& w, const GuardHealth& g) {
-  w.U8(static_cast<uint8_t>(g.state));
-  w.F64(g.fail_ewma);
-  w.F64(g.cost_ewma_steps);
-  w.I64(g.failure_streak);
-  w.U64(g.open_triggers);
-  w.I64(g.probe_successes);
-  w.U32(static_cast<uint32_t>(g.flips.size()));
-  for (const SimTime flip : g.flips) {
-    w.I64(flip);
-  }
-  w.U8(g.in_probation ? 1 : 0);
-  w.I64(g.probation_until);
-  w.F64(g.baseline_fail_ewma);
-  w.U8(g.rollback_pending ? 1 : 0);
-  w.U8(g.quarantine_action_pending ? 1 : 0);
-  w.U64(g.evals);
-  w.U64(g.budget_aborts);
-  w.U64(g.eval_errors);
-  w.U64(g.action_failures);
-  w.U64(g.flap_events);
-  w.U64(g.skipped);
-  w.U64(g.probes);
-  w.U64(g.probe_failures);
-  w.U64(g.quarantines);
-  w.U64(g.reinstatements);
-}
-
-Status ReadGuardHealth(ByteReader& r, GuardHealth* g) {
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-  if (state > static_cast<uint8_t>(BreakerState::kHalfOpen)) {
-    return InvalidArgumentError("image: bad breaker state " + std::to_string(state));
-  }
-  g->state = static_cast<BreakerState>(state);
-  OSGUARD_ASSIGN_OR_RETURN(g->fail_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(g->cost_ewma_steps, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(int64_t streak, r.I64());
-  g->failure_streak = static_cast<int>(streak);
-  OSGUARD_ASSIGN_OR_RETURN(g->open_triggers, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(int64_t probe_successes, r.I64());
-  g->probe_successes = static_cast<int>(probe_successes);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t flip_count, r.U32());
-  if (flip_count > r.remaining()) {
-    return InvalidArgumentError("image: flip count " + std::to_string(flip_count) +
-                                " exceeds input");
-  }
-  g->flips.clear();
-  for (uint32_t i = 0; i < flip_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(SimTime flip, r.I64());
-    g->flips.push_back(flip);
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t in_probation, r.U8());
-  g->in_probation = in_probation != 0;
-  OSGUARD_ASSIGN_OR_RETURN(g->probation_until, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(g->baseline_fail_ewma, r.F64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t rollback_pending, r.U8());
-  g->rollback_pending = rollback_pending != 0;
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t quarantine_pending, r.U8());
-  g->quarantine_action_pending = quarantine_pending != 0;
-  OSGUARD_ASSIGN_OR_RETURN(g->evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->budget_aborts, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->eval_errors, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->action_failures, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->flap_events, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->skipped, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->probes, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->probe_failures, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->quarantines, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(g->reinstatements, r.U64());
-  return OkStatus();
-}
-
-Status ReadMonitorImage(ByteReader& r, MonitorImage* m) {
-  OSGUARD_ASSIGN_OR_RETURN(std::string_view name, r.Str());
-  m->name = std::string(name);
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t enabled, r.U8());
-  m->enabled = enabled != 0;
-  MonitorStats& s = m->stats;
-  OSGUARD_ASSIGN_OR_RETURN(s.evaluations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.violations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.action_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.satisfy_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.errors, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.suppressed_hysteresis, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(s.suppressed_cooldown, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t in_violation, r.U8());
-  s.in_violation = in_violation != 0;
-  OSGUARD_ASSIGN_OR_RETURN(int64_t consecutive, r.I64());
-  s.consecutive_violations = static_cast<int>(consecutive);
-  OSGUARD_ASSIGN_OR_RETURN(s.last_action_time, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(s.uptime_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint8_t has_guard, r.U8());
-  m->has_guard = has_guard != 0;
-  if (m->has_guard) {
-    OSGUARD_RETURN_IF_ERROR(ReadGuardHealth(r, &m->guard));
-  }
-  OSGUARD_ASSIGN_OR_RETURN(m->gov_attempts, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(m->gov_static_epoch, r.U64());
-  return OkStatus();
-}
-
 }  // namespace
 
 void Engine::SetPersist(PersistManager* persist) {
@@ -1213,101 +947,18 @@ std::string Engine::EncodeImage() const {
 }
 
 void Engine::EncodeImageTo(std::string* out) const {
-  ByteWriter w(out);
+  FieldWriter w(out);
   w.U32(kImageVersion);
-  w.I64(now_);
-  w.U64(next_tiebreak_);
-  w.U64(stats_.timer_firings);
-  w.U64(stats_.function_firings);
-  w.U64(stats_.change_firings);
-  w.U64(stats_.change_cascade_suppressed);
-  w.U64(stats_.evaluations);
-  w.U64(stats_.violations);
-  w.U64(stats_.action_firings);
-  w.U64(stats_.errors);
-  w.U64(stats_.callouts_dropped);
-  w.U64(stats_.callouts_delayed);
-  const ActionStats actions = dispatcher_.stats();
-  w.U64(actions.reports);
-  w.U64(actions.replaces);
-  w.U64(actions.replace_noops);
-  w.U64(actions.retrains_requested);
-  w.U64(actions.retrains_suppressed);
-  w.U64(actions.deprioritizes);
-  w.U64(actions.failures);
-  w.U64(actions.retries);
-  w.U64(actions.fallbacks);
-  w.U64(actions.injected_failures);
-  w.U64(actions.dispatches);
-  const ReporterSnapshot reports = reporter_.SnapshotCounters();
-  w.U64(reports.next_sequence);
-  w.U32(static_cast<uint32_t>(reports.per_guardrail.size()));
-  for (const auto& [guardrail, count] : reports.per_guardrail) {
-    w.Str(guardrail);
-    w.U64(count);
-  }
-  w.U32(static_cast<uint32_t>(reports.per_kind.size()));
-  for (const auto& [kind, count] : reports.per_kind) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.U64(count);
-  }
-  const RetrainQueueState retrain = retrain_queue_.ExportState();
-  w.U32(static_cast<uint32_t>(retrain.queue.size()));
-  for (const RetrainRequest& request : retrain.queue) {
-    w.Str(request.model);
-    w.Str(request.data_key);
-    w.I64(request.requested_at);
-  }
-  w.U32(static_cast<uint32_t>(retrain.last_accepted.size()));
-  for (const auto& [model, at] : retrain.last_accepted) {
-    w.Str(model);
-    w.I64(at);
-  }
-  w.U32(static_cast<uint32_t>(retrain.queued_count.size()));
-  for (const auto& [model, count] : retrain.queued_count) {
-    w.Str(model);
-    w.I64(count);
-  }
-  w.U64(retrain.stats.accepted);
-  w.U64(retrain.stats.throttled);
-  w.U64(retrain.stats.coalesced);
-  w.U64(retrain.stats.overflowed);
-  w.U64(retrain.stats.drained);
-  const SupervisorStats& sup = supervisor_.stats();
-  w.U64(sup.supervised);
-  w.U64(sup.budget_aborts);
-  w.U64(sup.eval_errors);
-  w.U64(sup.flap_events);
-  w.U64(sup.quarantines);
-  w.U64(sup.skipped_evals);
-  w.U64(sup.probes);
-  w.U64(sup.probe_failures);
-  w.U64(sup.reinstatements);
-  w.U64(sup.rollbacks);
-  w.U64(sup.commits);
-  WriteGovernorImage(w, governor_.ExportState());
-  w.U32(static_cast<uint32_t>(monitors_.size()));
+  PersistFields(w, *this);
+  ActionDispatcher::PersistFields(w, dispatcher_);
+  Reporter::PersistFields(w, reporter_);
+  RetrainQueue::PersistFields(w, retrain_queue_);
+  GuardrailSupervisor::PersistFields(w, supervisor_);
+  OverloadGovernor::PersistFields(w, governor_);
+  w.U32(monitors_.size());
   for (const auto& [name, monitor] : monitors_) {  // std::map: sorted order
     w.Str(name);
-    w.U8(monitor->enabled ? 1 : 0);
-    const MonitorStats& s = monitor->stats;
-    w.U64(s.evaluations);
-    w.U64(s.violations);
-    w.U64(s.action_firings);
-    w.U64(s.satisfy_firings);
-    w.U64(s.errors);
-    w.U64(s.suppressed_hysteresis);
-    w.U64(s.suppressed_cooldown);
-    w.U8(s.in_violation ? 1 : 0);
-    w.I64(s.consecutive_violations);
-    w.I64(s.last_action_time);
-    w.U64(s.uptime_evals);
-    w.U8(monitor->guard != nullptr ? 1 : 0);
-    if (monitor->guard != nullptr) {
-      WriteGuardHealth(w, *monitor->guard);
-    }
-    w.U64(monitor->gov_attempts);
-    w.U64(monitor->gov_static_epoch);
+    Monitor::PersistFields(w, *monitor);
   }
   // Live timer entries in the order the heap drains them: (due, tiebreak)
   // is unique, so sorting by it gives that order without copying the heap.
@@ -1321,172 +972,66 @@ void Engine::EncodeImageTo(std::string* out) const {
   }
   std::sort(live.begin(), live.end(),
             [](const TimerEntry* a, const TimerEntry* b) { return *b > *a; });
-  w.U32(static_cast<uint32_t>(live.size()));
+  w.U32(live.size());
   for (const TimerEntry* entry : live) {
-    w.I64(entry->due);
-    w.U64(entry->tiebreak);
-    w.Str(entry->monitor_name);
-    w.U64(entry->trigger_index);
+    TimerEntry::PersistFields(w, *entry);
   }
-  WriteRetentionImage(w, retention_.ExportState());
+  RetentionManager::PersistFields(w, retention_);
 }
 
 Status Engine::ApplyImage(std::string_view image) {
-  ByteReader r(image);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t version, r.U32());
+  FieldReader r(image, "image");
+  uint32_t version = 0;
+  r.U32(version);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (version != kImageVersion) {
     return InvalidArgumentError("image version " + std::to_string(version) +
                                 " is not supported (expected " +
                                 std::to_string(kImageVersion) + ")");
   }
-  OSGUARD_ASSIGN_OR_RETURN(now_, r.I64());
-  OSGUARD_ASSIGN_OR_RETURN(uint64_t next_tiebreak, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.timer_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.function_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.change_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.change_cascade_suppressed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.evaluations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.violations, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.action_firings, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.errors, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_dropped, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(stats_.callouts_delayed, r.U64());
-  ActionStats actions;
-  OSGUARD_ASSIGN_OR_RETURN(actions.reports, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.replaces, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.replace_noops, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.retrains_requested, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.retrains_suppressed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.deprioritizes, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.failures, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.retries, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.fallbacks, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.injected_failures, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(actions.dispatches, r.U64());
-  dispatcher_.RestoreStats(actions);
-  ReporterSnapshot reports;
-  OSGUARD_ASSIGN_OR_RETURN(reports.next_sequence, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t guardrail_count, r.U32());
-  for (uint32_t i = 0; i < guardrail_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view guardrail, r.Str());
-    OSGUARD_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-    reports.per_guardrail.emplace_back(std::string(guardrail), count);
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t kind_count, r.U32());
-  for (uint32_t i = 0; i < kind_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(uint32_t kind, r.U32());
-    OSGUARD_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-    reports.per_kind.emplace_back(static_cast<int>(kind), count);
-  }
-  reporter_.RestoreCounters(reports);
-  RetrainQueueState retrain;
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t queue_count, r.U32());
-  for (uint32_t i = 0; i < queue_count; ++i) {
-    RetrainRequest request;
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view model, r.Str());
-    request.model = std::string(model);
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view data_key, r.Str());
-    request.data_key = std::string(data_key);
-    OSGUARD_ASSIGN_OR_RETURN(request.requested_at, r.I64());
-    retrain.queue.push_back(std::move(request));
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t accepted_count, r.U32());
-  for (uint32_t i = 0; i < accepted_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view model, r.Str());
-    OSGUARD_ASSIGN_OR_RETURN(SimTime at, r.I64());
-    retrain.last_accepted.emplace_back(std::string(model), at);
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t queued_count, r.U32());
-  for (uint32_t i = 0; i < queued_count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view model, r.Str());
-    OSGUARD_ASSIGN_OR_RETURN(int64_t count, r.I64());
-    retrain.queued_count.emplace_back(std::string(model), static_cast<int>(count));
-  }
-  OSGUARD_ASSIGN_OR_RETURN(retrain.stats.accepted, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(retrain.stats.throttled, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(retrain.stats.coalesced, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(retrain.stats.overflowed, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(retrain.stats.drained, r.U64());
-  retrain_queue_.RestoreState(retrain);
-  SupervisorStats sup;
-  OSGUARD_ASSIGN_OR_RETURN(sup.supervised, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.budget_aborts, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.eval_errors, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.flap_events, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.quarantines, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.skipped_evals, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.probes, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.probe_failures, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.reinstatements, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.rollbacks, r.U64());
-  OSGUARD_ASSIGN_OR_RETURN(sup.commits, r.U64());
-  supervisor_.RestoreStats(sup);
-  GovernorImage gov;
-  OSGUARD_RETURN_IF_ERROR(ReadGovernorImage(r, &gov));
-  governor_.RestoreState(gov);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t monitor_count, r.U32());
-  for (uint32_t i = 0; i < monitor_count; ++i) {
-    MonitorImage m;
-    OSGUARD_RETURN_IF_ERROR(ReadMonitorImage(r, &m));
-    auto it = monitors_.find(m.name);
-    if (it == monitors_.end()) {
-      OSGUARD_LOG(kWarning) << "persist: image carries monitor '" << m.name
+  PersistFields(r, *this);
+  ActionDispatcher::PersistFields(r, dispatcher_);
+  Reporter::PersistFields(r, reporter_);
+  RetrainQueue::PersistFields(r, retrain_queue_);
+  GuardrailSupervisor::PersistFields(r, supervisor_);
+  OverloadGovernor::PersistFields(r, governor_);
+  const uint32_t monitor_count = r.Count("monitor");
+  for (uint32_t i = 0; i < monitor_count && r.ok(); ++i) {
+    std::string name;
+    r.Str(name);
+    auto it = monitors_.find(name);
+    Monitor spare;  // an unknown monitor's record is read into it and dropped
+    Monitor& monitor = it != monitors_.end() ? *it->second : spare;
+    const uint64_t dropped = r.dropped();
+    Monitor::PersistFields(r, monitor);
+    if (!r.ok()) {
+      break;
+    }
+    if (&monitor == &spare) {
+      OSGUARD_LOG(kWarning) << "persist: image carries monitor '" << name
                             << "' which is not loaded; skipping its state";
-      continue;
+    } else if (r.dropped() != dropped) {
+      OSGUARD_LOG(kWarning) << "persist: image carries supervisor state for '" << name
+                            << "' but the reloaded spec does not supervise it; skipping";
     }
-    Monitor& monitor = *it->second;
-    monitor.enabled = m.enabled;
-    monitor.stats = m.stats;
-    monitor.uptime_published = m.stats.uptime_evals;
-    // Governor per-monitor state: the sampling stride position and the
-    // fail-static episode already pinned must survive a warm restart, or the
-    // resumed run would re-apply the static default / shift the stride.
-    monitor.gov_attempts = m.gov_attempts;
-    monitor.gov_static_epoch = m.gov_static_epoch;
-    if (m.has_guard) {
-      if (monitor.guard == nullptr) {
-        OSGUARD_LOG(kWarning)
-            << "persist: image carries supervisor state for '" << m.name
-            << "' but the reloaded spec does not supervise it; skipping";
-      } else {
-        GuardHealth& g = *monitor.guard;
-        g.state = m.guard.state;
-        g.fail_ewma = m.guard.fail_ewma;
-        g.cost_ewma_steps = m.guard.cost_ewma_steps;
-        g.failure_streak = m.guard.failure_streak;
-        g.open_triggers = m.guard.open_triggers;
-        g.probe_successes = m.guard.probe_successes;
-        g.flips = m.guard.flips;
-        g.in_probation = m.guard.in_probation;
-        g.probation_until = m.guard.probation_until;
-        g.baseline_fail_ewma = m.guard.baseline_fail_ewma;
-        g.rollback_pending = m.guard.rollback_pending;
-        g.quarantine_action_pending = m.guard.quarantine_action_pending;
-        g.evals = m.guard.evals;
-        g.budget_aborts = m.guard.budget_aborts;
-        g.eval_errors = m.guard.eval_errors;
-        g.action_failures = m.guard.action_failures;
-        g.flap_events = m.guard.flap_events;
-        g.skipped = m.guard.skipped;
-        g.probes = m.guard.probes;
-        g.probe_failures = m.guard.probe_failures;
-        g.quarantines = m.guard.quarantines;
-        g.reinstatements = m.guard.reinstatements;
-      }
-    }
+    monitor.uptime_published = monitor.stats.uptime_evals;
+    monitor.stats.rule_wall_ns = 0;  // host-clock costs are process-local
+    monitor.stats.action_wall_ns = 0;
   }
+  stats_.total_wall_ns = 0;
   // The timer queue is replaced wholesale: load-time arming described a cold
   // start, the image describes the committed schedule. Entries are remapped
   // to the current monitor generations.
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t timer_count, r.U32());
-  decltype(timers_) timers;
-  for (uint32_t i = 0; i < timer_count; ++i) {
-    TimerEntry entry;
-    OSGUARD_ASSIGN_OR_RETURN(entry.due, r.I64());
-    OSGUARD_ASSIGN_OR_RETURN(entry.tiebreak, r.U64());
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view monitor_name, r.Str());
-    entry.monitor_name = std::string(monitor_name);
-    OSGUARD_ASSIGN_OR_RETURN(entry.trigger_index, r.U64());
+  const uint32_t timer_count = r.Count("timer");
+  TimerHeap timers;
+  for (uint32_t i = 0; i < timer_count && r.ok(); ++i) {
+    TimerEntry entry{};
+    TimerEntry::PersistFields(r, entry);
+    if (!r.ok()) {
+      break;
+    }
     auto it = monitors_.find(entry.monitor_name);
     if (it == monitors_.end() ||
         entry.trigger_index >= it->second->guardrail.triggers.size()) {
@@ -1497,15 +1042,16 @@ Status Engine::ApplyImage(std::string_view image) {
     entry.generation = it->second->generation;
     timers.push(std::move(entry));
   }
-  RetentionImage ret;
-  OSGUARD_RETURN_IF_ERROR(ReadRetentionImage(r, &ret));
-  retention_.RestoreState(ret);
+  RetentionManager::PersistFields(r, retention_);
+  retention_.FitTrackersToNamespaces();
+  if (!r.ok()) {
+    return r.status();
+  }
   if (!r.done()) {
     return InvalidArgumentError("image: " + std::to_string(r.remaining()) +
                                 " trailing bytes");
   }
   timers_ = std::move(timers);
-  next_tiebreak_ = next_tiebreak;
   // The store holds the committed uptime exports already (via slot dump +
   // op replay); the restored counters match them, so nothing is stale.
   uptime_dirty_ = false;
@@ -1514,14 +1060,14 @@ Status Engine::ApplyImage(std::string_view image) {
 
 void Engine::EncodeReportsSince(uint64_t from, std::string* out) const {
   const size_t count_at = out->size();
-  ByteWriter w(out);
+  FieldWriter w(out);
   w.U32(0);  // record count
   uint32_t count = 0;
   reporter_.ForEachRecordSince(from, [&](const ReportRecord& record) {
-    WriteReportRecord(w, record);
+    ReportRecord::PersistFields(w, record);
     ++count;
   });
-  w.PatchU32(count_at, count);
+  ByteWriter(out).PatchU32(count_at, count);
 }
 
 std::string Engine::EncodeReportRing() const {
@@ -1531,11 +1077,17 @@ std::string Engine::EncodeReportRing() const {
 }
 
 Status Engine::ApplyReportBlob(std::string_view blob) {
-  ByteReader r(blob);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t count, r.U32());
-  for (uint32_t i = 0; i < count; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(ReportRecord record, ReadReportRecord(r));
-    reporter_.RestoreRecord(std::move(record));
+  FieldReader r(blob, "report record");
+  const uint32_t count = r.Count("record");
+  for (uint32_t i = 0; i < count && r.ok(); ++i) {
+    ReportRecord record;
+    ReportRecord::PersistFields(r, record);
+    if (r.ok()) {
+      reporter_.RestoreRecord(std::move(record));
+    }
+  }
+  if (!r.ok()) {
+    return r.status();
   }
   if (!r.done()) {
     return InvalidArgumentError("report blob: " + std::to_string(r.remaining()) +

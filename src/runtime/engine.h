@@ -84,6 +84,23 @@ struct MonitorStats {
   // Exported as the `monitor.<name>.uptime_evals` store key at callout
   // boundaries.
   uint64_t uptime_evals = 0;
+
+  // The fields a warm restart restores, in image order (src/persist/wire.h):
+  // every field but the two host-clock costs.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& s) {
+    io.U64(s.evaluations);
+    io.U64(s.violations);
+    io.U64(s.action_firings);
+    io.U64(s.satisfy_firings);
+    io.U64(s.errors);
+    io.U64(s.suppressed_hysteresis);
+    io.U64(s.suppressed_cooldown);
+    io.Bool(s.in_violation);
+    io.I64(s.consecutive_violations);
+    io.I64(s.last_action_time);
+    io.U64(s.uptime_evals);
+  }
 };
 
 struct EngineStats {
@@ -100,6 +117,21 @@ struct EngineStats {
   // Rule + action host-clock cost across monitors. Process-local like the
   // per-monitor costs: never journaled, zero after a warm restart.
   int64_t total_wall_ns = 0;
+
+  // Every field but total_wall_ns, in image order (src/persist/wire.h).
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& s) {
+    io.U64(s.timer_firings);
+    io.U64(s.function_firings);
+    io.U64(s.change_firings);
+    io.U64(s.change_cascade_suppressed);
+    io.U64(s.evaluations);
+    io.U64(s.violations);
+    io.U64(s.action_firings);
+    io.U64(s.errors);
+    io.U64(s.callouts_dropped);
+    io.U64(s.callouts_delayed);
+  }
 };
 
 struct EngineOptions {
@@ -261,6 +293,19 @@ class Engine {
     // (0 = none; compared against OverloadGovernor::fail_static_epoch()).
     uint64_t gov_attempts = 0;
     uint64_t gov_static_epoch = 0;
+
+    // A monitor's image record after its name (src/persist/wire.h). The
+    // governor's stride position and pinned fail-static episode must survive
+    // a warm restart, or the resumed run would re-apply the static default
+    // or shift the stride.
+    template <class Io, class Self>
+    static void PersistFields(Io& io, Self& m) {
+      io.Bool(m.enabled);
+      MonitorStats::PersistFields(io, m.stats);
+      io.Optional(m.guard, [&](auto& guard) { GuardHealth::PersistFields(io, guard); });
+      io.U64(m.gov_attempts);
+      io.U64(m.gov_static_epoch);
+    }
   };
 
   // Timer entries reference monitors by (name, generation) rather than by
@@ -275,6 +320,16 @@ class Engine {
     uint64_t generation;
     bool operator>(const TimerEntry& other) const {
       return due != other.due ? due > other.due : tiebreak > other.tiebreak;
+    }
+
+    // An entry's image record (src/persist/wire.h); the generation is not
+    // persisted but remapped to the reloaded monitor's on restore.
+    template <class Io, class Self>
+    static void PersistFields(Io& io, Self& e) {
+      io.I64(e.due);
+      io.U64(e.tiebreak);
+      io.Str(e.monitor_name);
+      io.U64(e.trigger_index);
     }
   };
 
@@ -344,16 +399,27 @@ class Engine {
   // logged and swallowed — persistence failures degrade durability (the
   // recovery point moves back), never the running engine.
   void CommitPersist();
-  // Appends EncodeImage()'s bytes to `out`.
+  // The engine's own image fields, after the version (src/persist/wire.h):
+  // the clock, the timer tiebreak counter and EngineStats.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& e) {
+    io.I64(e.now_);
+    io.U64(e.next_tiebreak_);
+    EngineStats::PersistFields(io, e.stats_);
+  }
+  // Appends EncodeImage()'s bytes to `out`: the version, then each
+  // section's PersistFields in order.
   void EncodeImageTo(std::string* out) const;
   // Appends the retained report records with sequence >= `from`,
   // wire-encoded: a frame's delta, or with from = 0 the whole ring.
   void EncodeReportsSince(uint64_t from, std::string* out) const;
   // Decodes a report blob and re-inserts each record via RestoreRecord.
   Status ApplyReportBlob(std::string_view blob);
-  // Applies a decoded state image. Unknown monitor names are skipped with a
-  // log line; the timer queue is replaced wholesale (entries remapped to
-  // the current monitor generations).
+  // Decodes an image into the live engine, section by section. Unknown
+  // monitor names are skipped with a log line (their bytes consumed), as is
+  // guard state for a monitor the reloaded spec does not supervise; the
+  // timer queue is replaced wholesale, entries remapped to the current
+  // monitor generations, and only after the whole image parsed.
   Status ApplyImage(std::string_view image);
 
   FeatureStore* store_;

@@ -171,47 +171,4 @@ void OverloadGovernor::Publish() {
   }
 }
 
-GovernorImage OverloadGovernor::ExportState() const {
-  GovernorImage image;
-  image.mode = static_cast<uint8_t>(mode_);
-  image.primed = primed_;
-  image.cost_ewma = cost_ewma_;
-  image.gap_ewma = gap_ewma_;
-  image.depth_ewma = depth_ewma_;
-  image.last_now = last_now_;
-  image.last_evals = last_evals_;
-  image.bytes_ewma = bytes_ewma_;
-  image.streak_up = streak_up_;
-  image.streak_down = streak_down_;
-  image.fail_static_epoch = fail_static_epoch_;
-  image.stats = stats_;
-  image.keys_published = keys_published_;
-  image.pub_mode = pub_mode_;
-  image.pub_transitions = pub_transitions_;
-  image.pub_sheds = pub_sheds_;
-  image.pub_static = pub_static_;
-  return image;
-}
-
-void OverloadGovernor::RestoreState(const GovernorImage& image) {
-  mode_ = static_cast<GovernorMode>(
-      std::min<uint8_t>(image.mode, static_cast<uint8_t>(GovernorMode::kFailStatic)));
-  primed_ = image.primed;
-  cost_ewma_ = image.cost_ewma;
-  gap_ewma_ = image.gap_ewma;
-  depth_ewma_ = image.depth_ewma;
-  last_now_ = image.last_now;
-  last_evals_ = image.last_evals;
-  bytes_ewma_ = image.bytes_ewma;
-  streak_up_ = image.streak_up;
-  streak_down_ = image.streak_down;
-  fail_static_epoch_ = image.fail_static_epoch;
-  stats_ = image.stats;
-  keys_published_ = image.keys_published;
-  pub_mode_ = image.pub_mode;
-  pub_transitions_ = image.pub_transitions;
-  pub_sheds_ = image.pub_sheds;
-  pub_static_ = image.pub_static;
-}
-
 }  // namespace osguard

@@ -107,31 +107,6 @@ struct GovernorStats {
   uint64_t critical_sheds = 0;   // invariant: stays 0
 };
 
-// Full governor state for the persisted engine image (a panic landing
-// mid-degradation must warm-restart into the same ladder state — pinned by
-// tests/persist_test.cc). Plain data, serialized by Engine::EncodeImage.
-struct GovernorImage {
-  uint8_t mode = 0;
-  bool primed = false;
-  double cost_ewma = 0.0;
-  double gap_ewma = 0.0;
-  double depth_ewma = 0.0;
-  SimTime last_now = 0;
-  uint64_t last_evals = 0;
-  double bytes_ewma = 0.0;
-  int64_t streak_up = 0;
-  int64_t streak_down = 0;
-  uint64_t fail_static_epoch = 0;
-  GovernorStats stats;
-  // Value-diffed publish trackers: they must survive a warm restart or the
-  // first post-restart publish would diverge from an uninterrupted run.
-  bool keys_published = false;
-  int64_t pub_mode = 0;
-  uint64_t pub_transitions = 0;
-  uint64_t pub_sheds = 0;
-  uint64_t pub_static = 0;
-};
-
 class OverloadGovernor {
  public:
   // Interns the engine.governor.* export keys when enabled. `store` may be
@@ -174,8 +149,40 @@ class OverloadGovernor {
   // Value-diffed engine.governor.* store export; callout boundaries only.
   void Publish();
 
-  GovernorImage ExportState() const;
-  void RestoreState(const GovernorImage& image);
+  // The persisted ladder state, in image order (src/persist/wire.h). A panic
+  // landing mid-degradation must warm-restart into the same ladder state
+  // (pinned by tests/persist_test.cc); the value-diffed publish trackers
+  // must survive too, or the first publish after a restart would diverge
+  // from an uninterrupted run. `pressure_` is recomputed at the next callout.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& g) {
+    io.Enum(g.mode_, GovernorMode::kFailStatic, "governor mode");
+    io.Bool(g.primed_);
+    io.F64(g.cost_ewma_);
+    io.F64(g.gap_ewma_);
+    io.F64(g.depth_ewma_);
+    io.I64(g.last_now_);
+    io.U64(g.last_evals_);
+    io.F64(g.bytes_ewma_);
+    io.I64(g.streak_up_);
+    io.I64(g.streak_down_);
+    io.U64(g.fail_static_epoch_);
+    io.U64(g.stats_.callouts);
+    io.U64(g.stats_.transitions);
+    io.U64(g.stats_.escalations);
+    io.U64(g.stats_.deescalations);
+    io.U64(g.stats_.sheds_besteffort);
+    io.U64(g.stats_.sheds_standard);
+    io.U64(g.stats_.sampled_evals);
+    io.U64(g.stats_.static_applies);
+    io.U64(g.stats_.static_suppressed);
+    io.U64(g.stats_.critical_sheds);
+    io.Bool(g.keys_published_);
+    io.I64(g.pub_mode_);
+    io.U64(g.pub_transitions_);
+    io.U64(g.pub_sheds_);
+    io.U64(g.pub_static_);
+  }
 
  private:
   GovernorOptions options_;

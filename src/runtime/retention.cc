@@ -56,8 +56,7 @@ void RetentionManager::Configure(const RetentionOptions& options, FeatureStore* 
   cursor_ = 0;
   k_ns_keys_.assign(n, kInvalidKeyId);
   k_ns_bytes_.assign(n, kInvalidKeyId);
-  pub_ns_keys_.assign(n, 0);
-  pub_ns_bytes_.assign(n, 0);
+  pub_ns_.assign(n, {});
   keys_published_ = false;
   pub_reclaimed_ = pub_evictions_ = pub_breaches_ = 0;
   pub_bytes_total_ = pub_live_keys_ = 0;
@@ -405,47 +404,16 @@ void RetentionManager::Publish() {
     store_->Save(k_live_keys_, Value(static_cast<int64_t>(live)));
   }
   for (size_t i = 0; i < k_ns_keys_.size(); ++i) {
-    if (!keys_published_ || ns_keys_[i] != pub_ns_keys_[i]) {
-      pub_ns_keys_[i] = ns_keys_[i];
+    if (!keys_published_ || ns_keys_[i] != pub_ns_[i].keys) {
+      pub_ns_[i].keys = ns_keys_[i];
       store_->Save(k_ns_keys_[i], Value(static_cast<int64_t>(ns_keys_[i])));
     }
-    if (!keys_published_ || ns_bytes_[i] != pub_ns_bytes_[i]) {
-      pub_ns_bytes_[i] = ns_bytes_[i];
+    if (!keys_published_ || ns_bytes_[i] != pub_ns_[i].bytes) {
+      pub_ns_[i].bytes = ns_bytes_[i];
       store_->Save(k_ns_bytes_[i], Value(static_cast<int64_t>(ns_bytes_[i])));
     }
   }
   keys_published_ = true;
-}
-
-RetentionImage RetentionManager::ExportState() const {
-  RetentionImage image;
-  image.cursor = cursor_;
-  image.stats = stats_;
-  image.keys_published = keys_published_;
-  image.pub_reclaimed = pub_reclaimed_;
-  image.pub_evictions = pub_evictions_;
-  image.pub_breaches = pub_breaches_;
-  image.pub_bytes_total = pub_bytes_total_;
-  image.pub_live_keys = pub_live_keys_;
-  image.pub_ns_keys = pub_ns_keys_;
-  image.pub_ns_bytes = pub_ns_bytes_;
-  return image;
-}
-
-void RetentionManager::RestoreState(const RetentionImage& image) {
-  cursor_ = image.cursor;
-  stats_ = image.stats;
-  keys_published_ = image.keys_published;
-  pub_reclaimed_ = image.pub_reclaimed;
-  pub_evictions_ = image.pub_evictions;
-  pub_breaches_ = image.pub_breaches;
-  pub_bytes_total_ = image.pub_bytes_total;
-  pub_live_keys_ = image.pub_live_keys;
-  const size_t n = options_.namespaces.size();
-  pub_ns_keys_ = image.pub_ns_keys;
-  pub_ns_keys_.resize(n, 0);
-  pub_ns_bytes_ = image.pub_ns_bytes;
-  pub_ns_bytes_.resize(n, 0);
 }
 
 void RetentionManager::ResyncAfterRestore(SimTime now) {

@@ -84,28 +84,6 @@ struct RetentionStats {
   uint64_t stale_tracks_fixed = 0;  // externally reclaimed slots untracked lazily
 };
 
-// Retention state carried by the persisted engine image: a panic landing
-// mid-scan warm-restarts with the same cursor, counters, and publish
-// trackers. Membership, stamps, and byte gauges are NOT imaged, and
-// ResyncAfterRestore rebuilds them only approximately: membership and byte
-// gauges come back from the restored store, but every governed key's
-// last-write stamp becomes the reboot time and the tracking table is sized
-// to the whole slot table. A warm restart with retention on therefore
-// replays deterministically but does not continue the uninterrupted run's
-// reclamation trajectory (docs/STORE.md, docs/PERSIST.md).
-struct RetentionImage {
-  uint64_t cursor = 0;
-  RetentionStats stats;
-  bool keys_published = false;
-  uint64_t pub_reclaimed = 0;
-  uint64_t pub_evictions = 0;
-  uint64_t pub_breaches = 0;
-  uint64_t pub_bytes_total = 0;
-  uint64_t pub_live_keys = 0;
-  std::vector<uint64_t> pub_ns_keys;   // aligned with configured namespaces
-  std::vector<uint64_t> pub_ns_bytes;
-};
-
 class RetentionManager {
  public:
   // Interns and pins the telemetry keys when enabled. `store` may be null
@@ -143,12 +121,46 @@ class RetentionManager {
   // only at fixed points of the event sequence, so determinism is preserved.
   bool ReclaimTracked(KeyId id);
 
-  RetentionImage ExportState() const;
-  void RestoreState(const RetentionImage& image);
+  // Next slot the incremental TTL scan examines.
+  uint64_t cursor() const { return cursor_; }
+
+  // The retention state the engine image carries, in image order
+  // (src/persist/wire.h): a panic landing mid-scan warm-restarts with the
+  // same cursor, counters and publish trackers. Membership, stamps and byte
+  // gauges are not imaged, and ResyncAfterRestore rebuilds them only
+  // approximately: membership and byte gauges come back from the restored
+  // store, but every governed key's last-write stamp becomes the reboot time
+  // and the tracking table is sized to the whole slot table. A warm restart
+  // with retention on therefore replays deterministically but does not
+  // continue the uninterrupted run's reclamation trajectory (docs/STORE.md,
+  // docs/PERSIST.md).
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& m) {
+    io.U64(m.cursor_);
+    io.U64(m.stats_.reclaimed_idle);
+    io.U64(m.stats_.reclaimed_quota);
+    io.U64(m.stats_.quota_breaches);
+    io.U64(m.stats_.chaos_storms);
+    io.U64(m.stats_.chaos_breaches);
+    io.U64(m.stats_.stale_tracks_fixed);
+    io.Bool(m.keys_published_);
+    io.U64(m.pub_reclaimed_);
+    io.U64(m.pub_evictions_);
+    io.U64(m.pub_breaches_);
+    io.U64(m.pub_bytes_total_);
+    io.U64(m.pub_live_keys_);
+    io.Seq(m.pub_ns_, "retention namespace", [&](auto& ns) {
+      io.U64(ns.keys);
+      io.U64(ns.bytes);
+    });
+  }
+  // One publish tracker per configured namespace, whatever count a restored
+  // image carried: extra entries are dropped, missing ones start at zero.
+  void FitTrackersToNamespaces() { pub_ns_.resize(options_.namespaces.size()); }
   // Rebuilds membership, counts, and byte gauges from the restored store and
   // stamps every tracked slot with `now` (restore time). Deterministic: two
   // restores of the same store resync identically, but the stamps differ
-  // from the crashed run's (see RetentionImage).
+  // from the crashed run's (see PersistFields).
   void ResyncAfterRestore(SimTime now);
 
  private:
@@ -215,8 +227,12 @@ class RetentionManager {
   uint64_t pub_breaches_ = 0;
   uint64_t pub_bytes_total_ = 0;
   uint64_t pub_live_keys_ = 0;
-  std::vector<uint64_t> pub_ns_keys_;
-  std::vector<uint64_t> pub_ns_bytes_;
+  // Last published engine.store.{keys,bytes}.<prefix> values, per namespace.
+  struct NamespaceGauges {
+    uint64_t keys = 0;
+    uint64_t bytes = 0;
+  };
+  std::vector<NamespaceGauges> pub_ns_;
 };
 
 // Built-in namespace defaults applied by the engine when a retention block

@@ -110,6 +110,35 @@ struct GuardHealth {
   KeyId state_key = kInvalidKeyId;
   KeyId health_key = kInvalidKeyId;
   KeyId cost_key = kInvalidKeyId;
+
+  // The protocol fields a monitor's image record carries, in image order
+  // (src/persist/wire.h). `config` and the export keys are not persisted:
+  // they come from the reloaded spec.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& g) {
+    io.Enum(g.state, BreakerState::kHalfOpen, "breaker state");
+    io.F64(g.fail_ewma);
+    io.F64(g.cost_ewma_steps);
+    io.I64(g.failure_streak);
+    io.U64(g.open_triggers);
+    io.I64(g.probe_successes);
+    io.Seq(g.flips, "flip", [&](auto& flip) { io.I64(flip); });
+    io.Bool(g.in_probation);
+    io.I64(g.probation_until);
+    io.F64(g.baseline_fail_ewma);
+    io.Bool(g.rollback_pending);
+    io.Bool(g.quarantine_action_pending);
+    io.U64(g.evals);
+    io.U64(g.budget_aborts);
+    io.U64(g.eval_errors);
+    io.U64(g.action_failures);
+    io.U64(g.flap_events);
+    io.U64(g.skipped);
+    io.U64(g.probes);
+    io.U64(g.probe_failures);
+    io.U64(g.quarantines);
+    io.U64(g.reinstatements);
+  }
 };
 
 // Supervisor-wide counters.
@@ -187,11 +216,24 @@ class GuardrailSupervisor {
   const GuardHealth* Find(std::string_view name) const;
   const SupervisorStats& stats() const { return stats_; }
 
-  // Reinstates persisted global counters (osguard::persist warm restart).
-  // Per-guardrail GuardHealth fields are restored by the engine through the
-  // monitor records it holds; `supervised` is recomputed by OnLoad during
-  // the reload that precedes a restore, so the image's value matches it.
-  void RestoreStats(const SupervisorStats& stats) { stats_ = stats; }
+  // The SupervisorStats the engine image carries, in image order
+  // (src/persist/wire.h). Per-guardrail GuardHealth fields ride each
+  // monitor's record; `supervised` is recomputed by OnLoad during the reload
+  // that precedes a restore, so the image's value matches it.
+  template <class Io, class Self>
+  static void PersistFields(Io& io, Self& s) {
+    io.U64(s.stats_.supervised);
+    io.U64(s.stats_.budget_aborts);
+    io.U64(s.stats_.eval_errors);
+    io.U64(s.stats_.flap_events);
+    io.U64(s.stats_.quarantines);
+    io.U64(s.stats_.skipped_evals);
+    io.U64(s.stats_.probes);
+    io.U64(s.stats_.probe_failures);
+    io.U64(s.stats_.reinstatements);
+    io.U64(s.stats_.rollbacks);
+    io.U64(s.stats_.commits);
+  }
 
  private:
   // A failure event (budget abort, eval error, flap overflow, action

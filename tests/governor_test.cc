@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/persist/wire.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/governor/governor.h"
 #include "src/sim/kernel.h"
@@ -216,11 +217,16 @@ TEST_F(GovernorTest, ExportRestoreRoundTripsTheFullLadderState) {
   }
   ASSERT_EQ(governor.mode(), GovernorMode::kCriticalOnly);
   (void)governor.Admit(Criticality::kBestEffort, 1, 0);
-  const GovernorImage image = governor.ExportState();
+  std::string image;
+  FieldWriter writer(&image);
+  OverloadGovernor::PersistFields(writer, governor);
 
   OverloadGovernor restored;
   restored.Configure(TightOptions(), nullptr);
-  restored.RestoreState(image);
+  FieldReader reader(image, "image");
+  OverloadGovernor::PersistFields(reader, restored);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_TRUE(reader.done());
   EXPECT_EQ(restored.mode(), governor.mode());
   EXPECT_EQ(restored.fail_static_epoch(), governor.fail_static_epoch());
   EXPECT_EQ(restored.stats().transitions, governor.stats().transitions);

@@ -549,7 +549,7 @@ TEST_F(RetentionTest, TtlSweepMatchesAReferenceWalkOver1000Seeds) {
         manager.RunAtBoundary(now);
         const RetentionStats& got = manager.stats();
         ASSERT_EQ(reclaimed, expected) << "seed " << seed << " boundary " << boundary;
-        ASSERT_EQ(manager.ExportState().cursor, reference.cursor)
+        ASSERT_EQ(manager.cursor(), reference.cursor)
             << "seed " << seed << " boundary " << boundary;
         ASSERT_EQ(got.reclaimed_idle, reference.stats.reclaimed_idle) << "seed " << seed;
         ASSERT_EQ(got.stale_tracks_fixed, reference.stats.stale_tracks_fixed)
