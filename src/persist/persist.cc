@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -15,7 +16,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kJournalMagic[4] = {'O', 'G', 'J', '1'};
+// OGJ2 frames carry the image as a kind byte and then the image or a patch;
+// OGJ1 frames, which always carried the whole image, are refused by name.
+constexpr char kJournalMagic[4] = {'O', 'G', 'J', '2'};
+constexpr char kOldJournalMagic[4] = {'O', 'G', 'J', '1'};
 constexpr char kSnapshotMagic[4] = {'O', 'G', 'S', '1'};
 constexpr uint32_t kSnapshotVersion = 2;  // v2: slot generation/live/free_rank, reclaim flag
 // magic + payload length + CRC.
@@ -28,6 +32,7 @@ constexpr size_t kSampleWireSize = 40;    // i64 + 3*f64 + u64
 constexpr size_t kExtremumWireSize = 24;  // u64 + i64 + f64
 constexpr size_t kMinOpWireSize = 5;      // kind + empty key
 constexpr size_t kMinSlotWireSize = 5;    // empty key + flags
+constexpr size_t kPatchRunHeaderSize = 8;  // u32 offset + u32 length
 
 uint32_t ReadU32At(std::string_view data, size_t offset) {
   uint32_t v = 0;
@@ -149,11 +154,11 @@ void WriteSlotDump(ByteWriter& w, const StoreSlotDump& slot) {
   }
 }
 
-// Appends one framed journal record in place: the header is reserved, the
-// payload written after it, then its length and CRC patched in.
-void EncodeFrame(uint64_t seq, SimTime now, const std::vector<StoreOp>& ops,
-                 std::string_view report_delta, std::string_view image, std::string* out) {
-  const size_t start = out->size();
+// Journal records are encoded in place: BeginFrame reserves the header and
+// writes the payload up to the image field, the caller appends the image
+// field, and FinishFrame patches in the payload's length and CRC.
+void BeginFrame(uint64_t seq, SimTime now, const std::vector<StoreOp>& ops,
+                std::string_view report_delta, std::string* out) {
   ByteWriter w(out);
   w.Raw(std::string_view(kJournalMagic, sizeof(kJournalMagic)));
   w.U32(0);  // payload length
@@ -165,14 +170,39 @@ void EncodeFrame(uint64_t seq, SimTime now, const std::vector<StoreOp>& ops,
     WriteOp(w, op);
   }
   w.Str(report_delta);
-  w.Str(image);
+}
+
+void FinishFrame(size_t start, std::string* out) {
   const size_t payload_at = start + kFrameHeaderSize;
   const std::string_view payload(out->data() + payload_at, out->size() - payload_at);
+  ByteWriter w(out);
   w.PatchU32(start + 4, static_cast<uint32_t>(payload.size()));
   w.PatchU32(start + 8, Crc32(payload));
 }
 
-// Appends a snapshot file image in place, like EncodeFrame.
+// The image field of a committed frame: a patch against `base` when there
+// is a base of the same length and the patch comes out smaller than the
+// image, else the image in full.
+void AppendImageField(std::string_view base, std::string_view image, std::string* out) {
+  const size_t kind_at = out->size();
+  ByteWriter w(out);
+  if (!base.empty() && base.size() == image.size()) {
+    w.U8(static_cast<uint8_t>(ImageKind::kPatch));
+    w.U32(0);  // patch length
+    const size_t patch_at = out->size();
+    AppendImagePatch(base, image, out);
+    const size_t patch_size = out->size() - patch_at;
+    if (patch_size < image.size()) {
+      w.PatchU32(patch_at - 4, static_cast<uint32_t>(patch_size));
+      return;
+    }
+    out->resize(kind_at);
+  }
+  w.U8(static_cast<uint8_t>(ImageKind::kFull));
+  w.Str(image);
+}
+
+// Appends a snapshot file image in place, like a journal record.
 void EncodeSnapshotTo(uint64_t seq, SimTime now, const std::vector<StoreSlotDump>& store,
                       std::string_view report_ring, std::string_view image,
                       std::string* out) {
@@ -264,7 +294,100 @@ Result<StoreSlotDump> ReadSlotDump(ByteReader& r, uint32_t version) {
 // --- Frame codec ---
 
 void AppendFrame(const JournalFrame& frame, std::string* out) {
-  EncodeFrame(frame.seq, frame.now, frame.ops, frame.report_delta, frame.image, out);
+  const size_t start = out->size();
+  BeginFrame(frame.seq, frame.now, frame.ops, frame.report_delta, out);
+  ByteWriter w(out);
+  w.U8(static_cast<uint8_t>(frame.image_kind));
+  w.Str(frame.image);
+  FinishFrame(start, out);
+}
+
+void AppendImagePatch(std::string_view base, std::string_view image, std::string* out) {
+  ByteWriter w(out);
+  w.U32(static_cast<uint32_t>(image.size()));
+  const size_t count_at = out->size();
+  w.U32(0);  // run count
+  uint32_t runs = 0;
+  size_t run_begin = 0;
+  size_t run_end = 0;  // one past the open run's last byte; 0 while none is open
+  const auto close_run = [&] {
+    w.U32(static_cast<uint32_t>(run_begin));
+    w.U32(static_cast<uint32_t>(run_end - run_begin));
+    w.Raw(image.substr(run_begin, run_end - run_begin));
+    ++runs;
+  };
+  const size_t n = image.size();
+  for (size_t at = 0; at < n; at += 8) {
+    const size_t limit = std::min(at + 8, n);
+    if (limit - at == 8) {
+      uint64_t a = 0;
+      uint64_t b = 0;
+      std::memcpy(&a, base.data() + at, 8);
+      std::memcpy(&b, image.data() + at, 8);
+      if (a == b) {
+        continue;
+      }
+    }
+    size_t first = at;
+    while (first < limit && base[first] == image[first]) {
+      ++first;
+    }
+    if (first == limit) {
+      continue;  // an equal tail shorter than a word
+    }
+    size_t last = limit;
+    while (base[last - 1] == image[last - 1]) {
+      --last;
+    }
+    if (run_end != 0 && first - run_end < kPatchRunHeaderSize) {
+      run_end = last;  // the equal bytes between cost less than a run header
+      continue;
+    }
+    if (run_end != 0) {
+      close_run();
+    }
+    run_begin = first;
+    run_end = last;
+  }
+  if (run_end != 0) {
+    close_run();
+  }
+  w.PatchU32(count_at, runs);
+}
+
+Result<std::string> ApplyImagePatch(std::string_view base, std::string_view patch) {
+  if (base.empty()) {
+    return FailedPreconditionError("image patch has no base image");
+  }
+  ByteReader r(patch);
+  OSGUARD_ASSIGN_OR_RETURN(uint32_t length, r.U32());
+  if (length != base.size()) {
+    return InvalidArgumentError("image patch is for a " + std::to_string(length) +
+                                "-byte image, the base image has " +
+                                std::to_string(base.size()) + " bytes");
+  }
+  OSGUARD_ASSIGN_OR_RETURN(uint32_t runs, r.U32());
+  if (runs > r.remaining() / kPatchRunHeaderSize) {
+    return CountError("patch run", runs, r.offset());
+  }
+  std::string image(base);
+  for (uint32_t i = 0; i < runs; ++i) {
+    OSGUARD_ASSIGN_OR_RETURN(uint32_t offset, r.U32());
+    OSGUARD_ASSIGN_OR_RETURN(uint32_t len, r.U32());
+    if (offset > image.size() || len > image.size() - offset) {
+      return OutOfRangeError("image patch run " + std::to_string(i) + " (" +
+                             std::to_string(len) + " bytes at offset " +
+                             std::to_string(offset) + ") runs past the end of the " +
+                             std::to_string(image.size()) + "-byte image");
+    }
+    OSGUARD_ASSIGN_OR_RETURN(std::string_view bytes, r.Bytes(len));
+    std::copy(bytes.begin(), bytes.end(), image.begin() + offset);
+  }
+  if (!r.done()) {
+    return InvalidArgumentError("trailing garbage: " + std::to_string(r.remaining()) +
+                                " bytes past the image patch");
+  }
+  return image;
 }
 
 Result<JournalFrame> DecodeFramePayload(std::string_view payload) {
@@ -283,6 +406,12 @@ Result<JournalFrame> DecodeFramePayload(std::string_view payload) {
   }
   OSGUARD_ASSIGN_OR_RETURN(std::string_view delta, r.Str());
   frame.report_delta = std::string(delta);
+  OSGUARD_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
+  if (kind > static_cast<uint8_t>(ImageKind::kPatch)) {
+    return InvalidArgumentError("unknown image kind " + std::to_string(kind) + " at offset " +
+                                std::to_string(r.offset() - 1));
+  }
+  frame.image_kind = static_cast<ImageKind>(kind);
   OSGUARD_ASSIGN_OR_RETURN(std::string_view image, r.Str());
   frame.image = std::string(image);
   if (!r.done()) {
@@ -302,7 +431,13 @@ FrameScan ScanJournal(std::string_view data) {
                     std::to_string(left) + " bytes)";
       break;
     }
-    if (data.substr(offset, 4) != std::string_view(kJournalMagic, 4)) {
+    const std::string_view magic = data.substr(offset, 4);
+    if (magic == std::string_view(kOldJournalMagic, 4)) {
+      scan.detail = "journal format OGJ1 at offset " + std::to_string(offset) +
+                    " is not supported (expected OGJ2)";
+      break;
+    }
+    if (magic != std::string_view(kJournalMagic, 4)) {
       scan.detail = "bad frame magic at offset " + std::to_string(offset);
       break;
     }
@@ -544,11 +679,14 @@ Status PersistManager::CommitFrame(SimTime now, std::string_view report_delta,
   if (journal_ == nullptr) {
     return FailedPreconditionError("persist journal not open (call Open() first)");
   }
-  // Both buffers keep their capacity from one commit to the next.
+  // The buffers keep their capacity from one commit to the next.
   frame_.clear();
-  EncodeFrame(seq_ + 1, now, pending_ops_, report_delta, image, &frame_);
+  BeginFrame(seq_ + 1, now, pending_ops_, report_delta, &frame_);
+  AppendImageField(last_image_, image, &frame_);
+  FinishFrame(0, &frame_);
   pending_ops_.clear();
   OSGUARD_RETURN_IF_ERROR(AppendToJournal(now));
+  last_image_.assign(image);
   ++seq_;
   dirty_ = false;
   ++stats_.frames_committed;
@@ -607,6 +745,7 @@ Status PersistManager::WriteSnapshot(SimTime now, const std::vector<StoreSlotDum
   }
   ++stats_.snapshots_written;
   last_snapshot_time_ = now;
+  last_image_.assign(image);
 
   // Rotation: frames covered by the snapshot are dead weight. A crash
   // between the rename above and this truncation is handled at recovery by
@@ -702,28 +841,44 @@ Result<RecoveredState> PersistManager::LoadForRecovery() {
 
   uint64_t expected = out.base.seq + 1;
   size_t keep_bytes = 0;  // journal prefix that stays on disk
-  bool gap = false;
+  // Each patch applies to the image before it, starting from the base's.
+  // Reserved, so `image` can point into the last frame kept.
+  out.frames.reserve(scan.frames.size());
+  std::string_view image = out.base.image;
   for (size_t i = 0; i < scan.frames.size(); ++i) {
     JournalFrame& frame = scan.frames[i];
     if (frame.seq <= out.base.seq) {
       keep_bytes = scan.frame_ends[i];  // pre-rotation remnant, superseded
       continue;
     }
+    std::string damage;
     if (frame.seq != expected) {
-      gap = true;
+      damage = "sequence gap (frame " + std::to_string(frame.seq) + ", expected " +
+               std::to_string(expected) + ")";
+    } else if (frame.image_kind == ImageKind::kPatch) {
+      Result<std::string> rebuilt = ApplyImagePatch(image, frame.image);
+      if (rebuilt.ok()) {
+        frame.image = std::move(*rebuilt);
+        frame.image_kind = ImageKind::kFull;
+      } else {
+        damage = "frame " + std::to_string(frame.seq) + " cannot apply its image patch: " +
+                 rebuilt.status().message();
+      }
+    }
+    if (!damage.empty()) {
       info.frames_discarded += scan.frames.size() - i;
-      info.detail += JournalPath() + ": sequence gap (frame " + std::to_string(frame.seq) +
-                     ", expected " + std::to_string(expected) + "); ";
+      info.detail += JournalPath() + ": " + damage + "; ";
       break;
     }
     out.frames.push_back(std::move(frame));
+    image = out.frames.back().image;
     keep_bytes = scan.frame_ends[i];
     ++expected;
   }
-  (void)gap;
+  last_image_.assign(image);
 
-  // Drop the invalid tail (and any post-gap frames) so future appends start
-  // at a clean frame boundary.
+  // Drop the invalid tail (and any post-gap or unpatchable frames) so future
+  // appends start at a clean frame boundary.
   if (!journal_data.empty() && keep_bytes < journal_data.size()) {
     fs::resize_file(JournalPath(), keep_bytes, ec);
   }

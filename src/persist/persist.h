@@ -11,8 +11,9 @@
 //   * Write-ahead journal (journal.wal) — a CRC-framed, length-prefixed log
 //     of committed state transitions, appended once per engine callout
 //     boundary. Each frame carries the store mutations since the previous
-//     frame, the new report records, and a compact absolute image of the
-//     engine's protocol state (encoded by the engine; opaque here).
+//     frame, the new report records, and the engine's protocol-state image
+//     (encoded by the engine; opaque here) — as the byte runs that differ
+//     from the previous frame's image, or in full.
 //   * Compacted snapshots (snap-<seq>.snap) — periodic full dumps of the
 //     feature store (including incremental window internals), the report
 //     ring, and the engine image, written to a temp file and atomically
@@ -66,14 +67,21 @@ struct StoreOp {
   bool reclaim = false;     // kErase: lifecycle reclaim (slot recycled) vs plain erase
 };
 
+// How a journal frame carries the engine image: whole, or as a patch of the
+// byte runs that differ from the previous frame's image.
+enum class ImageKind : uint8_t { kFull = 0, kPatch = 1 };
+
 // One committed callout boundary. `report_delta` and `image` are engine-
 // encoded blobs (see Engine::EncodeImage); persist frames, checksums, and
-// transports them without interpreting a byte.
+// transports them without interpreting a byte. A kPatch frame's `image`
+// holds the patch bytes (AppendImagePatch); the frames LoadForRecovery
+// returns are all rebuilt to kFull.
 struct JournalFrame {
   uint64_t seq = 0;
   SimTime now = 0;
   std::vector<StoreOp> ops;
   std::string report_delta;
+  ImageKind image_kind = ImageKind::kFull;
   std::string image;
 };
 
@@ -88,17 +96,32 @@ struct Snapshot {
 
 // --- Codec (exposed for tests and the decoder fuzz target) ---
 
-// Appends one fully framed journal record: magic "OGJ1", u32 payload length,
-// u32 CRC-32 of the payload, payload.
+// Appends one fully framed journal record: magic "OGJ2", u32 payload length,
+// u32 CRC-32 of the payload, payload. The image is written as the frame
+// holds it (kind byte, then its bytes).
 void AppendFrame(const JournalFrame& frame, std::string* out);
+
+// Appends the patch that turns `base` into `image`, two images of the same
+// length: u32 image length, u32 run count, then per run u32 offset, u32
+// length and the run's bytes from `image`. Runs are found eight bytes at a
+// time, trimmed to the bytes that differ, and merged when fewer bytes than
+// a run header separate them.
+void AppendImagePatch(std::string_view base, std::string_view image, std::string* out);
+
+// Rebuilds an image from the one before it and a patch. A patch that cannot
+// apply is refused: one with no base image, one for an image of another
+// length, a run past the end of the image or of the patch, trailing bytes.
+Result<std::string> ApplyImagePatch(std::string_view base, std::string_view patch);
 
 // Decodes a frame payload (the bytes the CRC covers). Errors carry byte
 // offsets.
 Result<JournalFrame> DecodeFramePayload(std::string_view payload);
 
 // Walks a journal buffer frame by frame, stopping at the first invalid
-// record (bad magic, bad CRC, truncated tail, undecodable payload). Never
-// fails: damage terminates the scan and is described in `detail`.
+// record (bad magic, bad CRC, truncated tail, undecodable payload; a frame
+// of the older "OGJ1" format is named as such). Never fails: damage
+// terminates the scan and is described in `detail`. Patches are not
+// applied here: that needs the base image, which recovery owns.
 struct FrameScan {
   std::vector<JournalFrame> frames;
   // frame_ends[i] = byte offset one past frames[i] (recovery truncates the
@@ -147,14 +170,15 @@ struct RecoveryInfo {
   uint64_t snapshots_rejected = 0;
   uint64_t last_seq = 0;                // sequence number of the recovered state
   uint64_t frames_replayed = 0;
-  uint64_t frames_discarded = 0;        // valid frames unusable (seq gap)
+  uint64_t frames_discarded = 0;        // valid frames unusable (seq gap, bad patch)
   uint64_t bytes_discarded = 0;         // invalid journal tail dropped
   std::string detail;                   // human-readable recovery summary
 };
 
 struct RecoveredState {
   Snapshot base;                    // seq 0 + empty on cold start
-  std::vector<JournalFrame> frames; // contiguous suffix to replay, oldest first
+  std::vector<JournalFrame> frames; // contiguous suffix to replay, oldest first,
+                                    // each with its full image
   RecoveryInfo info;
 };
 
@@ -196,9 +220,12 @@ class PersistManager {
   Status Open();
 
   // Commits everything since the last commit as one frame: pending store
-  // ops + the engine's report delta and state image. No-op when clean.
-  // Damage injected by chaos is deliberately not reported here — a real
-  // kernel does not learn about lost writes synchronously either.
+  // ops + the engine's report delta and state image. The image is journaled
+  // as a patch against the last committed image, or in full when there is
+  // none, its length changed, or the patch would not be smaller. No-op
+  // when clean. Damage injected by chaos is deliberately not reported
+  // here — a real kernel does not learn about lost writes synchronously
+  // either.
   Status CommitFrame(SimTime now, std::string_view report_delta, std::string_view image);
 
   // True when a compacted snapshot should follow the next commit (interval
@@ -206,7 +233,9 @@ class PersistManager {
   bool SnapshotDue(SimTime now) const;
 
   // Writes a compacted snapshot (temp file + atomic rename), retains the
-  // two newest, and truncates the journal on success.
+  // two newest, and truncates the journal on success. Recovery applies the
+  // next frame's patch to the snapshot's image, so that image becomes the
+  // base the next commit diffs against.
   Status WriteSnapshot(SimTime now, const std::vector<StoreSlotDump>& store,
                        std::string_view report_ring, std::string_view image);
 
@@ -214,9 +243,11 @@ class PersistManager {
   // snapshot (falling back to the previous one), scans the journal for the
   // contiguous valid suffix, truncates the journal file to its usable
   // prefix, and primes the manager to continue appending at
-  // last_seq + 1. Never fails on damaged input — damage degrades the
-  // result and is described in RecoveryInfo. Errors are real I/O problems
-  // (unreadable directory) only.
+  // last_seq + 1. Patch frames are rebuilt in sequence order from the
+  // base snapshot's image; a patch that cannot apply ends the usable
+  // suffix like a CRC mismatch. Never fails on damaged input — damage
+  // degrades the result and is described in RecoveryInfo. Errors are real
+  // I/O problems (unreadable directory) only.
   Result<RecoveredState> LoadForRecovery();
 
  private:
@@ -242,6 +273,10 @@ class PersistManager {
   bool dirty_ = false;
   std::vector<StoreOp> pending_ops_;
   std::string frame_;  // the frame being appended; keeps its capacity
+  // The image the next frame's patch is taken against: the last committed
+  // frame's (or the last snapshot's), the rebuilt final image after
+  // LoadForRecovery, empty after a cold start.
+  std::string last_image_;
   PersistStats stats_;
 };
 

@@ -20,9 +20,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/actions/policy_registry.h"
@@ -56,6 +59,14 @@ void WriteFile(const fs::path& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
+// `prefix` followed by `n`, built by append: GCC 12 reports a false
+// -Wrestrict on `"literal" + std::to_string(n)` at -O3.
+std::string Numbered(const char* prefix, uint64_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
 // --- Codec ---
 
 JournalFrame MakeFrame(uint64_t seq) {
@@ -64,7 +75,7 @@ JournalFrame MakeFrame(uint64_t seq) {
   frame.now = static_cast<SimTime>(seq) * Milliseconds(10);
   StoreOp save;
   save.kind = StoreMutation::Kind::kSave;
-  save.key = "k" + std::to_string(seq);
+  save.key = Numbered("k", seq);
   save.value = Value(static_cast<double>(seq) * 1.5);
   frame.ops.push_back(save);
   StoreOp observe;
@@ -73,8 +84,9 @@ JournalFrame MakeFrame(uint64_t seq) {
   observe.time = frame.now;
   observe.sample = static_cast<double>(seq);
   frame.ops.push_back(observe);
-  frame.report_delta = "report-" + std::to_string(seq);
-  frame.image = std::string("image-") + std::to_string(seq);
+  frame.report_delta = Numbered("report-", seq);
+  frame.image_kind = seq % 2 == 0 ? ImageKind::kPatch : ImageKind::kFull;
+  frame.image = Numbered("image-", seq);
   return frame;
 }
 
@@ -92,11 +104,22 @@ TEST(PersistCodec, JournalRoundTrip) {
     const JournalFrame& frame = scan.frames[seq - 1];
     EXPECT_EQ(frame.seq, seq);
     ASSERT_EQ(frame.ops.size(), 2u);
-    EXPECT_EQ(frame.ops[0].key, "k" + std::to_string(seq));
+    EXPECT_EQ(frame.ops[0].key, Numbered("k", seq));
     EXPECT_EQ(frame.ops[1].sample, static_cast<double>(seq));
-    EXPECT_EQ(frame.report_delta, "report-" + std::to_string(seq));
-    EXPECT_EQ(frame.image, "image-" + std::to_string(seq));
+    EXPECT_EQ(frame.report_delta, Numbered("report-", seq));
+    EXPECT_EQ(frame.image_kind, seq % 2 == 0 ? ImageKind::kPatch : ImageKind::kFull);
+    EXPECT_EQ(frame.image, Numbered("image-", seq));
   }
+
+  // An image kind other than full (0) and patch (1) does not decode.
+  JournalFrame odd = MakeFrame(1);
+  odd.image_kind = static_cast<ImageKind>(2);
+  std::string bytes;
+  AppendFrame(odd, &bytes);
+  const FrameScan refused = ScanJournal(bytes);
+  EXPECT_TRUE(refused.frames.empty());
+  EXPECT_NE(refused.detail.find("unknown image kind 2 at offset"), std::string::npos)
+      << refused.detail;
 }
 
 TEST(PersistCodec, TornTailKeepsThePrefix) {
@@ -186,9 +209,11 @@ TEST(PersistCodec, SnapshotRoundTripAndDamageRejection) {
 // that RunGoldenScript leaves in its directory: the snapshot is cut at 1s
 // and holds live and reclaimed slots and a series with samples, minima and
 // maxima; the journal frames after it carry every StoreOp kind, every Value
-// type (a nested list among them), report deltas and engine images. To
-// accept a deliberate format change, replace both files with the ones a
-// failing PersistGolden.ScriptedRunWritesTheGoldenFiles names.
+// type (a nested list among them), report deltas, and engine images: two
+// patches against the image before them, then (slow-tick's first report
+// grows the image) one full image. To accept a deliberate format change,
+// replace the files with the ones a failing
+// PersistGolden.ScriptedRunWritesTheGoldenFiles names.
 
 constexpr char kGoldenSpec[] = R"(
 guardrail lat-guard {
@@ -355,6 +380,29 @@ TEST(PersistGolden, GoldenFilesReencodeByteIdentically) {
   EXPECT_FALSE(snapshot->report_ring.empty());
   EXPECT_FALSE(snapshot->image.empty());
 
+  // The journal continues the snapshot: each patch applies to the image
+  // before it, starting from the snapshot's. It holds patch frames and a
+  // full frame written because the image's length changed.
+  bool full = false;
+  bool patch = false;
+  bool full_after_resize = false;
+  std::string image = snapshot->image;
+  for (const JournalFrame& frame : scan.frames) {
+    if (frame.image_kind == ImageKind::kPatch) {
+      patch = true;
+      auto rebuilt = ApplyImagePatch(image, frame.image);
+      ASSERT_TRUE(rebuilt.ok()) << "frame " << frame.seq << ": " << rebuilt.status().ToString();
+      image = std::move(*rebuilt);
+    } else {
+      full = true;
+      full_after_resize = full_after_resize || frame.image.size() != image.size();
+      image = frame.image;
+    }
+  }
+  EXPECT_TRUE(full);
+  EXPECT_TRUE(patch);
+  EXPECT_TRUE(full_after_resize);
+
   // CRC-32: the standard check value, then a bitwise reference for every
   // length at every alignment.
   EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
@@ -400,6 +448,138 @@ TEST(PersistGolden, ScriptedRunWritesTheGoldenFiles) {
   const std::string golden_snap = ReadFile(CorpusFile("valid_snapshot_golden.bin"));
   EXPECT_TRUE(snap == golden_snap) << snaps[0] << " differs from the golden snapshot at byte "
                                    << FirstDifference(snap, golden_snap);
+}
+
+// refused_ogj1_journal_golden.bin is the golden journal as the OGJ1 format
+// wrote it, every frame carrying the whole image. The scan names the format
+// instead of reporting bad magic.
+TEST(PersistGolden, OldFormatJournalIsRefusedByName) {
+  const std::string old = ReadFile(CorpusFile("refused_ogj1_journal_golden.bin"));
+  ASSERT_GE(old.size(), 4u);
+  EXPECT_EQ(old.substr(0, 4), "OGJ1");
+  const FrameScan scan = ScanJournal(old);
+  EXPECT_TRUE(scan.frames.empty());
+  EXPECT_EQ(scan.valid_bytes, 0u);
+  EXPECT_EQ(scan.discarded_bytes, old.size());
+  EXPECT_EQ(scan.detail, "journal format OGJ1 at offset 0 is not supported (expected OGJ2)");
+}
+
+// --- Image patches ---
+
+// A patch's runs as (offset, length) pairs.
+using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+Runs PatchRuns(std::string_view patch) {
+  Runs runs;
+  ByteReader r(patch);
+  EXPECT_TRUE(r.U32().ok());  // image length
+  auto count = r.U32();
+  EXPECT_TRUE(count.ok());
+  for (uint32_t i = 0; count.ok() && i < *count; ++i) {
+    auto offset = r.U32();
+    auto len = r.U32();
+    if (!offset.ok() || !len.ok() || !r.Bytes(*len).ok()) {
+      ADD_FAILURE() << "malformed patch run " << i;
+      break;
+    }
+    runs.emplace_back(*offset, *len);
+  }
+  EXPECT_TRUE(r.done());
+  return runs;
+}
+
+std::string DiffImages(std::string_view base, std::string_view image) {
+  std::string patch;
+  AppendImagePatch(base, image, &patch);
+  return patch;
+}
+
+TEST(PersistPatch, PatchesRebuildTheImageAndMergeShortGaps) {
+  // Random images and edits, every length from one byte up past a few
+  // words: each patch rebuilds its image exactly.
+  Rng rng(0x9a7c4);
+  for (int round = 0; round < 2000; ++round) {
+    const auto n = static_cast<size_t>(rng.UniformInt(1, 80));
+    std::string base(n, '\0');
+    for (char& byte : base) {
+      byte = static_cast<char>(rng.UniformInt(0, 255));
+    }
+    std::string image = base;
+    const int edits = static_cast<int>(rng.UniformInt(0, 6));
+    for (int e = 0; e < edits; ++e) {
+      const auto at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      image[at] = static_cast<char>(image[at] ^ rng.UniformInt(1, 255));
+    }
+    const std::string patch = DiffImages(base, image);
+    auto rebuilt = ApplyImagePatch(base, patch);
+    ASSERT_TRUE(rebuilt.ok()) << "round " << round << ": " << rebuilt.status().ToString();
+    ASSERT_TRUE(*rebuilt == image) << "round " << round;
+    // Each run starts and ends at a changed byte, and runs are at least a
+    // run header (8 bytes) apart.
+    size_t end = 0;
+    for (const auto& [offset, len] : PatchRuns(patch)) {
+      ASSERT_GT(len, 0u) << "round " << round;
+      EXPECT_NE(base[offset], image[offset]) << "round " << round;
+      EXPECT_NE(base[offset + len - 1], image[offset + len - 1]) << "round " << round;
+      EXPECT_TRUE(end == 0 || offset - end >= 8) << "round " << round;
+      end = offset + len;
+    }
+  }
+
+  const std::string base(37, 'a');  // not a whole number of words
+  auto edited = [&](std::initializer_list<size_t> at) {
+    std::string image = base;
+    for (size_t i : at) {
+      image[i] = 'b';
+    }
+    return image;
+  };
+  // Nothing changed: a header and no runs.
+  EXPECT_EQ(DiffImages(base, base).size(), 8u);
+  EXPECT_EQ(PatchRuns(DiffImages(base, base)), Runs{});
+  // Runs are trimmed to the bytes that differ, within a word and across
+  // a word boundary.
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({3}))), (Runs{{3, 1}}));
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({7, 8}))), (Runs{{7, 2}}));
+  // Fewer equal bytes than a run header (8) between two changes: one run
+  // carries them; eight or more: two runs.
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({3, 10}))), (Runs{{3, 8}}));
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({3, 12}))), (Runs{{3, 1}, {12, 1}}));
+  // The tail shorter than a word is compared too.
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({33, 36}))), (Runs{{33, 4}}));
+  EXPECT_EQ(PatchRuns(DiffImages(base, edited({0, 36}))), (Runs{{0, 1}, {36, 1}}));
+}
+
+TEST(PersistPatch, PatchesThatCannotApplyAreRefused) {
+  const std::string base = "0123456789abcdefghij";  // 20 bytes
+  std::string image = base;
+  image[5] = 'X';
+  const std::string patch = DiffImages(base, image);
+  ASSERT_TRUE(ApplyImagePatch(base, patch).ok());
+
+  auto refusal = [](std::string_view with, std::string_view bytes) {
+    auto result = ApplyImagePatch(with, bytes);
+    return result.ok() ? std::string("applied") : result.status().message();
+  };
+  EXPECT_EQ(refusal("", patch), "image patch has no base image");
+  EXPECT_EQ(refusal(std::string_view(base).substr(0, 19), patch),
+            "image patch is for a 20-byte image, the base image has 19 bytes");
+  std::string past;
+  ByteWriter w(&past);
+  w.U32(20);
+  w.U32(1);
+  w.U32(18);
+  w.U32(3);
+  w.Raw("xyz");
+  EXPECT_EQ(refusal(base, past),
+            "image patch run 0 (3 bytes at offset 18) runs past the end of the 20-byte image");
+  std::string trailing = patch;
+  trailing.push_back('!');
+  EXPECT_EQ(refusal(base, trailing), "trailing garbage: 1 bytes past the image patch");
+  // A run past the end of the patch: every proper prefix is refused.
+  for (size_t cut = 0; cut < patch.size(); ++cut) {
+    EXPECT_NE(refusal(base, std::string_view(patch).substr(0, cut)), "applied") << "cut " << cut;
+  }
 }
 
 // One self-contained engine run: store + engine + persist manager over `dir`,
@@ -510,7 +690,8 @@ void DriveImageGoldenRun(DiffRun& run) {
   engine.AdvanceTo(Milliseconds(30));
   store.Save("flap.x", Value(int64_t{1}));
   for (int i = 0; i < 5; ++i) {
-    store.Save("cache.k" + std::to_string(i), Value(static_cast<double>(i) * 0.5));
+    store.Save(Numbered("cache.k", static_cast<uint64_t>(i)),
+               Value(static_cast<double>(i) * 0.5));
   }
   engine.AdvanceTo(Milliseconds(70));
   store.Save("flap.x", Value(int64_t{8}));
@@ -732,8 +913,8 @@ TEST(PersistDifferential, CrashReplayIsBitIdenticalOver1000Seeds) {
     const uint64_t seed = base * 1000 + i;
     Rng rng(seed ^ 0xD1F7ull);
     const int crash_step = static_cast<int>(rng.UniformInt(1, kTotalSteps));
-    const fs::path ref_dir = root / ("ref-" + std::to_string(i));
-    const fs::path crash_dir = root / ("crash-" + std::to_string(i));
+    const fs::path ref_dir = root / Numbered("ref-", i);
+    const fs::path crash_dir = root / Numbered("crash-", i);
     fs::create_directories(ref_dir);
     fs::create_directories(crash_dir);
     const std::string reference = ReferenceFingerprint(ref_dir, seed, kTotalSteps);
@@ -784,8 +965,8 @@ TEST(PersistDifferential, CrashReplaySurvivesPersistChaos) {
     snap_fail.p = 0.3;
     ASSERT_TRUE(chaos.Arm(kChaosSitePersistSnapshotFail, snap_fail).ok());
 
-    const fs::path ref_dir = root / ("ref-" + std::to_string(i));
-    const fs::path crash_dir = root / ("crash-" + std::to_string(i));
+    const fs::path ref_dir = root / Numbered("ref-", i);
+    const fs::path crash_dir = root / Numbered("crash-", i);
     fs::create_directories(ref_dir);
     fs::create_directories(crash_dir);
     const std::string reference = ReferenceFingerprint(ref_dir, seed, kTotalSteps);
@@ -1027,6 +1208,188 @@ TEST(PersistRecovery, EveryTruncationOfTheGoldenImageIsRefused) {
     }
   }
   EXPECT_EQ(wrong, 0u);
+}
+
+// A 64-byte image whose bytes depend on `step`: a few change per step.
+std::string SteppedImage(uint64_t step, size_t size = 64) {
+  std::string image(size, 'i');
+  PutU64(image.data(), step);
+  image[size / 2] = static_cast<char>('a' + step % 7);
+  return image;
+}
+
+// `image` with the byte at `at` changed.
+std::string Nudged(std::string image, size_t at) {
+  image[at] = static_cast<char>(image[at] + 1);
+  return image;
+}
+
+// Commits `image` as the next frame.
+void CommitImage(PersistManager& persist, SimTime now, const std::string& image) {
+  persist.MarkDirty();
+  EXPECT_TRUE(persist.CommitFrame(now, "", image).ok());
+}
+
+// The manager journals an image as a patch against the last committed one,
+// and in full when there is none, when its length changed, or when the
+// patch would not be smaller. A snapshot's image is the base of the next
+// patch. Recovery rebuilds every frame's image from the snapshot's.
+TEST(PersistRecovery, PatchFramesRebuildEveryCommittedImage) {
+  const fs::path dir = FreshTestDir("patch-frames");
+  PersistOptions options;
+  options.dir = dir.string();
+  options.snapshot_interval = 0;
+  options.journal_budget = 0;
+  std::vector<std::string> committed;
+  {
+    PersistManager persist(options);
+    ASSERT_TRUE(persist.Open().ok());
+    for (uint64_t step = 1; step <= 3; ++step) {
+      committed.push_back(SteppedImage(step));
+      CommitImage(persist, Milliseconds(step), committed.back());
+    }
+    const FrameScan before = ScanJournal(ReadFile(dir / "journal.wal"));
+    ASSERT_EQ(before.frames.size(), 3u);
+    EXPECT_EQ(before.frames[0].image_kind, ImageKind::kFull);  // no previous image
+    EXPECT_EQ(before.frames[1].image_kind, ImageKind::kPatch);
+    EXPECT_EQ(before.frames[2].image_kind, ImageKind::kPatch);
+    EXPECT_LT(before.frames[1].image.size(), committed[1].size());
+
+    // The snapshot carries an image no frame did, with a byte the next
+    // image does not change; the next patch is taken against it.
+    const std::string snapshot_image = Nudged(committed.back(), 50);
+    ASSERT_TRUE(persist.WriteSnapshot(Milliseconds(3), {}, "", snapshot_image).ok());
+    committed.push_back(SteppedImage(4));
+    CommitImage(persist, Milliseconds(4), committed.back());  // patch on the snapshot's
+    committed.push_back(SteppedImage(5, 72));
+    CommitImage(persist, Milliseconds(5), committed.back());  // length changed
+    std::string flipped = committed.back();
+    for (char& byte : flipped) {
+      byte = static_cast<char>(~byte);
+    }
+    committed.push_back(flipped);
+    CommitImage(persist, Milliseconds(6), committed.back());  // patch not smaller
+    committed.push_back(Nudged(flipped, 0));
+    CommitImage(persist, Milliseconds(7), committed.back());
+  }
+  const FrameScan scan = ScanJournal(ReadFile(dir / "journal.wal"));
+  ASSERT_EQ(scan.frames.size(), 4u);
+  std::vector<ImageKind> kinds;
+  for (const JournalFrame& frame : scan.frames) {
+    kinds.push_back(frame.image_kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<ImageKind>{ImageKind::kPatch, ImageKind::kFull,
+                                           ImageKind::kFull, ImageKind::kPatch}));
+
+  PersistManager persist(options);
+  auto recovered = persist.LoadForRecovery();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->base.seq, 3u);
+  ASSERT_EQ(recovered->frames.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(recovered->frames[i].image_kind, ImageKind::kFull);
+    EXPECT_TRUE(recovered->frames[i].image == committed[3 + i]) << "frame " << 4 + i;
+  }
+  // The manager continues from the rebuilt final image.
+  ASSERT_TRUE(persist.Open().ok());
+  committed.push_back(Nudged(committed.back(), 40));
+  CommitImage(persist, Milliseconds(8), committed.back());
+  auto again = PersistManager(options).LoadForRecovery();
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again->frames.size(), 5u);
+  EXPECT_EQ(ScanJournal(ReadFile(dir / "journal.wal")).frames.back().image_kind,
+            ImageKind::kPatch);
+  EXPECT_TRUE(again->frames.back().image == committed.back());
+}
+
+// A patch that cannot apply is damage, like a CRC mismatch. Over a journal
+// whose CRCs all hold, with such a patch in its third frame, recovery ends
+// at the second frame, truncates the file there and says why, and the next
+// commit continues the sequence from there.
+TEST(PersistRecovery, PatchThatCannotApplyEndsTheUsableSuffix) {
+  const fs::path root = FreshTestDir("bad-patch");
+  PersistOptions options;
+  options.dir = (root / "written").string();
+  options.snapshot_interval = 0;
+  options.journal_budget = 0;
+  {
+    PersistManager persist(options);
+    ASSERT_TRUE(persist.Open().ok());
+    for (uint64_t step = 1; step <= 5; ++step) {
+      CommitImage(persist, Milliseconds(step), SteppedImage(step));
+    }
+  }
+  const FrameScan written = ScanJournal(ReadFile(root / "written" / "journal.wal"));
+  ASSERT_EQ(written.frames.size(), 5u);
+  ASSERT_EQ(written.frames[2].image_kind, ImageKind::kPatch);
+
+  std::string past_the_end;
+  ByteWriter w(&past_the_end);
+  w.U32(64);
+  w.U32(1);
+  w.U32(60);
+  w.U32(8);
+  w.Raw("12345678");
+  const struct {
+    const char* name;
+    std::function<void(std::vector<JournalFrame>&)> damage;
+    const char* why;
+  } cases[] = {
+      {"no-base",
+       [](std::vector<JournalFrame>& frames) {
+         frames[1].image_kind = ImageKind::kFull;
+         frames[1].image.clear();
+       },
+       "image patch has no base image"},
+      {"wrong-length",
+       [](std::vector<JournalFrame>& frames) { PutU32(frames[2].image.data(), 65); },
+       "image patch is for a 65-byte image, the base image has 64 bytes"},
+      {"past-the-end",
+       [&](std::vector<JournalFrame>& frames) { frames[2].image = past_the_end; },
+       "image patch run 0 (8 bytes at offset 60) runs past the end of the 64-byte image"},
+      {"trailing",
+       [](std::vector<JournalFrame>& frames) { frames[2].image.push_back('\0'); },
+       "trailing garbage: 1 bytes past the image patch"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<JournalFrame> frames = written.frames;
+    c.damage(frames);
+    std::string journal;
+    std::vector<size_t> ends;
+    for (const JournalFrame& frame : frames) {
+      AppendFrame(frame, &journal);
+      ends.push_back(journal.size());
+    }
+    ASSERT_EQ(ScanJournal(journal).frames.size(), 5u);  // every CRC holds
+    const fs::path dir = root / c.name;
+    fs::create_directories(dir);
+    WriteFile(dir / "journal.wal", journal);
+
+    options.dir = dir.string();
+    PersistManager persist(options);
+    auto recovered = persist.LoadForRecovery();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const RecoveryInfo& info = recovered->info;
+    EXPECT_EQ(info.last_seq, 2u);
+    EXPECT_EQ(info.frames_replayed, 2u);
+    EXPECT_EQ(info.frames_discarded, 3u);
+    EXPECT_NE(info.detail.find(std::string("frame 3 cannot apply its image patch: ") + c.why),
+              std::string::npos)
+        << info.detail;
+    EXPECT_EQ(fs::file_size(dir / "journal.wal"), ends[1]);
+
+    // The sequence continues at 3, on top of the second frame's image.
+    ASSERT_TRUE(persist.Open().ok());
+    const std::string next = SteppedImage(3);
+    CommitImage(persist, Milliseconds(3), next);
+    EXPECT_EQ(persist.last_committed_seq(), 3u);
+    auto again = PersistManager(options).LoadForRecovery();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->info.last_seq, 3u) << again->info.detail;
+    ASSERT_EQ(again->frames.size(), 3u);
+    EXPECT_TRUE(again->frames.back().image == next);
+  }
 }
 
 // --- MonitorStats survival matrix (pins the semantics documented on the
@@ -1447,6 +1810,41 @@ TEST(PersistKernel, FailedWarmRestartFallsBackToAColdBoot) {
   stats = kernel.engine().StatsFor("io-watch");
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats.value().evaluations, 0u);
+}
+
+// A directory written before frames carried patches holds OGJ1 frames: the
+// journal is refused by name and dropped, Reboot() comes back cold, and
+// journaling starts over in the current format.
+TEST(PersistKernel, OldFormatJournalRebootsCold) {
+  const fs::path dir = FreshTestDir("kernel-ogj1");
+  const std::string old = ReadFile(CorpusFile("refused_ogj1_journal_golden.bin"));
+  ASSERT_FALSE(old.empty());
+  WriteFile(dir / "journal.wal", old);
+  Kernel kernel;
+  PersistOptions options;
+  options.dir = dir.string();
+  PersistManager persist(options);
+  kernel.AttachPersist(&persist);
+  ASSERT_TRUE(kernel.LoadGuardrails(kKernelSpec).ok());
+  kernel.Panic();
+  auto recovered = kernel.Reboot();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered.value().cold_start);
+  EXPECT_NE(recovered.value().detail.find(
+                "journal format OGJ1 at offset 0 is not supported (expected OGJ2)"),
+            std::string::npos)
+      << recovered.value().detail;
+  EXPECT_EQ(recovered.value().bytes_discarded, old.size());
+  EXPECT_EQ(fs::file_size(dir / "journal.wal"), 0u);
+
+  ScheduleSegment(kernel, 31, 0);
+  kernel.Run(Milliseconds(50));
+  ASSERT_GT(persist.last_committed_seq(), 0u);
+  kernel.Panic();
+  recovered = kernel.Reboot();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_FALSE(recovered.value().cold_start) << recovered.value().detail;
+  EXPECT_EQ(recovered.value().last_seq, persist.last_committed_seq());
 }
 
 TEST(PersistKernel, RebootWithoutPersistIsACleanColdStart) {
