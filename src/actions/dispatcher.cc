@@ -28,11 +28,6 @@ void ActionDispatcher::SetReplaceFallbacks(std::vector<std::string> policies) {
   replace_fallbacks_ = std::move(policies);
 }
 
-std::vector<Duration> ActionDispatcher::last_backoff_schedule() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_backoff_schedule_;
-}
-
 Result<Value> ActionDispatcher::RunAction(HelperId id, std::span<const Value> args,
                                           const ActionEnvelope& envelope) {
   switch (id) {
@@ -52,7 +47,6 @@ Result<Value> ActionDispatcher::RunAction(HelperId id, std::span<const Value> ar
 Result<Value> ActionDispatcher::Dispatch(HelperId id, std::span<const Value> args,
                                          const ActionEnvelope& envelope) {
   Result<Value> result = DispatchChain(id, args, envelope);
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.dispatches;
   return result;
 }
@@ -71,7 +65,6 @@ Result<Value> ActionDispatcher::DispatchChain(HelperId id, std::span<const Value
       injected = chaos_->ShouldInject(fail_site_, envelope.now);
     }
     if (injected) {
-      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.injected_failures;
     }
     result = injected ? Result<Value>(ExecutionError(
@@ -84,23 +77,16 @@ Result<Value> ActionDispatcher::DispatchChain(HelperId id, std::span<const Value
     // be honored by a wall-clock host) rather than waited out.
     schedule.push_back(backoff);
     backoff = static_cast<Duration>(static_cast<double>(backoff) * retry_.backoff_multiplier);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retries;
-    }
+    ++stats_.retries;
     if (store_ != nullptr) {
       store_->Increment(kActionRetriesKey, 1.0);
     }
   }
   if (!schedule.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
     last_backoff_schedule_ = std::move(schedule);
   }
   if (!result.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failures;
-    }
+    ++stats_.failures;
     if (store_ != nullptr) {
       store_->Increment(kActionFailuresKey, 1.0);
     }
@@ -131,10 +117,7 @@ Result<Value> ActionDispatcher::RunReplaceFallback(std::span<const Value> args,
     if (!rebound.ok()) {
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.fallbacks;
-    }
+    ++stats_.fallbacks;
     if (store_ != nullptr) {
       store_->Increment(kActionFallbacksKey, 1.0);
     }
@@ -165,10 +148,7 @@ Result<Value> ActionDispatcher::DoReport(std::span<const Value> args,
     }
   }
   reporter_->Report(std::move(record));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reports;
-  }
+  ++stats_.reports;
   return Value();
 }
 
@@ -178,13 +158,10 @@ Result<Value> ActionDispatcher::DoReplace(std::span<const Value> args,
   OSGUARD_ASSIGN_OR_RETURN(std::string new_policy, args[1].AsString());
   OSGUARD_ASSIGN_OR_RETURN(int rebound, registry_->Replace(old_policy, new_policy,
                                                            envelope.now));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (rebound > 0) {
-      ++stats_.replaces;
-    } else {
-      ++stats_.replace_noops;
-    }
+  if (rebound > 0) {
+    ++stats_.replaces;
+  } else {
+    ++stats_.replace_noops;
   }
   return Value(static_cast<int64_t>(rebound));
 }
@@ -197,13 +174,10 @@ Result<Value> ActionDispatcher::DoRetrain(std::span<const Value> args,
     OSGUARD_ASSIGN_OR_RETURN(data_key, args[1].AsString());
   }
   const bool accepted = retrain_queue_->Request(model, data_key, envelope.now);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (accepted) {
-      ++stats_.retrains_requested;
-    } else {
-      ++stats_.retrains_suppressed;
-    }
+  if (accepted) {
+    ++stats_.retrains_requested;
+  } else {
+    ++stats_.retrains_suppressed;
   }
   return Value(accepted);
 }
@@ -233,21 +207,8 @@ Result<Value> ActionDispatcher::DoDeprioritize(std::span<const Value> args,
     priorities.push_back(v.NumericOr(0.0));
   }
   OSGUARD_RETURN_IF_ERROR(task_control_->Deprioritize(tasks, priorities, envelope.now));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.deprioritizes;
-  }
+  ++stats_.deprioritizes;
   return Value(static_cast<int64_t>(tasks.size()));
-}
-
-ActionStats ActionDispatcher::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-uint64_t ActionDispatcher::failure_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.failures;
 }
 
 }  // namespace osguard

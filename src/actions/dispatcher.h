@@ -33,7 +33,6 @@
 #define SRC_ACTIONS_DISPATCHER_H_
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -118,19 +117,18 @@ class ActionDispatcher {
 
   // Backoff schedule recorded by the most recent dispatch that retried
   // (oldest first). For tests asserting the schedule is monotone.
-  std::vector<Duration> last_backoff_schedule() const;
+  std::vector<Duration> last_backoff_schedule() const { return last_backoff_schedule_; }
 
-  ActionStats stats() const;
-  // Exhausted-chain count alone; one lock and one word read, cheap enough for
-  // the supervisor to snapshot around every supervised evaluation.
-  uint64_t failure_count() const;
+  ActionStats stats() const { return stats_; }
+  // Exhausted-chain count alone: the supervisor snapshots it around every
+  // supervised evaluation.
+  uint64_t failure_count() const { return stats_.failures; }
   RecordingTaskControl& fallback_task_control() { return fallback_task_control_; }
 
   // The ActionStats the engine image carries, in image order
   // (src/persist/wire.h).
   template <class Io, class Self>
   static void PersistFields(Io& io, Self& d) {
-    std::lock_guard<std::mutex> lock(d.mu_);
     io.U64(d.stats_.reports);
     io.U64(d.stats_.replaces);
     io.U64(d.stats_.replace_noops);
@@ -168,7 +166,6 @@ class ActionDispatcher {
   FeatureStore* store_ = nullptr;
   std::vector<std::string> replace_fallbacks_;
 
-  mutable std::mutex mu_;
   ActionStats stats_;
   std::vector<Duration> last_backoff_schedule_;
 };

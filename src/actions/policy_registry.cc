@@ -8,7 +8,6 @@ Status PolicyRegistry::Register(std::shared_ptr<Policy> policy) {
   if (policy == nullptr) {
     return InvalidArgumentError("cannot register a null policy");
   }
-  std::lock_guard<std::mutex> lock(mu_);
   const std::string name = policy->name();
   if (name.empty()) {
     return InvalidArgumentError("policy name must not be empty");
@@ -20,7 +19,6 @@ Status PolicyRegistry::Register(std::shared_ptr<Policy> policy) {
 }
 
 Result<std::shared_ptr<Policy>> PolicyRegistry::Get(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = policies_.find(name);
   if (it == policies_.end()) {
     return NotFoundError("no policy named '" + name + "'");
@@ -29,7 +27,6 @@ Result<std::shared_ptr<Policy>> PolicyRegistry::Get(const std::string& name) con
 }
 
 Status PolicyRegistry::BindSlot(const std::string& slot, const std::string& policy_name) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (policies_.count(policy_name) == 0) {
     return NotFoundError("cannot bind slot '" + slot + "': no policy named '" + policy_name +
                          "'");
@@ -39,7 +36,6 @@ Status PolicyRegistry::BindSlot(const std::string& slot, const std::string& poli
 }
 
 Result<std::shared_ptr<Policy>> PolicyRegistry::Active(const std::string& slot) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = slots_.find(slot);
   if (it == slots_.end()) {
     return NotFoundError("no slot named '" + slot + "'");
@@ -54,7 +50,6 @@ Result<std::shared_ptr<Policy>> PolicyRegistry::Active(const std::string& slot) 
 
 Result<int> PolicyRegistry::Replace(const std::string& old_policy,
                                     const std::string& new_policy, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (policies_.count(new_policy) == 0) {
     return NotFoundError("REPLACE: no policy named '" + new_policy + "'");
   }
@@ -70,12 +65,10 @@ Result<int> PolicyRegistry::Replace(const std::string& old_policy,
 }
 
 std::vector<ReplaceEvent> PolicyRegistry::replace_history() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return history_;
 }
 
 std::vector<std::string> PolicyRegistry::SlotNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(slots_.size());
   for (const auto& [slot, policy] : slots_) {
@@ -86,7 +79,6 @@ std::vector<std::string> PolicyRegistry::SlotNames() const {
 }
 
 size_t PolicyRegistry::policy_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return policies_.size();
 }
 

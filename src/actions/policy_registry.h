@@ -14,7 +14,6 @@
 #define SRC_ACTIONS_POLICY_REGISTRY_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,7 +87,6 @@ class PolicyRegistry {
   size_t policy_count() const;
 
  private:
-  mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Policy>> policies_;
   std::unordered_map<std::string, std::string> slots_;  // slot -> policy name
   std::vector<ReplaceEvent> history_;

@@ -53,28 +53,30 @@ void Reporter::Report(ReportRecord record) {
   } else if (record.severity == Severity::kCritical) {
     level = LogLevel::kError;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    record.sequence = next_sequence_++;
-    per_guardrail_[record.guardrail] += 1;
-    per_kind_[static_cast<int>(record.kind)] += 1;
-    records_.push_back(record);
-    while (records_.size() > capacity_) {
-      records_.pop_front();
-    }
+  // The log line is formatted before the record moves into the ring, where
+  // an eviction at capacity may pop it, and logged after the record commits.
+  const bool log = Logger::Global().Enabled(level);
+  std::string line;
+  if (log) {
+    line = record.ToString();
   }
-  if (Logger::Global().Enabled(level)) {
-    Logger::Global().Log(level, record.ToString());
+  record.sequence = next_sequence_++;
+  per_guardrail_[record.guardrail] += 1;
+  per_kind_[static_cast<int>(record.kind)] += 1;
+  records_.push_back(std::move(record));
+  while (records_.size() > capacity_) {
+    records_.pop_front();
+  }
+  if (log) {
+    Logger::Global().Log(level, line);
   }
 }
 
 std::vector<ReportRecord> Reporter::Records() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return {records_.begin(), records_.end()};
 }
 
 std::vector<ReportRecord> Reporter::RecordsFor(const std::string& guardrail) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<ReportRecord> out;
   for (const ReportRecord& record : records_) {
     if (record.guardrail == guardrail) {
@@ -85,7 +87,6 @@ std::vector<ReportRecord> Reporter::RecordsFor(const std::string& guardrail) con
 }
 
 void Reporter::RestoreRecord(ReportRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(std::move(record));
   while (records_.size() > capacity_) {
     records_.pop_front();
@@ -93,24 +94,20 @@ void Reporter::RestoreRecord(ReportRecord record) {
 }
 
 uint64_t Reporter::total_reports() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return next_sequence_;
 }
 
 uint64_t Reporter::CountFor(const std::string& guardrail) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = per_guardrail_.find(guardrail);
   return it == per_guardrail_.end() ? 0 : it->second;
 }
 
 uint64_t Reporter::CountOfKind(ReportKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = per_kind_.find(static_cast<int>(kind));
   return it == per_kind_.end() ? 0 : it->second;
 }
 
 void Reporter::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   per_guardrail_.clear();
   per_kind_.clear();

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,13 +86,12 @@ class Reporter {
   std::vector<ReportRecord> RecordsFor(const std::string& guardrail) const;
 
   // Calls visit(record) for each retained record with sequence >= from,
-  // oldest first, under the reporter's lock and without copying: how the
-  // engine encodes a journal frame's report delta and a snapshot's ring.
-  // `visit` must not call back into the reporter. The ring is ordered by
-  // sequence, so this costs O(log n) plus the records visited.
+  // oldest first, without copying: how the engine encodes a journal frame's
+  // report delta and a snapshot's ring. `visit` must not call back into the
+  // reporter. The ring is ordered by sequence, so this costs O(log n) plus
+  // the records visited.
   template <class Visit>
   void ForEachRecordSince(uint64_t from, Visit&& visit) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = std::partition_point(
         records_.begin(), records_.end(),
         [from](const ReportRecord& record) { return record.sequence < from; });
@@ -113,7 +111,6 @@ class Reporter {
   // reporters with identical history encode identical bytes.
   template <class Io, class Self>
   static void PersistFields(Io& io, Self& r) {
-    std::lock_guard<std::mutex> lock(r.mu_);
     io.U64(r.next_sequence_);
     io.SortedMap(r.per_guardrail_, "guardrail tally", [&](auto& guardrail, auto& count) {
       io.Str(guardrail);
@@ -136,7 +133,6 @@ class Reporter {
   void Clear();
 
  private:
-  mutable std::mutex mu_;
   size_t capacity_;
   uint64_t next_sequence_ = 0;
   std::deque<ReportRecord> records_;

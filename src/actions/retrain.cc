@@ -3,7 +3,6 @@
 namespace osguard {
 
 bool RetrainQueue::Request(const std::string& model, const std::string& data_key, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto last = last_accepted_.find(model);
   if (last != last_accepted_.end() && now - last->second < options_.min_interval) {
     ++stats_.throttled;
@@ -25,7 +24,6 @@ bool RetrainQueue::Request(const std::string& model, const std::string& data_key
 }
 
 std::optional<RetrainRequest> RetrainQueue::Pop() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (queue_.empty()) {
     return std::nullopt;
   }
@@ -37,17 +35,14 @@ std::optional<RetrainRequest> RetrainQueue::Pop() {
 }
 
 size_t RetrainQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
 }
 
 RetrainQueueStats RetrainQueue::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
 void RetrainQueue::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   queue_.clear();
   queued_count_.clear();
   last_accepted_.clear();

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,7 +71,6 @@ class RetrainQueue {
   // anti-abuse rate limit.
   template <class Io, class Self>
   static void PersistFields(Io& io, Self& q) {
-    std::lock_guard<std::mutex> lock(q.mu_);
     io.Seq(q.queue_, "retrain request", [&](auto& request) {
       io.Str(request.model);
       io.Str(request.data_key);
@@ -95,7 +93,6 @@ class RetrainQueue {
 
  private:
   RetrainQueueOptions options_;
-  mutable std::mutex mu_;
   std::deque<RetrainRequest> queue_;
   std::unordered_map<std::string, SimTime> last_accepted_;
   std::unordered_map<std::string, int> queued_count_;

@@ -10,7 +10,6 @@
 #ifndef SRC_ACTIONS_TASK_CONTROL_H_
 #define SRC_ACTIONS_TASK_CONTROL_H_
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,18 +41,15 @@ class RecordingTaskControl : public TaskControl {
  public:
   Status Deprioritize(const std::vector<std::string>& tasks,
                       const std::vector<double>& priorities, SimTime now) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.push_back(DeprioritizeEvent{tasks, priorities, now});
+      events_.push_back(DeprioritizeEvent{tasks, priorities, now});
     return OkStatus();
   }
 
   std::vector<DeprioritizeEvent> events() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return events_;
+      return events_;
   }
 
  private:
-  mutable std::mutex mu_;
   std::vector<DeprioritizeEvent> events_;
 };
 

@@ -306,10 +306,10 @@ Result<GuardrailHealth> AnalyzeHealth(const GuardrailDecl& decl) {
         return SemanticError("budget_steps must be >= 0" + loc);
       }
     } else if (attr.key == "budget_ns") {
-      OSGUARD_ASSIGN_OR_RETURN(health.budget_ns, attr.value.AsInt());
-      if (health.budget_ns < 0) {
-        return SemanticError("budget_ns must be >= 0" + loc);
-      }
+      // A wall-clock deadline would let host speed decide an outcome.
+      return SemanticError(
+          "budget_ns is not supported: bound an evaluation with budget_steps, which counts "
+          "VM instructions and replays exactly" + loc);
     } else if (attr.key == "flap_window") {
       OSGUARD_ASSIGN_OR_RETURN(health.flap_window, attr.value.AsInt());
       if (health.flap_window <= 0) {

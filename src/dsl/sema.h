@@ -44,10 +44,9 @@ std::string_view SeverityName(Severity severity);
 struct GuardrailHealth {
   bool supervised = false;
   // Per-evaluation VM step budget applied to the rule and action programs;
-  // 0 = no step cap beyond the structural verifier bound.
+  // 0 = no step cap beyond the structural verifier bound. There is no
+  // wall-time budget: only simulated time may decide an outcome.
   int64_t budget_steps = 0;
-  // Per-evaluation wall-time budget (ns, coarse-grained); 0 = none.
-  Duration budget_ns = 0;
   // Trip-flap detector: more than flap_threshold violated<->satisfied
   // transitions inside flap_window counts as a failure event.
   Duration flap_window = Seconds(60);

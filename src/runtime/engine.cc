@@ -170,7 +170,6 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
     : store_(store),
       registry_(registry),
       options_(options),
-      reporter_(options.reporter_capacity),
       retrain_queue_(options.retrain),
       dispatcher_(&reporter_, registry, &retrain_queue_, task_control),
       env_(store, &dispatcher_) {
@@ -611,24 +610,13 @@ void Engine::ApplyPendingRollbacks() {
 
 void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
   env_.UpdateEnvelope(monitor.guardrail.name, monitor.guardrail.meta.severity, t);
-  // Supervised monitors run their action programs under the same per-eval
-  // budget as the rule; an over-budget action program is killed mid-flight.
-  ExecBudget budget;
-  const ExecBudget* budget_ptr = nullptr;
-  if (monitor.guard != nullptr) {
-    const GuardrailHealth& cfg = monitor.guard->config;
-    if (cfg.budget_steps > 0 || cfg.budget_ns > 0) {
-      budget.max_steps = cfg.budget_steps;
-      if (cfg.budget_ns > 0) {
-        budget.deadline_wall_ns = WallNowNs() + cfg.budget_ns;
-      }
-      budget_ptr = &budget;
-    }
-  }
+  // Supervised monitors run their action programs under the same step cap
+  // as the rule; an over-budget action program is killed mid-flight.
+  const int64_t max_steps = monitor.guard != nullptr ? monitor.guard->config.budget_steps : 0;
   const uint64_t failures_before =
       monitor.guard != nullptr ? dispatcher_.failure_count() : 0;
   const int64_t start = WallNowNs();
-  auto result = vm_.Execute(program, env_, budget_ptr);
+  auto result = vm_.Execute(program, env_, max_steps);
   const int64_t elapsed = WallNowNs() - start;
   monitor.stats.action_wall_ns += elapsed;
   stats_.total_wall_ns += elapsed;
@@ -679,13 +667,6 @@ void Engine::EvaluateInner(Monitor& monitor, SimTime t) {
     return;
   }
   env_.UpdateEnvelope(monitor.guardrail.name, monitor.guardrail.meta.severity, t);
-  ExecBudget budget;
-  const ExecBudget* budget_ptr = nullptr;
-  if (prep.budget_steps > 0 || prep.budget_deadline_ns > 0) {
-    budget.max_steps = prep.budget_steps;
-    budget.deadline_wall_ns = prep.budget_deadline_ns;
-    budget_ptr = &budget;
-  }
   int64_t steps_before = 0;
   if (monitor.guard != nullptr) {
     steps_before = vm_.stats().insns_executed;
@@ -695,7 +676,7 @@ void Engine::EvaluateInner(Monitor& monitor, SimTime t) {
                     ? Result<Value>(ResourceExhaustedError(
                           "rule of guardrail '" + monitor.guardrail.name +
                           "' aborted by chaos site vm.budget_exhaust"))
-                    : vm_.Execute(monitor.guardrail.rule, env_, budget_ptr);
+                    : vm_.Execute(monitor.guardrail.rule, env_, prep.budget_steps);
   const int64_t wall_ns = WallNowNs() - start;
   const int64_t steps =
       monitor.guard != nullptr ? vm_.stats().insns_executed - steps_before : 0;
@@ -749,11 +730,7 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
   uptime_dirty_ = true;
   ++stats_.evaluations;
   if (monitor.guard != nullptr) {
-    const GuardrailHealth& cfg = monitor.guard->config;
-    prep.budget_steps = cfg.budget_steps;
-    if (cfg.budget_ns > 0) {
-      prep.budget_deadline_ns = WallNowNs() + cfg.budget_ns;
-    }
+    prep.budget_steps = monitor.guard->config.budget_steps;
     prep.injected_budget = supervisor_.InjectBudgetExhaust(t);
   }
   return prep;

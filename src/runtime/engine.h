@@ -135,7 +135,6 @@ struct EngineStats {
 };
 
 struct EngineOptions {
-  size_t reporter_capacity = 4096;
   RetrainQueueOptions retrain;
   // Overload governor (src/runtime/governor): load shedding by criticality
   // class when callout pressure spikes. Off by default (off == absent).
@@ -347,8 +346,7 @@ class Engine {
     GateDecision gate = GateDecision::kEvaluate;
     bool skip = false;             // gated off / rollback pending: no eval
     bool injected_budget = false;  // chaos vm.budget_exhaust fired
-    uint64_t budget_steps = 0;     // 0 = unlimited
-    int64_t budget_deadline_ns = 0;  // absolute wall deadline; 0 = none
+    int64_t budget_steps = 0;      // the VM step cap; 0 = unlimited
   };
   // Gate, rollback check, stats/uptime increments, budget setup and the
   // chaos budget-exhaust draw.

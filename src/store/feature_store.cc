@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/support/stats.h"
 
@@ -31,9 +33,52 @@ std::string_view AggKindName(AggKind kind) {
   return "?";
 }
 
+// --- Ownership ---
+
+namespace {
+
+// Each thread has its own instance, so its address names the thread: the
+// owner check is one address compare, with no system call.
+thread_local char this_thread_token;
+
+[[noreturn, gnu::cold, gnu::noinline]] void AbortNotOwner() {
+  std::fputs(
+      "osguard: FeatureStore used from a thread that did not construct it; one "
+      "thread drives a Kernel (or an Engine and the store it borrows) and "
+      "everything they own\n",
+      stderr);
+  std::abort();
+}
+
+}  // namespace
+
+FeatureStore::FeatureStore() : owner_(&this_thread_token) {}
+
+void FeatureStore::CheckOwner() const {
+  if (owner_ != &this_thread_token) [[unlikely]] {
+    AbortNotOwner();
+  }
+}
+
+void FeatureStore::SetWriteObserver(WriteObserver observer) {
+  CheckOwner();
+  observer_ = std::move(observer);
+}
+
+void FeatureStore::SetMutationObserver(MutationObserver observer) {
+  CheckOwner();
+  mutation_observer_ = std::move(observer);
+}
+
+void FeatureStore::SetObserversSuppressed(bool suppressed) {
+  CheckOwner();
+  observers_suppressed_ = suppressed;
+}
+
 // --- Interning ---
 
-KeyId FeatureStore::InternLocked(std::string_view key) {
+KeyId FeatureStore::InternKey(std::string_view key) {
+  CheckOwner();
   auto it = index_.find(key);
   if (it != index_.end()) {
     return it->second;
@@ -47,12 +92,12 @@ KeyId FeatureStore::InternLocked(std::string_view key) {
     Slot& slot = slots_[id];
     slot.key = std::string(key);
     slot.live = true;
-    RefreshBytesLocked(slot);
+    RefreshBytes(slot);
   } else {
     id = static_cast<KeyId>(slots_.size());
     slots_.emplace_back();
     slots_.back().key = std::string(key);
-    RefreshBytesLocked(slots_.back());
+    RefreshBytes(slots_.back());
   }
   index_.emplace(slots_[id].key, id);
   return id;
@@ -81,75 +126,74 @@ uint64_t FeatureStore::SlotBytes(const Slot& slot) {
   return bytes;
 }
 
-void FeatureStore::RefreshBytesLocked(Slot& slot) {
+void FeatureStore::RefreshBytes(Slot& slot) {
   const uint64_t now_bytes = SlotBytes(slot);
   approx_bytes_ += now_bytes - slot.bytes;
   slot.bytes = now_bytes;
 }
 
-KeyId FeatureStore::FindLocked(std::string_view key) const {
+KeyId FeatureStore::FindKey(std::string_view key) const {
+  CheckOwner();
   auto it = index_.find(key);
   return it == index_.end() ? kInvalidKeyId : it->second;
 }
 
-KeyId FeatureStore::InternKey(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return InternLocked(key);
-}
-
-KeyId FeatureStore::FindKey(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(key);
-}
-
 size_t FeatureStore::key_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return slots_.size();
 }
 
 size_t FeatureStore::live_key_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return slots_.size() - free_slots_.size();
 }
 
 const std::string& FeatureStore::KeyName(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return slots_[id].key;
 }
 
 // --- Key lifecycle ---
 
 void FeatureStore::Pin(KeyId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   if (id < slots_.size()) {
     slots_[id].pinned = true;
   }
 }
 
 void FeatureStore::Unpin(KeyId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   if (id < slots_.size()) {
     slots_[id].pinned = false;
   }
 }
 
 bool FeatureStore::IsPinned(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return id < slots_.size() && slots_[id].pinned;
 }
 
 uint32_t FeatureStore::GenerationOf(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return id < slots_.size() ? slots_[id].generation : 0;
 }
 
 bool FeatureStore::IsLive(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return id < slots_.size() && slots_[id].live;
 }
 
-Status FeatureStore::ReclaimLocked(KeyId id, StoreMutation* m, bool* capture,
-                                   std::string* name) {
+Status FeatureStore::ReclaimKey(std::string_view key) {
+  const KeyId id = FindKey(key);
+  if (id == kInvalidKeyId) {
+    return NotFoundError("feature store has no key '" + std::string(key) + "'");
+  }
+  return ReclaimKeyId(id);
+}
+
+Status FeatureStore::ReclaimKeyId(KeyId id) {
+  CheckOwner();
   if (id >= slots_.size() || !slots_[id].live) {
     return NotFoundError("feature store has no live slot " + std::to_string(id));
   }
@@ -157,15 +201,10 @@ Status FeatureStore::ReclaimLocked(KeyId id, StoreMutation* m, bool* capture,
   if (slot.pinned) {
     return FailedPreconditionError("key '" + slot.key + "' is pinned and cannot be reclaimed");
   }
-  if (*capture) {
-    m->kind = StoreMutation::Kind::kErase;
-    m->id = id;
-    m->reclaim = true;
-    *name = slot.key;  // the slot's copy is cleared below
-  }
   index_.erase(slot.key);
   // Drop the tenant name too: a dead slot must account (and dump) exactly
   // like a restored dead slot, or byte telemetry diverges across restarts.
+  const std::string name = std::move(slot.key);
   slot.key.clear();
   slot.has_scalar = false;
   slot.scalar = Value();
@@ -173,141 +212,99 @@ Status FeatureStore::ReclaimLocked(KeyId id, StoreMutation* m, bool* capture,
   slot.live = false;
   ++slot.generation;
   free_slots_.push_back(id);
-  RefreshBytesLocked(slot);
-  return OkStatus();
-}
-
-Status FeatureStore::ReclaimKey(std::string_view key) {
-  bool capture = WantMutations();
-  StoreMutation m;
-  std::string name;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const KeyId id = FindLocked(key);
-    if (id == kInvalidKeyId) {
-      return NotFoundError("feature store has no key '" + std::string(key) + "'");
-    }
-    OSGUARD_RETURN_IF_ERROR(ReclaimLocked(id, &m, &capture, &name));
-  }
-  if (capture) {
+  RefreshBytes(slot);
+  if (WantMutations()) {
+    StoreMutation m;
+    m.kind = StoreMutation::Kind::kErase;
+    m.id = id;
+    m.reclaim = true;
     mutation_observer_(m, name);
   }
   return OkStatus();
 }
 
-Status FeatureStore::ReclaimKeyId(KeyId id) {
-  bool capture = WantMutations();
-  StoreMutation m;
-  std::string name;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    OSGUARD_RETURN_IF_ERROR(ReclaimLocked(id, &m, &capture, &name));
+bool FeatureStore::TagIsCurrent(KeyId id, uint32_t gen) const {
+  if (id >= slots_.size()) {
+    return false;
   }
-  if (capture) {
-    mutation_observer_(m, name);
+  if (slots_[id].generation != gen) {
+    ++stale_hits_;
+    return false;
   }
-  return OkStatus();
+  return slots_[id].live;
 }
 
 Value FeatureStore::LoadOrTagged(KeyId id, uint32_t gen, Value fallback) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= slots_.size() || !slots_[id].live || slots_[id].generation != gen) {
-    if (id < slots_.size() && slots_[id].generation != gen) {
-      stale_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
+  CheckOwner();
+  if (!TagIsCurrent(id, gen)) {
     return fallback;
   }
-  return LoadOrLocked(id, fallback);
+  return LoadOr(id, std::move(fallback));
 }
 
 bool FeatureStore::ContainsTagged(KeyId id, uint32_t gen) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= slots_.size() || !slots_[id].live || slots_[id].generation != gen) {
-    if (id < slots_.size() && slots_[id].generation != gen) {
-      stale_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return false;
-  }
-  return ContainsLocked(id);
+  CheckOwner();
+  return TagIsCurrent(id, gen) && Contains(id);
 }
 
 Result<double> FeatureStore::AggregateTagged(KeyId id, uint32_t gen, AggKind kind,
                                              Duration window, SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= slots_.size() || !slots_[id].live || slots_[id].generation != gen) {
-    if (id < slots_.size() && slots_[id].generation != gen) {
-      stale_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
+  CheckOwner();
+  if (!TagIsCurrent(id, gen)) {
     return NotFoundError("stale or reclaimed slot " + std::to_string(id));
   }
-  return AggregateLocked(id, kind, window, now);
+  return Aggregate(id, kind, window, now);
+}
+
+uint64_t FeatureStore::stale_hits() const {
+  CheckOwner();
+  return stale_hits_;
 }
 
 uint64_t FeatureStore::approx_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return approx_bytes_;
 }
 
 uint64_t FeatureStore::SlotApproxBytes(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   return id < slots_.size() ? slots_[id].bytes : 0;
 }
 
 // --- Scalars ---
-//
-// Mutation capture: when a mutation observer is attached (and not
-// suppressed) each write path builds a StoreMutation while it still holds
-// the lock — the observed value is the committed one, not a later
-// overwrite — and fires it after the lock is released, before NotifyWrite.
 
-void FeatureStore::Save(std::string_view key, Value value) {
-  KeyId id;
-  const bool capture = WantMutations();
-  StoreMutation m;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = InternLocked(key);
-    if (capture) {
-      m.kind = StoreMutation::Kind::kSave;
-      m.id = id;
-      m.value = value;
-    }
-    slots_[id].scalar = std::move(value);
-    slots_[id].has_scalar = true;
-    RefreshBytesLocked(slots_[id]);
-  }
-  if (capture) {
+// Journals a committed Save or Increment as a kSave of the slot's new scalar
+// (Increment's post-increment value, so replay needs no read-modify-write),
+// then fires the write observer.
+void FeatureStore::NotifySave(KeyId id) const {
+  if (WantMutations()) {
+    StoreMutation m;
+    m.kind = StoreMutation::Kind::kSave;
+    m.id = id;
+    m.value = slots_[id].scalar;
     NotifyMutation(m);
   }
   NotifyWrite(id);
+}
+
+void FeatureStore::Save(std::string_view key, Value value) {
+  Save(InternKey(key), std::move(value));
 }
 
 void FeatureStore::Save(KeyId id, Value value) {
-  const bool capture = WantMutations();
-  StoreMutation m;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!slots_[id].live) {
-      return;  // a stale cached id cannot resurrect a reclaimed slot
-    }
-    if (capture) {
-      m.kind = StoreMutation::Kind::kSave;
-      m.id = id;
-      m.value = value;
-    }
-    slots_[id].scalar = std::move(value);
-    slots_[id].has_scalar = true;
-    RefreshBytesLocked(slots_[id]);
+  CheckOwner();
+  Slot& slot = slots_[id];
+  if (!slot.live) {
+    return;  // a stale cached id cannot resurrect a reclaimed slot
   }
-  if (capture) {
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
+  slot.scalar = std::move(value);
+  slot.has_scalar = true;
+  RefreshBytes(slot);
+  NotifySave(id);
 }
 
 Result<Value> FeatureStore::Load(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const KeyId id = FindLocked(key);
+  const KeyId id = FindKey(key);
   if (id == kInvalidKeyId || !slots_[id].has_scalar) {
     return NotFoundError("feature store has no key '" + std::string(key) + "'");
   }
@@ -315,7 +312,7 @@ Result<Value> FeatureStore::Load(std::string_view key) const {
 }
 
 Result<Value> FeatureStore::Load(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   if (id >= slots_.size() || !slots_[id].has_scalar) {
     return NotFoundError("feature store has no slot " + std::to_string(id));
   }
@@ -323,20 +320,11 @@ Result<Value> FeatureStore::Load(KeyId id) const {
 }
 
 Value FeatureStore::LoadOr(std::string_view key, Value fallback) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const KeyId id = FindLocked(key);
-  if (id == kInvalidKeyId || !slots_[id].has_scalar) {
-    return fallback;
-  }
-  return slots_[id].scalar;
+  return LoadOr(FindKey(key), std::move(fallback));
 }
 
 Value FeatureStore::LoadOr(KeyId id, Value fallback) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LoadOrLocked(id, fallback);
-}
-
-Value FeatureStore::LoadOrLocked(KeyId id, const Value& fallback) const {
+  CheckOwner();
   if (id >= slots_.size() || !slots_[id].has_scalar) {
     return fallback;
   }
@@ -344,32 +332,22 @@ Value FeatureStore::LoadOrLocked(KeyId id, const Value& fallback) const {
 }
 
 bool FeatureStore::Contains(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const KeyId id = FindLocked(key);
-  return id != kInvalidKeyId && slots_[id].has_scalar;
+  return Contains(FindKey(key));
 }
 
 bool FeatureStore::Contains(KeyId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ContainsLocked(id);
-}
-
-bool FeatureStore::ContainsLocked(KeyId id) const {
+  CheckOwner();
   return id < slots_.size() && slots_[id].has_scalar;
 }
 
 Status FeatureStore::Erase(std::string_view key) {
-  KeyId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = FindLocked(key);
-    if (id == kInvalidKeyId || !slots_[id].has_scalar) {
-      return NotFoundError("feature store has no key '" + std::string(key) + "'");
-    }
-    slots_[id].has_scalar = false;
-    slots_[id].scalar = Value();
-    RefreshBytesLocked(slots_[id]);
+  const KeyId id = FindKey(key);
+  if (id == kInvalidKeyId || !slots_[id].has_scalar) {
+    return NotFoundError("feature store has no key '" + std::string(key) + "'");
   }
+  slots_[id].has_scalar = false;
+  slots_[id].scalar = Value();
+  RefreshBytes(slots_[id]);
   if (WantMutations()) {
     StoreMutation m;
     m.kind = StoreMutation::Kind::kErase;
@@ -380,61 +358,29 @@ Status FeatureStore::Erase(std::string_view key) {
 }
 
 double FeatureStore::Increment(std::string_view key, double delta) {
-  KeyId id;
-  double next = delta;
-  const bool capture = WantMutations();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = InternLocked(key);
-    Slot& slot = slots_[id];
-    if (slot.has_scalar) {
-      next += slot.scalar.NumericOr(0.0);
-    }
-    slot.scalar = Value(next);
-    slot.has_scalar = true;
-    RefreshBytesLocked(slot);
-  }
-  if (capture) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kSave;  // post-increment scalar: replay is a plain Save
-    m.id = id;
-    m.value = Value(next);
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
-  return next;
+  return Increment(InternKey(key), delta);
 }
 
 double FeatureStore::Increment(KeyId id, double delta) {
+  CheckOwner();
+  Slot& slot = slots_[id];
+  if (!slot.live) {
+    return 0.0;  // stale cached id: no resurrection, no observer
+  }
   double next = delta;
-  const bool capture = WantMutations();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Slot& slot = slots_[id];
-    if (!slot.live) {
-      return 0.0;  // stale cached id: no resurrection, no observer
-    }
-    if (slot.has_scalar) {
-      next += slot.scalar.NumericOr(0.0);
-    }
-    slot.scalar = Value(next);
-    slot.has_scalar = true;
-    RefreshBytesLocked(slot);
+  if (slot.has_scalar) {
+    next += slot.scalar.NumericOr(0.0);
   }
-  if (capture) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kSave;
-    m.id = id;
-    m.value = Value(next);
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
+  slot.scalar = Value(next);
+  slot.has_scalar = true;
+  RefreshBytes(slot);
+  NotifySave(id);
   return next;
 }
 
 // --- Time series ---
 
-void FeatureStore::AppendLocked(Series& series, SimTime t, double sample) {
+void FeatureStore::Append(Series& series, SimTime t, double sample) {
   if (!series.samples.empty() && t < series.samples.back().time) {
     t = series.samples.back().time;  // clamp out-of-order samples
   }
@@ -456,10 +402,10 @@ void FeatureStore::AppendLocked(Series& series, SimTime t, double sample) {
     series.maxima.pop_back();
   }
   series.maxima.push_back(Extremum{seq, t, sample});
-  EvictLocked(series, t);
+  Evict(series, t);
 }
 
-void FeatureStore::EvictLocked(Series& series, SimTime now) {
+void FeatureStore::Evict(Series& series, SimTime now) {
   const SimTime cutoff = now - series.options.max_age;
   auto pop_front = [&series] {
     const uint64_t seq = series.samples.front().seq;
@@ -482,39 +428,20 @@ void FeatureStore::EvictLocked(Series& series, SimTime now) {
 }
 
 void FeatureStore::Observe(std::string_view key, SimTime now, double sample) {
-  KeyId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = InternLocked(key);
-    if (slots_[id].series == nullptr) {
-      slots_[id].series = std::make_unique<Series>();
-    }
-    AppendLocked(*slots_[id].series, now, sample);
-    RefreshBytesLocked(slots_[id]);
-  }
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kObserve;
-    m.id = id;
-    m.time = now;
-    m.sample = sample;
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
+  Observe(InternKey(key), now, sample);
 }
 
 void FeatureStore::Observe(KeyId id, SimTime now, double sample) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!slots_[id].live) {
-      return;  // stale cached id: no resurrection, no observer
-    }
-    if (slots_[id].series == nullptr) {
-      slots_[id].series = std::make_unique<Series>();
-    }
-    AppendLocked(*slots_[id].series, now, sample);
-    RefreshBytesLocked(slots_[id]);
+  CheckOwner();
+  Slot& slot = slots_[id];
+  if (!slot.live) {
+    return;  // stale cached id: no resurrection, no observer
   }
+  if (slot.series == nullptr) {
+    slot.series = std::make_unique<Series>();
+  }
+  Append(*slot.series, now, sample);
+  RefreshBytes(slot);
   if (WantMutations()) {
     StoreMutation m;
     m.kind = StoreMutation::Kind::kObserve;
@@ -527,20 +454,17 @@ void FeatureStore::Observe(KeyId id, SimTime now, double sample) {
 }
 
 void FeatureStore::SetSeriesOptions(std::string_view key, SeriesOptions options) {
-  KeyId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = InternLocked(key);
-    if (slots_[id].series == nullptr) {
-      slots_[id].series = std::make_unique<Series>();
-    }
-    Series& series = *slots_[id].series;
-    series.options = options;
-    if (!series.samples.empty()) {
-      EvictLocked(series, series.samples.back().time);
-    }
-    RefreshBytesLocked(slots_[id]);
+  const KeyId id = InternKey(key);
+  Slot& slot = slots_[id];
+  if (slot.series == nullptr) {
+    slot.series = std::make_unique<Series>();
   }
+  Series& series = *slot.series;
+  series.options = options;
+  if (!series.samples.empty()) {
+    Evict(series, series.samples.back().time);
+  }
+  RefreshBytes(slot);
   if (WantMutations()) {
     StoreMutation m;
     m.kind = StoreMutation::Kind::kSetSeriesOptions;
@@ -583,12 +507,7 @@ WindowRange FindWindow(const Deque& samples, SimTime cutoff, SimTime now) {
 
 Result<double> FeatureStore::Aggregate(KeyId id, AggKind kind, Duration window,
                                        SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AggregateLocked(id, kind, window, now);
-}
-
-Result<double> FeatureStore::AggregateLocked(KeyId id, AggKind kind, Duration window,
-                                             SimTime now) const {
+  CheckOwner();
   const bool empty_ok =
       kind == AggKind::kCount || kind == AggKind::kSum || kind == AggKind::kRate;
   const Series* series = id < slots_.size() ? slots_[id].series.get() : nullptr;
@@ -667,11 +586,7 @@ Result<double> FeatureStore::AggregateLocked(KeyId id, AggKind kind, Duration wi
 
 Result<double> FeatureStore::Aggregate(std::string_view key, AggKind kind, Duration window,
                                        SimTime now) const {
-  KeyId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = FindLocked(key);
-  }
+  const KeyId id = FindKey(key);
   if (id == kInvalidKeyId) {
     if (kind == AggKind::kCount || kind == AggKind::kSum || kind == AggKind::kRate) {
       return 0.0;
@@ -683,8 +598,7 @@ Result<double> FeatureStore::Aggregate(std::string_view key, AggKind kind, Durat
 
 Result<double> FeatureStore::AggregateQuantile(KeyId id, double q, Duration window,
                                                SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<double> samples = WindowSamplesLocked(id, window, now);
+  std::vector<double> samples = WindowSamples(id, window, now);
   if (samples.empty()) {
     return NotFoundError("window for slot " + std::to_string(id) + " is empty");
   }
@@ -701,12 +615,7 @@ Result<double> FeatureStore::AggregateQuantile(std::string_view key, double q, D
 }
 
 std::vector<double> FeatureStore::WindowSamples(KeyId id, Duration window, SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return WindowSamplesLocked(id, window, now);
-}
-
-std::vector<double> FeatureStore::WindowSamplesLocked(KeyId id, Duration window,
-                                                      SimTime now) const {
+  CheckOwner();
   std::vector<double> out;
   const Series* series = id < slots_.size() ? slots_[id].series.get() : nullptr;
   if (series == nullptr) {
@@ -725,21 +634,13 @@ std::vector<double> FeatureStore::WindowSamplesLocked(KeyId id, Duration window,
 
 std::vector<double> FeatureStore::WindowSamples(std::string_view key, Duration window,
                                                 SimTime now) const {
-  KeyId id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = FindLocked(key);
-  }
-  if (id == kInvalidKeyId) {
-    return {};
-  }
-  return WindowSamples(id, window, now);
+  return WindowSamples(FindKey(key), window, now);
 }
 
 // --- Introspection ---
 
 size_t FeatureStore::scalar_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   size_t count = 0;
   for (const Slot& slot : slots_) {
     count += slot.has_scalar ? 1 : 0;
@@ -748,7 +649,7 @@ size_t FeatureStore::scalar_count() const {
 }
 
 size_t FeatureStore::series_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   size_t count = 0;
   for (const Slot& slot : slots_) {
     count += slot.series != nullptr ? 1 : 0;
@@ -757,7 +658,7 @@ size_t FeatureStore::series_count() const {
 }
 
 std::vector<std::string> FeatureStore::ScalarKeys() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   std::vector<std::string> keys;
   keys.reserve(slots_.size());
   for (const Slot& slot : slots_) {
@@ -770,7 +671,7 @@ std::vector<std::string> FeatureStore::ScalarKeys() const {
 }
 
 void FeatureStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   for (Slot& slot : slots_) {
     slot.has_scalar = false;
     slot.scalar = Value();
@@ -780,7 +681,7 @@ void FeatureStore::Clear() {
       slot.key.clear();
       slot.key.shrink_to_fit();
     }
-    RefreshBytesLocked(slot);
+    RefreshBytes(slot);
   }
   // Trim trailing dead slots. Live ids never move, so every id a monitor
   // has cached (all of which point at live, pinned slots) stays valid.
@@ -794,7 +695,7 @@ void FeatureStore::Clear() {
 }
 
 void FeatureStore::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   slots_.clear();
   index_.clear();
   free_slots_.clear();
@@ -804,7 +705,7 @@ void FeatureStore::Reset() {
 // --- Persistence ---
 
 std::vector<StoreSlotDump> FeatureStore::DumpSlots() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   std::vector<StoreSlotDump> dump;
   dump.reserve(slots_.size());
   for (KeyId id = 0; id < slots_.size(); ++id) {
@@ -850,7 +751,7 @@ std::vector<StoreSlotDump> FeatureStore::DumpSlots() const {
 }
 
 void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
-  std::lock_guard<std::mutex> lock(mu_);
+  CheckOwner();
   // Positional restore: dump index i describes slot i. This preserves the
   // generation map, so a monitor's (id, generation) tag minted before a
   // snapshot reads identically after warm restart.
@@ -876,7 +777,7 @@ void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
         slot.generation = d.generation;
         freed.emplace_back(d.free_rank, id);
       }
-      RefreshBytesLocked(slot);
+      RefreshBytes(slot);
       continue;
     }
     if (slot.live && slot.key != d.key && !slot.key.empty()) {
@@ -890,7 +791,7 @@ void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
     slot.scalar = d.has_scalar ? d.scalar : Value();
     if (!d.has_series) {
       slot.series.reset();
-      RefreshBytesLocked(slot);
+      RefreshBytes(slot);
       continue;
     }
     slot.series = std::make_unique<Series>();
@@ -908,7 +809,7 @@ void FeatureStore::RestoreSlots(const std::vector<StoreSlotDump>& dump) {
     for (const StoreExtremumDump& e : d.series.maxima) {
       s.maxima.push_back(Extremum{e.seq, e.time, e.value});
     }
-    RefreshBytesLocked(slot);
+    RefreshBytes(slot);
   }
   // Rebuild the free list in dump order so recycling after restart picks the
   // same slots in the same order as the pre-crash store would have.

@@ -19,20 +19,19 @@
 //     queries are O(log n) binary searches + O(1) arithmetic instead of an
 //     O(n) scan; Observe/evict maintenance is amortized O(1).
 //
-// Concurrency: all operations are guarded by a single mutex. In the kernel
-// the store would be per-CPU sharded; a single lock is faithful enough for a
-// simulator and keeps the semantics (strict serializability of SAVE/LOAD)
-// simple to reason about.
+// Threading: one thread drives a Kernel (or an Engine and the store it
+// borrows) and everything they own, so the store takes no lock. The thread
+// that constructs a store owns it, and any other thread that reads or writes
+// it aborts the process, in every build. A kernel deployment would shard the
+// store per CPU, as eBPF's per-CPU maps do, rather than lock it.
 
 #ifndef SRC_STORE_FEATURE_STORE_H_
 #define SRC_STORE_FEATURE_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -84,7 +83,7 @@ struct SeriesOptions {
 
 // Slot facts riding along with every write notification, read from the
 // committed slot so consumers (ONCHANGE dispatch, retention stamping) need
-// no extra store lock round-trip.
+// not query the store again.
 struct StoreWriteInfo {
   KeyId id = kInvalidKeyId;
   uint32_t generation = 0;   // slot tenant generation at commit time
@@ -92,12 +91,12 @@ struct StoreWriteInfo {
   bool pinned = false;       // lifecycle-exempt (cached-id contract)
 };
 
-// Invoked after a key is written (Save / Increment / Observe), outside the
-// store's lock, on the writing thread. Used by the engine's ONCHANGE
-// triggers (dependency-driven checking, the paper's §6 idea) and by the
-// retention manager's last-write stamping. The id is the key's interned
-// slot so the consumer can dispatch without re-hashing; the string
-// reference stays valid for the lifetime of the store.
+// Invoked after a key is written (Save / Increment / Observe) and the write
+// has committed. Used by the engine's ONCHANGE triggers (dependency-driven
+// checking, the paper's §6 idea) and by the retention manager's last-write
+// stamping. The id is the key's interned slot so the consumer can dispatch
+// without re-hashing; the string reference stays valid for the lifetime of
+// the store.
 using WriteObserver = std::function<void(const StoreWriteInfo& info, const std::string& key)>;
 
 // A committed store mutation, as observed by the persistence layer
@@ -123,9 +122,8 @@ struct StoreMutation {
   bool reclaim = false;
 };
 
-// Invoked after a mutation commits, outside the store's lock, before the
-// WriteObserver for the same write. The key reference is stable for the
-// lifetime of the store.
+// Invoked after a mutation commits, before the WriteObserver for the same
+// write. The key reference is stable for the lifetime of the store.
 using MutationObserver = std::function<void(const StoreMutation& m, const std::string& key)>;
 
 // Full value dump of one slot — everything needed to reconstruct the slot
@@ -171,27 +169,26 @@ struct StoreSlotDump {
 
 class FeatureStore {
  public:
-  FeatureStore() = default;
+  // The calling thread becomes the store's owner (see "Threading" above).
+  FeatureStore();
   FeatureStore(const FeatureStore&) = delete;
   FeatureStore& operator=(const FeatureStore&) = delete;
 
   // Registers the single write observer (nullptr to clear). The observer is
-  // called after the write commits and after the store lock is released, so
-  // it may freely read the store.
-  void SetWriteObserver(WriteObserver observer) { observer_ = std::move(observer); }
+  // called after the write commits, so it may freely read and write the
+  // store.
+  void SetWriteObserver(WriteObserver observer);
 
   // Registers the single mutation observer (nullptr to clear). Fired for
   // every committed mutation — Save/Increment/Observe like the write
   // observer, plus successful Erase and SetSeriesOptions — before the write
-  // observer, outside the lock. This is the persistence layer's journal tap.
-  void SetMutationObserver(MutationObserver observer) {
-    mutation_observer_ = std::move(observer);
-  }
+  // observer. This is the persistence layer's journal tap.
+  void SetMutationObserver(MutationObserver observer);
 
   // While suppressed, neither observer fires. Recovery replays journaled
   // mutations through the public API; suppression keeps the replay from
   // re-journaling itself or re-firing ONCHANGE triggers mid-restore.
-  void SetObserversSuppressed(bool suppressed) { observers_suppressed_ = suppressed; }
+  void SetObserversSuppressed(bool suppressed);
 
   // --- Key interning ---
 
@@ -247,7 +244,7 @@ class FeatureStore {
   bool ContainsTagged(KeyId id, uint32_t gen) const;
   Result<double> AggregateTagged(KeyId id, uint32_t gen, AggKind kind, Duration window,
                                  SimTime now) const;
-  uint64_t stale_hits() const { return stale_hits_.load(std::memory_order_relaxed); }
+  uint64_t stale_hits() const;
 
   // Approximate heap footprint of the store: slot table, key strings, scalar
   // payloads, series sample buffers and window-aggregate state. Maintained
@@ -276,8 +273,8 @@ class FeatureStore {
   bool Contains(KeyId id) const;
   Status Erase(std::string_view key);
 
-  // Atomic read-modify-write for numeric counters; creates the key at
-  // `delta` if absent. Returns the post-increment value.
+  // Read-modify-write for numeric counters; creates the key at `delta` if
+  // absent. Returns the post-increment value.
   double Increment(std::string_view key, double delta = 1.0);
   double Increment(KeyId id, double delta = 1.0);
 
@@ -384,30 +381,24 @@ class FeatureStore {
     uint32_t generation = 0;  // bumped on reclaim; tagged reads validate it
     bool live = true;         // false after ReclaimKey, until recycled
     bool pinned = false;      // never reclaimed; id is stable forever
-    uint64_t bytes = 0;       // cached approximate footprint (see RefreshBytesLocked)
+    uint64_t bytes = 0;       // cached approximate footprint (see RefreshBytes)
   };
 
-  KeyId InternLocked(std::string_view key);
-  KeyId FindLocked(std::string_view key) const;
-  static void AppendLocked(Series& series, SimTime t, double sample);
-  static void EvictLocked(Series& series, SimTime now);
+  // Aborts the process unless the calling thread owns the store. Every
+  // public member calls it first.
+  void CheckOwner() const;
+  static void Append(Series& series, SimTime t, double sample);
+  static void Evict(Series& series, SimTime now);
   // Approximate footprint of one slot (key string, scalar payload, series
   // buffers + extrema deques). O(1): deque sizes, no traversal.
   static uint64_t SlotBytes(const Slot& slot);
   // Re-prices `slot` after a mutation and folds the delta into the store
   // total. Every write path that touches slot payloads calls this last.
-  void RefreshBytesLocked(Slot& slot);
-  // `name` receives the reclaimed key's name when `*capture` is set (the
-  // slot's own copy is wiped as part of the reclaim).
-  Status ReclaimLocked(KeyId id, StoreMutation* m, bool* capture, std::string* name);
-
-  // Read bodies shared by the KeyId accessors and their generation-tagged
-  // variants. Callers must hold mu_.
-  Value LoadOrLocked(KeyId id, const Value& fallback) const;
-  bool ContainsLocked(KeyId id) const;
-  Result<double> AggregateLocked(KeyId id, AggKind kind, Duration window,
-                                 SimTime now) const;
-  std::vector<double> WindowSamplesLocked(KeyId id, Duration window, SimTime now) const;
+  void RefreshBytes(Slot& slot);
+  // Whether a tagged read of (id, gen) may see the slot; counts a stale hit
+  // when the generation moved on.
+  bool TagIsCurrent(KeyId id, uint32_t gen) const;
+  void NotifySave(KeyId id) const;
   void NotifyWrite(KeyId id) const {
     if (observer_ && !observers_suppressed_) {
       const Slot& slot = slots_[id];
@@ -429,7 +420,7 @@ class FeatureStore {
     return mutation_observer_ != nullptr && !observers_suppressed_;
   }
 
-  mutable std::mutex mu_;
+  const void* owner_;  // the owning thread's token (feature_store.cc)
   // deque: slots never move, so KeyName() references and the observer's key
   // strings stay valid across interning.
   std::deque<Slot> slots_;
@@ -439,7 +430,7 @@ class FeatureStore {
   // StoreSlotDump::free_rank, so warm restarts recycle identically.
   std::vector<KeyId> free_slots_;
   uint64_t approx_bytes_ = 0;  // incremental total of Slot::bytes
-  mutable std::atomic<uint64_t> stale_hits_{0};
+  mutable uint64_t stale_hits_ = 0;
   WriteObserver observer_;
   MutationObserver mutation_observer_;
   bool observers_suppressed_ = false;

@@ -5,9 +5,9 @@
 // with four mechanisms, all deterministic in simulated time so they replay
 // bit-identically under the chaos engine:
 //
-//  * Runtime budgets — per-guardrail VM step / wall-time budgets (enforced by
-//    Vm::Execute's ExecBudget kill switch); an over-budget eval is aborted
-//    mid-flight and recorded as a failure event.
+//  * Runtime budgets — a per-guardrail VM step cap (Vm::Execute's max_steps
+//    kill switch); an over-budget eval is aborted mid-flight and recorded as
+//    a failure event.
 //  * Health scoring — per-guardrail EWMAs of failure rate and eval cost,
 //    plus a trip-flap detector generalizing the E2 hysteresis story, exported
 //    as `supervisor.*` feature-store keys.
@@ -61,7 +61,7 @@ enum class GateDecision {
 enum class EvalOutcome {
   kOk,              // rule produced a decision (violation or not)
   kError,           // rule faulted (helper error, nil comparison, ...)
-  kBudgetExceeded,  // killed by the ExecBudget (or chaos vm.budget_exhaust)
+  kBudgetExceeded,  // killed by the step cap (or chaos vm.budget_exhaust)
 };
 
 // Per-guardrail supervisor record. The engine holds a stable pointer to the

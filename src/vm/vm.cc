@@ -1,7 +1,6 @@
 #include "src/vm/vm.h"
 
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -215,31 +214,9 @@ inline bool DoCompare(int kind, const Value& lhs, const Value& rhs, bool* out,
   return true;
 }
 
-inline int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Wall deadlines are polled every 32 instructions: guardrail programs are
-// typically shorter than that, so max_steps is the precise knob and the
-// deadline only catches pathologically long programs without putting a clock
-// read on every instruction.
-inline bool BudgetExhausted(const ExecBudget& budget, int64_t executed) {
-  if (budget.max_steps > 0 && executed > budget.max_steps) {
-    return true;
-  }
-  if (budget.deadline_wall_ns > 0 && (executed & 31) == 0 &&
-      SteadyNowNs() >= budget.deadline_wall_ns) {
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
-Result<Value> Vm::Execute(const Program& program, HelperContext& context,
-                          const ExecBudget* budget) {
+Result<Value> Vm::Execute(const Program& program, HelperContext& context, int64_t max_steps) {
   // Register file: normally the member scratch array (reused across calls so
   // a 1 kHz monitor doesn't churn 64 Value constructions per tick); on
   // re-entrant execution a heap-allocated spare.
@@ -267,6 +244,10 @@ Result<Value> Vm::Execute(const Program& program, HelperContext& context,
   const size_t n = program.insns.size();
   size_t pc = 0;
   int64_t executed = 0;
+  // One compare per instruction covers both bounds; lbl_budget tells them
+  // apart.
+  const int64_t step_limit =
+      max_steps > 0 && max_steps < kMaxInstructions ? max_steps : kMaxInstructions;
   const Insn* insn = nullptr;
   Status fault;
 
@@ -285,9 +266,7 @@ Result<Value> Vm::Execute(const Program& program, HelperContext& context,
 #define VM_NEXT()                                             \
   do {                                                        \
     if (pc >= n) goto lbl_off_end;                            \
-    if (++executed > kMaxInstructions) goto lbl_budget;       \
-    if (budget != nullptr && BudgetExhausted(*budget, executed)) \
-      goto lbl_user_budget;                                   \
+    if (++executed > step_limit) goto lbl_budget;             \
     insn = &insns[pc];                                        \
     if (static_cast<int>(insn->op) >= kOpCount) goto lbl_bad_op; \
     goto* kDispatch[static_cast<int>(insn->op)];              \
@@ -550,9 +529,9 @@ lbl_off_end:
   return ExecutionError("program '" + program.name + "' ran off the end");
 lbl_budget:
   stats_.insns_executed += executed;
-  return ExecutionError("program '" + program.name + "' exceeded the instruction budget");
-lbl_user_budget:
-  stats_.insns_executed += executed;
+  if (executed > kMaxInstructions) {
+    return ExecutionError("program '" + program.name + "' exceeded the instruction budget");
+  }
   ++stats_.budget_aborts;
   return ResourceExhaustedError("program '" + program.name +
                                 "' exceeded its runtime budget after " +

@@ -51,29 +51,21 @@ bool TruthyValue(const Value& value);
 struct ExecStats {
   int64_t insns_executed = 0;
   int64_t helper_calls = 0;
-  int64_t budget_aborts = 0;  // executions killed by an ExecBudget
-};
-
-// Optional per-execution resource budget — the supervisor's kill switch.
-// `max_steps` caps executed instructions below the structural
-// kMaxInstructions bound; `deadline_wall_ns` is an absolute
-// steady-clock nanosecond timestamp checked every 32 instructions (coarse by
-// design: wall time is nondeterministic, so deterministic tests use
-// max_steps and leave the deadline as a belt-and-suspenders backstop).
-// A budget abort returns kResourceExhausted, distinguishable from ordinary
-// kExecutionError faults so the caller can attribute it to the budget.
-struct ExecBudget {
-  int64_t max_steps = 0;         // 0 = no step limit
-  int64_t deadline_wall_ns = 0;  // 0 = no wall deadline
+  int64_t budget_aborts = 0;  // executions killed by their max_steps cap
 };
 
 class Vm {
  public:
   // `program` must have passed Verify(); Execute still performs cheap bounds
-  // checks as defense in depth but assumes structural validity. A null
-  // `budget` (the default) costs one predictable branch per instruction.
-  Result<Value> Execute(const Program& program, HelperContext& context,
-                        const ExecBudget* budget = nullptr);
+  // checks as defense in depth but assumes structural validity.
+  //
+  // `max_steps` is the supervisor's kill switch: it caps executed
+  // instructions below the structural kMaxInstructions bound (0 = no cap).
+  // Going past the structural bound is an ordinary kExecutionError; going
+  // past the cap returns kResourceExhausted, so the caller can count it as a
+  // budget abort. Both count instructions, never host time, so an abort
+  // replays exactly.
+  Result<Value> Execute(const Program& program, HelperContext& context, int64_t max_steps = 0);
 
   // Cumulative statistics across Execute calls (monitor-overhead accounting
   // for property P5).

@@ -241,6 +241,16 @@ TEST(SemaTest, BadMetaValuesRejected) {
   )").ok());
 }
 
+TEST(SemaTest, WallClockBudgetRejectedInFavorOfSteps) {
+  const Status status = AnalyzeFailure(R"(
+    guardrail g { trigger: { TIMER(0,1s) }, rule: { true }, action: { REPORT() },
+                  health: { budget_ns = 2ms } }
+  )");
+  EXPECT_EQ(status.code(), ErrorCode::kSemanticError);
+  EXPECT_NE(status.message().find("budget_ns"), std::string::npos) << status.message();
+  EXPECT_NE(status.message().find("budget_steps"), std::string::npos) << status.message();
+}
+
 // --- EvalConst ---
 
 Value EvalConstSource(const std::string& source) {

@@ -1,5 +1,5 @@
 // Feature store tests: typed values, SAVE/LOAD semantics, windowed
-// aggregates, retention, and concurrency.
+// aggregates, retention, and the single-owner threading contract.
 
 #include <gtest/gtest.h>
 
@@ -231,44 +231,39 @@ TEST_F(SeriesTest, ClearWipesEverything) {
   EXPECT_EQ(store_.series_count(), 0u);
 }
 
-TEST(FeatureStoreConcurrencyTest, ParallelIncrementsAreAtomic) {
+// --- Threading: the thread that constructs a store owns it ---
+//
+// The store takes no lock: one thread drives a Kernel and everything it
+// owns. A second thread that touches the store aborts instead of racing.
+
+constexpr char kNotOwnerMessage[] =
+    "thread that did not construct it; one thread drives a Kernel";
+
+TEST(FeatureStoreOwnerDeathTest, WriteFromAnotherThreadAborts) {
   FeatureStore store;
-  constexpr int kThreads = 8;
-  constexpr int kIncrements = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < kIncrements; ++i) {
-        store.Increment("counter");
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(store.Load("counter").value().NumericOr(0), kThreads * kIncrements);
+  store.Save("counter", Value(1.0));
+  EXPECT_DEATH(std::thread([&store] { store.Increment("counter"); }).join(), kNotOwnerMessage);
 }
 
-TEST(FeatureStoreConcurrencyTest, ParallelObserveAndAggregate) {
+TEST(FeatureStoreOwnerDeathTest, ReadFromAnotherThreadAborts) {
   FeatureStore store;
-  std::thread writer([&store] {
-    for (int i = 0; i < 20000; ++i) {
-      store.Observe("lat", i + 1, 1.0);  // t=0 would fall outside the half-open window
-    }
-  });
-  // Concurrent reads must not crash or see torn state.
-  for (int i = 0; i < 200; ++i) {
-    auto result = store.Aggregate("lat", AggKind::kCount, Seconds(100), Seconds(100));
-    if (result.ok()) {
-      EXPECT_GE(result.value(), 0.0);
-    }
-  }
-  writer.join();
-  EXPECT_EQ(store.Aggregate("lat", AggKind::kCount, Seconds(100), Seconds(100)).value(),
-            20000.0);
+  const KeyId id = store.InternKey("lat");
+  store.Observe(id, Seconds(1), 1.0);
+  EXPECT_DEATH(std::thread([&store, id] {
+                 (void)store.Aggregate(id, AggKind::kCount, Seconds(10), Seconds(10));
+               }).join(),
+               kNotOwnerMessage);
 }
 
+TEST(FeatureStoreOwnerTest, TheConstructingThreadOwnsTheStore) {
+  double value = 0.0;
+  std::thread([&value] {
+    FeatureStore store;
+    store.Increment("k", 2.0);
+    value = store.LoadOr("k", Value(0.0)).NumericOr(0.0);
+  }).join();
+  EXPECT_EQ(value, 2.0);
+}
 
 // --- Key lifecycle: generation-tagged slots, reclamation, free-list recycle --
 

@@ -86,7 +86,6 @@ TEST(SupervisorDslTest, HealthBlockParsesAndAnalyzes) {
       action: { REPORT() },
       health: {
         budget_steps = 500,
-        budget_ns = 2ms,
         flap_window = 30s,
         flap_threshold = 4,
         quarantine = 2,
@@ -103,7 +102,6 @@ TEST(SupervisorDslTest, HealthBlockParsesAndAnalyzes) {
   const GuardrailHealth& health = analyzed.value().guardrails[0].meta.health;
   EXPECT_TRUE(health.supervised);
   EXPECT_EQ(health.budget_steps, 500);
-  EXPECT_EQ(health.budget_ns, Milliseconds(2));
   EXPECT_EQ(health.flap_window, Seconds(30));
   EXPECT_EQ(health.flap_threshold, 4);
   EXPECT_EQ(health.quarantine, 2);

@@ -179,6 +179,35 @@ TEST_F(VmTest, JumpSkipsInstructions) {
   EXPECT_EQ(result.value().AsInt().value(), 1);
 }
 
+TEST_F(VmTest, StepCapAndStructuralBoundAbortDistinctly) {
+  // A self-loop: the backward jump the verifier refuses, so only the VM's
+  // instruction bounds end it.
+  const Program loop = Make({{Op::kJump, 0, 0, 0, -1}}, {});
+
+  auto structural = vm_.Execute(loop, context_);
+  ASSERT_FALSE(structural.ok());
+  EXPECT_EQ(structural.status().code(), ErrorCode::kExecutionError);
+  EXPECT_EQ(vm_.stats().insns_executed, kMaxInstructions + 1);
+  EXPECT_EQ(vm_.stats().budget_aborts, 0);
+
+  // The supervisor's step cap aborts as kResourceExhausted, counted apart.
+  vm_.ResetStats();
+  auto capped = vm_.Execute(loop, context_, 10);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(vm_.stats().insns_executed, 11);
+  EXPECT_EQ(vm_.stats().budget_aborts, 1);
+
+  // A cap at or past the structural bound never fires first.
+  for (int64_t cap : {int64_t{kMaxInstructions}, int64_t{kMaxInstructions} + 1}) {
+    vm_.ResetStats();
+    auto loose = vm_.Execute(loop, context_, cap);
+    ASSERT_FALSE(loose.ok());
+    EXPECT_EQ(loose.status().code(), ErrorCode::kExecutionError) << cap;
+    EXPECT_EQ(vm_.stats().budget_aborts, 0) << cap;
+  }
+}
+
 TEST_F(VmTest, ConditionalJumps) {
   // if r0 (false): skip r1=1. r1 stays 2.
   auto result = Run(Make({{Op::kLoadConst, 0, 0, 0, 0},   // r0 = false
