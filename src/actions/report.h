@@ -40,9 +40,11 @@ struct ReportRecord {
   // bit-identically:
   //   * within a callout, monitors fire in the hook index's registration
   //     order (sorted monitor-name order, rebuilt on every topology change);
-  //   * a monitor's own records (violation / satisfied / error, then any
-  //     action REPORTs, then the quarantine default) follow its evaluation
-  //     protocol order inside FinishRuleEval;
+  //   * a monitor's own records follow its protocol order in
+  //     Engine::RunProtocol: the fail-static record then its action's
+  //     REPORTs; or the verdict record (violation / satisfied / error), any
+  //     action REPORTs, then the quarantine record and its action's REPORTs
+  //     (pinned by tests/engine_test.cc, the ProtocolReportOrderOf* tests);
   //   * replace/rollback records are emitted at callout boundaries in
   //     rollback-queue insertion order, which is evaluation order — NOT
   //     name order (pinned by tests/supervisor_test.cc,

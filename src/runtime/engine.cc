@@ -237,11 +237,42 @@ void Engine::RebuildFunctionIndex() {
   }
 }
 
+std::unique_ptr<Engine::Monitor> Engine::MakeMonitor(CompiledGuardrail guardrail,
+                                                     const Monitor* previous) {
+  auto monitor = std::make_unique<Monitor>();
+  monitor->guardrail = std::move(guardrail);
+  monitor->enabled = monitor->guardrail.meta.enabled;
+  monitor->generation = next_generation_++;
+  if (previous != nullptr) {
+    // Replace-by-name carry-over (explicit policy): the counters describe
+    // the outgoing program version and reset with it, but the
+    // violation-protocol clocks describe the monitored property, so they
+    // persist — a hot replace can neither bypass an active cooldown nor
+    // discard accumulated hysteresis evidence, and a rule fixed while in
+    // violation still emits its satisfied edge.
+    monitor->stats.in_violation = previous->stats.in_violation;
+    monitor->stats.consecutive_violations = previous->stats.consecutive_violations;
+    monitor->stats.last_action_time = previous->stats.last_action_time;
+    // uptime_evals counts the monitored *name*, not the program version.
+    monitor->stats.uptime_evals = previous->stats.uptime_evals;
+    monitor->uptime_published = previous->uptime_published;
+    monitor->uptime_key = previous->uptime_key;
+  }
+  return monitor;
+}
+
 Status Engine::Load(CompiledGuardrail guardrail) {
   if (guardrail.name.empty()) {
     return InvalidArgumentError("guardrail has no name");
   }
-  // Defense in depth: never trust that the caller verified.
+  // Defense in depth: never trust that the caller verified. ArmTimers
+  // divides by a TIMER interval, and AdvanceTo re-arms at due + interval.
+  for (const CompiledTrigger& trigger : guardrail.triggers) {
+    if (trigger.kind == TriggerKind::kTimer && trigger.interval <= 0) {
+      return InvalidArgumentError("guardrail '" + guardrail.name +
+                                  "' has a TIMER trigger whose interval is not positive");
+    }
+  }
   OSGUARD_RETURN_IF_ERROR(Verify(guardrail.rule, VerifyOptions{.allow_actions = false}));
   OSGUARD_RETURN_IF_ERROR(Verify(guardrail.action, VerifyOptions{.allow_actions = true}));
   if (!guardrail.on_satisfy.empty()) {
@@ -258,28 +289,10 @@ Status Engine::Load(CompiledGuardrail guardrail) {
     RewriteKeyedCalls(guardrail.on_satisfy, *store_);
     OSGUARD_RETURN_IF_ERROR(Verify(guardrail.on_satisfy, VerifyOptions{.allow_actions = true}));
   }
-  auto monitor = std::make_unique<Monitor>();
-  monitor->guardrail = std::move(guardrail);
-  monitor->enabled = monitor->guardrail.meta.enabled;
-  monitor->generation = next_generation_++;
-  const std::string name = monitor->guardrail.name;
+  const std::string name = guardrail.name;
   auto existing = monitors_.find(name);
   const bool replacing = existing != monitors_.end();
-  if (replacing) {
-    // Replace-by-name carry-over (explicit policy): the counters describe
-    // the outgoing program version and reset with it, but the
-    // violation-protocol clocks describe the monitored property, so they
-    // persist — a hot replace can neither bypass an active cooldown nor
-    // discard accumulated hysteresis evidence, and a rule fixed while in
-    // violation still emits its satisfied edge.
-    const MonitorStats& old = existing->second->stats;
-    monitor->stats.in_violation = old.in_violation;
-    monitor->stats.consecutive_violations = old.consecutive_violations;
-    monitor->stats.last_action_time = old.last_action_time;
-    // uptime_evals counts the monitored *name*, not the program version.
-    monitor->stats.uptime_evals = old.uptime_evals;
-    monitor->uptime_published = existing->second->uptime_published;
-  }
+  auto monitor = MakeMonitor(std::move(guardrail), replacing ? existing->second.get() : nullptr);
   const GuardrailHealth& health = monitor->guardrail.meta.health;
   if (replacing && health.supervised && health.probation > 0) {
     // Staged deployment: retain the verified, key-rewritten outgoing program
@@ -294,9 +307,7 @@ Status Engine::Load(CompiledGuardrail guardrail) {
   monitors_[name] = std::move(monitor);  // replace-by-name is the update path
   ArmTimers(*monitors_[name]);
   RebuildFunctionIndex();
-  if (persist_ != nullptr) {
-    persist_->MarkDirty();
-  }
+  MarkDirty();
   OSGUARD_LOG(kDebug) << "loaded guardrail '" << name << "'";
   return OkStatus();
 }
@@ -365,9 +376,7 @@ Status Engine::Unload(const std::string& name) {
   monitors_.erase(it);  // queued timer entries die via generation mismatch
   supervisor_.OnUnload(name);
   RebuildFunctionIndex();
-  if (persist_ != nullptr) {
-    persist_->MarkDirty();
-  }
+  MarkDirty();
   return OkStatus();
 }
 
@@ -377,9 +386,7 @@ Status Engine::SetEnabled(const std::string& name, bool enabled) {
     return NotFoundError("no guardrail named '" + name + "'");
   }
   it->second->enabled = enabled;
-  if (persist_ != nullptr) {
-    persist_->MarkDirty();
-  }
+  MarkDirty();
   return OkStatus();
 }
 
@@ -547,16 +554,14 @@ void Engine::DrainPendingChanges() {
   draining_ = false;
 }
 
-void Engine::QueueRollback(Monitor& monitor) {
-  if (monitor.rollback_queued) {
+void Engine::QueuePendingRollback(Monitor& monitor) {
+  if (monitor.guard == nullptr || !monitor.guard->rollback_pending || monitor.rollback_queued) {
     return;
   }
   if (monitor.rollback_snapshot == nullptr) {
     // Nothing to restore (first load of this name): clear the request so the
     // monitor isn't skipped forever waiting on an impossible rollback.
-    if (monitor.guard != nullptr) {
-      monitor.guard->rollback_pending = false;
-    }
+    monitor.guard->rollback_pending = false;
     return;
   }
   monitor.rollback_queued = true;
@@ -576,57 +581,59 @@ void Engine::ApplyPendingRollbacks() {
       continue;  // unloaded or replaced again since the rollback was queued
     }
     Monitor& doomed = *it->second;
-    auto restored = std::make_unique<Monitor>();
     // The snapshot was verified and key-rewritten at its original load, so
     // the restored program is bit-identical to the pre-deploy version; no
-    // re-verification or rewrite may touch it here.
-    restored->guardrail = std::move(*doomed.rollback_snapshot);
-    restored->enabled = restored->guardrail.meta.enabled;
-    restored->generation = next_generation_++;
-    // Same carry-over policy as a replace: the violation-protocol clocks
-    // describe the monitored property and persist across the swap.
-    restored->stats.in_violation = doomed.stats.in_violation;
-    restored->stats.consecutive_violations = doomed.stats.consecutive_violations;
-    restored->stats.last_action_time = doomed.stats.last_action_time;
-    restored->guard =
-        supervisor_.OnRollback(name, restored->guardrail.meta.health, now_);
-    reporter_.Report(ReportRecord{0, now_, ReportKind::kMonitorError,
-                                  restored->guardrail.meta.severity, name,
-                                  "probation deploy rolled back by supervisor",
-                                  {}});
-    restored->stats.uptime_evals = doomed.stats.uptime_evals;
-    restored->uptime_published = doomed.uptime_published;
-    restored->uptime_key = doomed.uptime_key;
+    // re-verification or rewrite may touch it here. Same carry-over policy
+    // as a replace.
+    auto restored = MakeMonitor(std::move(*doomed.rollback_snapshot), &doomed);
+    restored->guard = supervisor_.OnRollback(name, restored->guardrail.meta.health);
+    Report(*restored, now_, ReportKind::kMonitorError,
+           "probation deploy rolled back by supervisor");
     it->second = std::move(restored);
     ArmTimers(*it->second);
     RebuildFunctionIndex();
-    if (persist_ != nullptr) {
-      persist_->MarkDirty();
-    }
+    MarkDirty();
     OSGUARD_LOG(kDebug) << "rolled back guardrail '" << name
                         << "' to its pre-deploy version";
   }
 }
 
-void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
+void Engine::MarkDirty() {
+  if (persist_ != nullptr) {
+    persist_->MarkDirty();
+  }
+}
+
+void Engine::Report(const Monitor& monitor, SimTime t, ReportKind kind, std::string message) {
+  reporter_.Report(ReportRecord{0, t, kind, monitor.guardrail.meta.severity,
+                                monitor.guardrail.name, std::move(message), {}});
+}
+
+void Engine::ApplyDefault(Monitor& monitor, SimTime t, const char* why) {
+  Report(monitor, t, ReportKind::kMonitorError, why);
+  RunActions(monitor, monitor.guardrail.action, t);
+}
+
+Result<Value> Engine::Execute(Monitor& monitor, const Program& program, SimTime t,
+                              int64_t& wall_ns) {
   env_.UpdateEnvelope(monitor.guardrail.name, monitor.guardrail.meta.severity, t);
-  // Supervised monitors run their action programs under the same step cap
-  // as the rule; an over-budget action program is killed mid-flight.
-  const int64_t max_steps = monitor.guard != nullptr ? monitor.guard->config.budget_steps : 0;
+  const int64_t start = WallNowNs();
+  auto result = vm_.Execute(program, env_,
+                            monitor.guard != nullptr ? monitor.guard->config.budget_steps : 0);
+  const int64_t elapsed = WallNowNs() - start;
+  wall_ns += elapsed;
+  stats_.total_wall_ns += elapsed;
+  return result;
+}
+
+void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
   const uint64_t failures_before =
       monitor.guard != nullptr ? dispatcher_.failure_count() : 0;
-  const int64_t start = WallNowNs();
-  auto result = vm_.Execute(program, env_, max_steps);
-  const int64_t elapsed = WallNowNs() - start;
-  monitor.stats.action_wall_ns += elapsed;
-  stats_.total_wall_ns += elapsed;
+  auto result = Execute(monitor, program, t, monitor.stats.action_wall_ns);
   if (!result.ok()) {
     ++monitor.stats.errors;
     ++stats_.errors;
-    reporter_.Report(ReportRecord{0, t, ReportKind::kMonitorError,
-                                  monitor.guardrail.meta.severity, monitor.guardrail.name,
-                                  result.status().ToString(),
-                                  {}});
+    Report(monitor, t, ReportKind::kMonitorError, result.status().ToString());
   }
   if (monitor.guard != nullptr) {
     // Failure events against the breaker: every dispatch chain that exhausted
@@ -638,53 +645,27 @@ void Engine::RunActions(Monitor& monitor, const Program& program, SimTime t) {
     if (!result.ok() && events == 0) {
       events = 1;
     }
-    if (events > 0) {
-      supervisor_.OnActionFailures(*monitor.guard, monitor.guardrail.name, events, t);
-    }
+    supervisor_.OnActionFailures(*monitor.guard, events);
   }
 }
 
 void Engine::Evaluate(Monitor& monitor, SimTime t) {
-  if (persist_ != nullptr) {
-    // Every evaluation moves protocol state (stats, gate counters, EWMAs),
-    // so the boundary that follows must commit a frame.
-    persist_->MarkDirty();
-  }
+  // Every evaluation moves protocol state (stats, gate counters, EWMAs), so
+  // the boundary that follows must commit a frame.
+  MarkDirty();
   // Mark the engine as evaluating so store writes made by this monitor's
   // own programs defer their ONCHANGE processing (no re-entrant evaluation).
   const bool outermost = !evaluating_;
   evaluating_ = true;
-  EvaluateInner(monitor, t);
+  RunProtocol(monitor, t);
   if (outermost) {
     evaluating_ = false;
     DrainPendingChanges();
   }
 }
 
-void Engine::EvaluateInner(Monitor& monitor, SimTime t) {
-  const RuleEvalPrep prep = BeginRuleEval(monitor, t);
-  if (prep.skip) {
-    return;
-  }
-  env_.UpdateEnvelope(monitor.guardrail.name, monitor.guardrail.meta.severity, t);
-  int64_t steps_before = 0;
-  if (monitor.guard != nullptr) {
-    steps_before = vm_.stats().insns_executed;
-  }
-  const int64_t start = WallNowNs();
-  auto result = prep.injected_budget
-                    ? Result<Value>(ResourceExhaustedError(
-                          "rule of guardrail '" + monitor.guardrail.name +
-                          "' aborted by chaos site vm.budget_exhaust"))
-                    : vm_.Execute(monitor.guardrail.rule, env_, prep.budget_steps);
-  const int64_t wall_ns = WallNowNs() - start;
-  const int64_t steps =
-      monitor.guard != nullptr ? vm_.stats().insns_executed - steps_before : 0;
-  FinishRuleEval(monitor, t, prep, std::move(result), steps, wall_ns);
-}
-
-Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
-  RuleEvalPrep prep;
+void Engine::RunProtocol(Monitor& monitor, SimTime t) {
+  GuardHealth* guard = monitor.guard;
   if (governor_.enabled()) {
     // Overload ladder first: a shed evaluation must cost nothing, so it
     // skips even the supervisor gate.
@@ -692,8 +673,7 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
         governor_.Admit(monitor.guardrail.meta.criticality, ++monitor.gov_attempts,
                         monitor.gov_static_epoch);
     if (decision == GovernorDecision::kShed) {
-      prep.skip = true;
-      return prep;
+      return;
     }
     if (decision == GovernorDecision::kStatic) {
       // Fail-static: pin this critical monitor's corrective action once as
@@ -701,47 +681,29 @@ Engine::RuleEvalPrep Engine::BeginRuleEval(Monitor& monitor, SimTime t) {
       // until the ladder de-escalates.
       monitor.gov_static_epoch = governor_.fail_static_epoch();
       governor_.CountStaticApply();
-      reporter_.Report(ReportRecord{0, t, ReportKind::kMonitorError,
-                                    monitor.guardrail.meta.severity,
-                                    monitor.guardrail.name,
-                                    "overload governor fail-static: applying corrective default",
-                                    {}});
-      RunActions(monitor, monitor.guardrail.action, t);
-      prep.skip = true;
-      return prep;
+      ApplyDefault(monitor, t, "overload governor fail-static: applying corrective default");
+      return;
     }
   }
-  if (monitor.guard != nullptr) {
-    GuardHealth& guard = *monitor.guard;
-    prep.gate = supervisor_.Gate(guard, t);
-    if (guard.rollback_pending) {
-      QueueRollback(monitor);
-      prep.skip = true;
-      return prep;
-    }
-    if (prep.gate == GateDecision::kSkip) {
-      prep.skip = true;
-      return prep;
-    }
+  const GateDecision gate =
+      guard != nullptr ? supervisor_.Gate(*guard, t) : GateDecision::kEvaluate;
+  if (gate == GateDecision::kSkip) {
+    QueuePendingRollback(monitor);  // a pending rollback always gates off
+    return;
   }
   MonitorStats& stats = monitor.stats;
   ++stats.evaluations;
   ++stats.uptime_evals;
   uptime_dirty_ = true;
   ++stats_.evaluations;
-  if (monitor.guard != nullptr) {
-    prep.budget_steps = monitor.guard->config.budget_steps;
-    prep.injected_budget = supervisor_.InjectBudgetExhaust(t);
-  }
-  return prep;
-}
 
-void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& prep,
-                            Result<Value> result, int64_t steps, int64_t wall_ns) {
-  MonitorStats& stats = monitor.stats;
-  stats.rule_wall_ns += wall_ns;
-  stats_.total_wall_ns += wall_ns;
-  GuardHealth* guard = monitor.guard;
+  const bool injected_budget = guard != nullptr && supervisor_.InjectBudgetExhaust(t);
+  const int64_t steps_before = vm_.stats().insns_executed;
+  auto result = injected_budget
+                    ? Result<Value>(ResourceExhaustedError(
+                          "rule of guardrail '" + monitor.guardrail.name +
+                          "' aborted by chaos site vm.budget_exhaust"))
+                    : Execute(monitor, monitor.guardrail.rule, t, stats.rule_wall_ns);
   if (guard != nullptr) {
     EvalOutcome outcome = EvalOutcome::kOk;
     if (!result.ok()) {
@@ -749,7 +711,8 @@ void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& pre
                     ? EvalOutcome::kBudgetExceeded
                     : EvalOutcome::kError;
     }
-    supervisor_.OnEvalResult(*guard, monitor.guardrail.name, prep.gate, outcome, steps, t);
+    supervisor_.OnEvalResult(*guard, gate, outcome, vm_.stats().insns_executed - steps_before,
+                             t);
   }
 
   if (!result.ok()) {
@@ -757,21 +720,15 @@ void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& pre
     // trigger corrective actions.
     ++stats.errors;
     ++stats_.errors;
-    reporter_.Report(ReportRecord{0, t, ReportKind::kMonitorError,
-                                  monitor.guardrail.meta.severity, monitor.guardrail.name,
-                                  result.status().ToString(),
-                                  {}});
+    Report(monitor, t, ReportKind::kMonitorError, result.status().ToString());
   } else if (TruthyValue(result.value())) {
     // Property holds.
     if (stats.in_violation) {
       stats.in_violation = false;
       ++stats.satisfy_firings;
-      reporter_.Report(ReportRecord{0, t, ReportKind::kSatisfied,
-                                    monitor.guardrail.meta.severity, monitor.guardrail.name,
-                                    "property satisfied again",
-                                    {}});
+      Report(monitor, t, ReportKind::kSatisfied, "property satisfied again");
       if (guard != nullptr) {
-        supervisor_.OnViolationFlip(*guard, monitor.guardrail.name, t);
+        supervisor_.OnViolationFlip(*guard, t);
       }
       if (!monitor.guardrail.on_satisfy.empty()) {
         RunActions(monitor, monitor.guardrail.on_satisfy, t);
@@ -796,37 +753,26 @@ void Engine::FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& pre
         stats.last_action_time = t;
         ++stats.action_firings;
         ++stats_.action_firings;
-        reporter_.Report(ReportRecord{0, t, ReportKind::kViolation,
-                                      monitor.guardrail.meta.severity,
-                                      monitor.guardrail.name,
-                                      "rule violated",
-                                      {}});
+        Report(monitor, t, ReportKind::kViolation, "rule violated");
         if (entered_violation && guard != nullptr) {
-          supervisor_.OnViolationFlip(*guard, monitor.guardrail.name, t);
+          supervisor_.OnViolationFlip(*guard, t);
         }
         RunActions(monitor, monitor.guardrail.action, t);
       }
     }
   }
 
-  // Quarantine / rollback tail — runs after *every* non-skipped evaluation,
-  // including the error path above.
+  // Quarantine / rollback tail — runs after *every* evaluation, including
+  // the error path above.
   if (guard != nullptr) {
     if (supervisor_.ConsumeQuarantineAction(*guard)) {
       // The breaker just opened: apply the corrective action once as the
       // quarantine fail-safe default, then suppress evals until a probe
       // reinstates the guardrail. (The breaker is open, so any failures the
       // default itself reports cannot re-trip it.)
-      reporter_.Report(ReportRecord{0, t, ReportKind::kMonitorError,
-                                    monitor.guardrail.meta.severity,
-                                    monitor.guardrail.name,
-                                    "quarantined by supervisor; applying corrective default",
-                                    {}});
-      RunActions(monitor, monitor.guardrail.action, t);
+      ApplyDefault(monitor, t, "quarantined by supervisor; applying corrective default");
     }
-    if (guard->rollback_pending) {
-      QueueRollback(monitor);
-    }
+    QueuePendingRollback(monitor);
   }
 }
 

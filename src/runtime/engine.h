@@ -10,7 +10,11 @@
 //   * OnFunctionCall(f,t) — instrumented kernel function `f` was invoked;
 //                           fire FUNCTION-triggered monitors.
 //
-// Violation protocol per monitor evaluation:
+// Each firing of a monitor's trigger ends in exactly one outcome, decided in
+// this order: the overload governor sheds it, or pins the corrective action
+// as the default once per fail-static episode; the supervisor skips it
+// (breaker open, or a rollback pending); or the rule program runs, under the
+// supervisor's step cap, and its verdict decides:
 //   rule true  -> property holds. If the monitor was in violation, run the
 //                 on_satisfy program (if any) and emit a kSatisfied report.
 //   rule false -> violation. After `hysteresis` consecutive violations and
@@ -19,6 +23,9 @@
 //   rule error -> counted, reported as kMonitorError; treated as "no
 //                 decision" (neither violation nor satisfaction). A faulty
 //                 monitor never crashes the kernel and never fires actions.
+// After any verdict, a supervised monitor whose breaker just opened applies
+// the corrective action once as the quarantine default, and a failed
+// probation deploy queues its rollback.
 //
 // Monitors can be loaded, replaced (same name), disabled, and unloaded at
 // run time — the incremental-deployment property of §3.3, and the
@@ -335,38 +342,33 @@ class Engine {
   // The live monitor for a queued entry, or null if the entry is stale.
   Monitor* ResolveEntry(const TimerEntry& entry) const;
 
+  // A fresh monitor with the next generation, carrying over the protocol
+  // clocks and uptime export of `previous` (a replace's or rollback's).
+  std::unique_ptr<Monitor> MakeMonitor(CompiledGuardrail guardrail, const Monitor* previous);
   void ArmTimers(Monitor& monitor);
   void RebuildFunctionIndex();
+  // RunProtocol inside the re-entrancy guard on ONCHANGE evaluations.
   void Evaluate(Monitor& monitor, SimTime t);
-  void EvaluateInner(Monitor& monitor, SimTime t);
-
-  // One rule evaluation in three stages: EvaluateInner == BeginRuleEval
-  // (gate) -> rule-program execution -> FinishRuleEval (verdict).
-  struct RuleEvalPrep {
-    GateDecision gate = GateDecision::kEvaluate;
-    bool skip = false;             // gated off / rollback pending: no eval
-    bool injected_budget = false;  // chaos vm.budget_exhaust fired
-    int64_t budget_steps = 0;      // the VM step cap; 0 = unlimited
-  };
-  // Gate, rollback check, stats/uptime increments, budget setup and the
-  // chaos budget-exhaust draw.
-  RuleEvalPrep BeginRuleEval(Monitor& monitor, SimTime t);
-  // Everything after the rule program ran: wall accounting, supervisor
-  // OnEvalResult, the error / satisfied / violation protocol (reports +
-  // action programs), then the quarantine / rollback tail. `steps` is the
-  // interpreter instruction count of the rule execution (0 when
-  // unsupervised — it is only consumed by the supervisor).
-  void FinishRuleEval(Monitor& monitor, SimTime t, const RuleEvalPrep& prep,
-                      Result<Value> result, int64_t steps, int64_t wall_ns);
-
+  // The per-monitor protocol at the top of this file; each skip returns early.
+  void RunProtocol(Monitor& monitor, SimTime t);
+  void Report(const Monitor& monitor, SimTime t, ReportKind kind, std::string message);
+  // A corrective default (fail-static or quarantine): the report naming
+  // why, then the action program.
+  void ApplyDefault(Monitor& monitor, SimTime t, const char* why);
+  // Runs a rule or action program, adding its host-clock cost to `wall_ns`.
+  // A supervised monitor's action programs run under the rule's step cap,
+  // so an over-budget action program is killed mid-flight too.
+  Result<Value> Execute(Monitor& monitor, const Program& program, SimTime t, int64_t& wall_ns);
   void RunActions(Monitor& monitor, const Program& program, SimTime t);
+  void MarkDirty();  // the next boundary must commit a journal frame
   // ONCHANGE dispatch for a written slot. The hot path: the write observer
   // hands the interned id straight through, so dispatch is an array index.
   void OnStoreWrite(KeyId id);
   void DrainPendingChanges();
   // Rollbacks are queued during evaluation and applied at callout
   // boundaries, where no Monitor pointers or trigger references are live.
-  void QueueRollback(Monitor& monitor);
+  // Queues the rollback the monitor's supervisor record asks for, if any.
+  void QueuePendingRollback(Monitor& monitor);
   void ApplyPendingRollbacks();
 
   // The callout-boundary tail, in order: pending rollbacks, uptime publish,

@@ -54,7 +54,7 @@ enum class GovernorMode : uint8_t {
 
 std::string_view GovernorModeName(GovernorMode mode);
 
-// Per-monitor admission verdict at BeginRuleEval time.
+// Per-monitor admission verdict, the first step of Engine::RunProtocol.
 enum class GovernorDecision : uint8_t {
   kEvaluate = 0,  // run the rule as usual
   kShed = 1,      // skip this evaluation (never returned for critical

@@ -44,29 +44,15 @@ void GuardrailSupervisor::SetChaos(ChaosEngine* chaos) {
 GuardHealth* GuardrailSupervisor::OnLoad(const std::string& name,
                                          const GuardrailHealth& config, SimTime now,
                                          bool replacing, const GuardHealth* previous) {
-  if (!config.supervised) {
-    if (guards_.erase(name) > 0) {
-      --stats_.supervised;
-    }
-    return nullptr;
-  }
-  auto record = std::make_unique<GuardHealth>();
-  record->config = config;
-  if (replacing && config.probation > 0) {
-    record->in_probation = true;
-    record->probation_until = now + config.probation;
+  // Read before Install replaces (and frees) the outgoing record.
+  const double baseline = previous != nullptr ? previous->fail_ewma : 0.0;
+  GuardHealth* out = Install(name, config);
+  if (out != nullptr && replacing && config.probation > 0) {
+    out->in_probation = true;
+    out->probation_until = now + config.probation;
     // The outgoing version's failure score is the bar the deploy must clear.
-    record->baseline_fail_ewma = previous != nullptr ? previous->fail_ewma : 0.0;
+    out->baseline_fail_ewma = baseline;
   }
-  GuardHealth* out = record.get();
-  auto [it, inserted] = guards_.insert_or_assign(name, std::move(record));
-  (void)it;
-  if (inserted) {
-    ++stats_.supervised;
-  }
-  InternKeys(*out, name);
-  ExportState(*out);
-  ExportScores(*out);
   return out;
 }
 
@@ -77,31 +63,30 @@ void GuardrailSupervisor::OnUnload(const std::string& name) {
 }
 
 GuardHealth* GuardrailSupervisor::OnRollback(const std::string& name,
-                                             const GuardrailHealth& restored,
-                                             SimTime now) {
-  (void)now;
+                                             const GuardrailHealth& restored) {
   ++stats_.rollbacks;
-  GuardHealth* out = nullptr;
-  if (!restored.supervised) {
-    if (guards_.erase(name) > 0) {
-      --stats_.supervised;
-    }
-  } else {
-    // Fresh record under the restored config; the restored version is trusted
-    // (it ran before the deploy), so it does not re-enter probation.
-    auto record = std::make_unique<GuardHealth>();
-    record->config = restored;
-    out = record.get();
-    auto [it, inserted] = guards_.insert_or_assign(name, std::move(record));
-    (void)it;
-    if (inserted) {
-      ++stats_.supervised;
-    }
-    InternKeys(*out, name);
-    ExportState(*out);
-    ExportScores(*out);
-  }
+  // The restored version is trusted (it ran before the deploy), so it does
+  // not re-enter probation.
+  GuardHealth* out = Install(name, restored);
   ExportGlobal();
+  return out;
+}
+
+GuardHealth* GuardrailSupervisor::Install(const std::string& name,
+                                          const GuardrailHealth& config) {
+  if (!config.supervised) {
+    OnUnload(name);
+    return nullptr;
+  }
+  auto record = std::make_unique<GuardHealth>();
+  record->config = config;
+  GuardHealth* out = record.get();
+  if (guards_.insert_or_assign(name, std::move(record)).second) {
+    ++stats_.supervised;
+  }
+  InternKeys(*out, name);
+  ExportState(*out);
+  ExportScores(*out);
   return out;
 }
 
@@ -143,9 +128,8 @@ bool GuardrailSupervisor::InjectBudgetExhaust(SimTime now) {
          chaos_->ShouldInject(budget_exhaust_site_, now);
 }
 
-void GuardrailSupervisor::OnEvalResult(GuardHealth& g, const std::string& name,
-                                       GateDecision gate, EvalOutcome outcome,
-                                       int64_t steps, SimTime now) {
+void GuardrailSupervisor::OnEvalResult(GuardHealth& g, GateDecision gate,
+                                       EvalOutcome outcome, int64_t steps, SimTime now) {
   ++g.evals;
   bool failure = outcome != EvalOutcome::kOk;
   if (outcome == EvalOutcome::kBudgetExceeded) {
@@ -189,7 +173,7 @@ void GuardrailSupervisor::OnEvalResult(GuardHealth& g, const std::string& name,
     ExportGlobal();
   } else if (g.state == BreakerState::kClosed) {
     if (failure) {
-      RecordFailureEvent(g, name, now);
+      RecordFailureEvent(g);
     } else {
       g.failure_streak = 0;
     }
@@ -202,8 +186,7 @@ void GuardrailSupervisor::OnEvalResult(GuardHealth& g, const std::string& name,
   }
 }
 
-void GuardrailSupervisor::OnViolationFlip(GuardHealth& g, const std::string& name,
-                                          SimTime now) {
+void GuardrailSupervisor::OnViolationFlip(GuardHealth& g, SimTime now) {
   g.flips.push_back(now);
   const SimTime cutoff = now - g.config.flap_window;
   while (!g.flips.empty() && g.flips.front() <= cutoff) {
@@ -215,17 +198,16 @@ void GuardrailSupervisor::OnViolationFlip(GuardHealth& g, const std::string& nam
     // Restart the window so one sustained oscillation counts one failure
     // event per overflow, not one per subsequent flip.
     g.flips.clear();
-    RecordFailureEvent(g, name, now);
+    RecordFailureEvent(g);
   }
 }
 
-void GuardrailSupervisor::OnActionFailures(GuardHealth& g, const std::string& name,
-                                           uint64_t delta, SimTime now) {
+void GuardrailSupervisor::OnActionFailures(GuardHealth& g, uint64_t delta) {
   if (delta == 0) {
     return;
   }
   g.action_failures += delta;
-  RecordFailureEvent(g, name, now);
+  RecordFailureEvent(g);
 }
 
 bool GuardrailSupervisor::ConsumeQuarantineAction(GuardHealth& g) {
@@ -239,16 +221,13 @@ const GuardHealth* GuardrailSupervisor::Find(std::string_view name) const {
   return it == guards_.end() ? nullptr : it->second.get();
 }
 
-bool GuardrailSupervisor::RecordFailureEvent(GuardHealth& g, const std::string& name,
-                                             SimTime now) {
-  (void)name;
-  (void)now;
+void GuardrailSupervisor::RecordFailureEvent(GuardHealth& g) {
   if (g.state != BreakerState::kClosed) {
-    return false;
+    return;
   }
   ++g.failure_streak;
   if (g.failure_streak < g.config.quarantine) {
-    return false;
+    return;
   }
   g.state = BreakerState::kOpen;
   g.open_triggers = 0;
@@ -262,7 +241,6 @@ bool GuardrailSupervisor::RecordFailureEvent(GuardHealth& g, const std::string& 
   }
   ExportState(g);
   ExportGlobal();
-  return true;
 }
 
 void GuardrailSupervisor::InternKeys(GuardHealth& g, const std::string& name) {

@@ -182,11 +182,10 @@ class GuardrailSupervisor {
 
   // Rollback applied by the engine: the record is re-initialized for the
   // restored (pre-deploy) config, not re-entering probation.
-  GuardHealth* OnRollback(const std::string& name, const GuardrailHealth& restored,
-                          SimTime now);
+  GuardHealth* OnRollback(const std::string& name, const GuardrailHealth& restored);
 
-  // Per-trigger gate. Also finalizes a clean probation (commit) once the
-  // window has passed.
+  // Per-trigger gate; kSkip whenever a rollback is pending. Also finalizes a
+  // clean probation (commit) once the window has passed.
   GateDecision Gate(GuardHealth& g, SimTime now);
 
   // Chaos hook: should this evaluation be forced into a budget abort?
@@ -196,15 +195,14 @@ class GuardrailSupervisor {
   // Outcome of a gated evaluation (`steps` = VM steps the rule consumed).
   // Feeds the EWMAs and drives the breaker; for probes, consults the
   // supervisor.probe_fail chaos site.
-  void OnEvalResult(GuardHealth& g, const std::string& name, GateDecision gate,
-                    EvalOutcome outcome, int64_t steps, SimTime now);
+  void OnEvalResult(GuardHealth& g, GateDecision gate, EvalOutcome outcome, int64_t steps,
+                    SimTime now);
 
   // A violated <-> satisfied transition (the flap detector's input).
-  void OnViolationFlip(GuardHealth& g, const std::string& name, SimTime now);
+  void OnViolationFlip(GuardHealth& g, SimTime now);
 
   // `delta` new action-dispatch failures attributed to this guardrail.
-  void OnActionFailures(GuardHealth& g, const std::string& name, uint64_t delta,
-                        SimTime now);
+  void OnActionFailures(GuardHealth& g, uint64_t delta);
 
   // True once per breaker opening: the engine runs the corrective action as
   // the quarantine default and the flag clears.
@@ -236,9 +234,13 @@ class GuardrailSupervisor {
   }
 
  private:
+  // A fresh record for `config` under `name`, counted, with its export keys
+  // interned and its state and scores exported; for an unsupervised config,
+  // drops any stale record and returns null.
+  GuardHealth* Install(const std::string& name, const GuardrailHealth& config);
   // A failure event (budget abort, eval error, flap overflow, action
-  // failure) advances the breaker; returns true if it opened.
-  bool RecordFailureEvent(GuardHealth& g, const std::string& name, SimTime now);
+  // failure) advances the breaker, and may open it.
+  void RecordFailureEvent(GuardHealth& g);
   void ExportState(GuardHealth& g);
   void ExportScores(GuardHealth& g);
   void ExportGlobal();

@@ -1,5 +1,7 @@
 // Engine tests: trigger firing, violation protocol (hysteresis, cooldown,
-// on_satisfy), runtime load/replace/unload, and crash-free error handling.
+// on_satisfy), runtime load/replace/unload, crash-free error handling, and
+// the per-monitor protocol as a whole (one outcome per trigger firing, one
+// evaluation's reports in order).
 
 #include <gtest/gtest.h>
 
@@ -7,9 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "src/chaos/chaos.h"
 #include "src/persist/persist.h"
 #include "src/runtime/engine.h"
+#include "src/sim/kernel.h"
+#include "src/support/logging.h"
 #include "src/vm/compiler.h"
+#include "tests/governor_storm.h"
 
 namespace osguard {
 namespace {
@@ -532,6 +538,26 @@ TEST_F(EngineTest, LoadRejectsUnverifiableProgram) {
   EXPECT_EQ(engine_.Load(std::move(bad)).code(), ErrorCode::kVerifierError);
 }
 
+// A TIMER interval that is not positive would divide by zero when the
+// trigger is armed at or after its start, and would re-arm at the same
+// instant forever when it fires. Load refuses it before it interns or pins
+// any key.
+TEST_F(EngineTest, LoadRejectsNonPositiveTimerInterval) {
+  for (const Duration interval : {Duration{0}, -Seconds(1)}) {
+    auto compiled = CompileSource(kSimpleGuardrail);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    CompiledGuardrail guardrail = std::move(compiled.value().front());
+    ASSERT_EQ(guardrail.triggers.size(), 1u);
+    guardrail.triggers[0].interval = interval;
+    const size_t keys = store_.key_count();
+    const Status status = engine_.Load(std::move(guardrail));
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << "interval " << interval;
+    EXPECT_NE(status.message().find("'simple'"), std::string::npos) << status.ToString();
+    EXPECT_EQ(store_.key_count(), keys);
+    EXPECT_FALSE(engine_.Contains("simple"));
+  }
+}
+
 TEST_F(EngineTest, TwoTimersOnOneMonitorBothFire) {
   Load(R"(
     guardrail dual {
@@ -590,6 +616,189 @@ TEST_F(EngineTest, KeyedCallsReadTheirKeyFromTheConstantPool) {
   EXPECT_EQ(vm.Execute(rule, other_env).value(), Value(false));
   other.Save("queue.depth.long.name", Value(4));
   EXPECT_EQ(vm.Execute(rule, other_env).value(), Value(true));
+}
+
+// --- The per-monitor protocol (Engine::RunProtocol) ---
+
+// Every counted trigger firing ends in exactly one outcome: an evaluation, a
+// governor shed (best-effort or standard), a fail-static suppression or
+// pinned default, or a supervisor skip (breaker open or rollback pending).
+::testing::AssertionResult OneOutcomePerFiring(const Engine& engine) {
+  const EngineStats stats = engine.stats();
+  const GovernorStats& governor = engine.governor().stats();
+  const uint64_t skipped = engine.supervisor().stats().skipped_evals;
+  const uint64_t firings = stats.timer_firings + stats.function_firings + stats.change_firings;
+  const uint64_t outcomes = stats.evaluations + governor.sheds_besteffort +
+                            governor.sheds_standard + governor.static_suppressed +
+                            governor.static_applies + skipped;
+  if (firings == outcomes) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << firings << " firings but " << outcomes << " outcomes: " << stats.evaluations
+         << " evaluated, " << governor.sheds_besteffort + governor.sheds_standard
+         << " shed, " << governor.static_suppressed << " suppressed and "
+         << governor.static_applies << " pinned by fail-static, " << skipped
+         << " skipped by the supervisor";
+}
+
+// The E12 storm (tests/governor_storm.h), ungoverned and governed: the
+// governed arm sheds both tiers, pins and suppresses the critical monitor's
+// default, and every firing still ends in one outcome after every callout.
+TEST(EngineProtocolTest, EveryStormFiringEndsInOneOutcome) {
+  const LogLevel level = Logger::Global().level();
+  Logger::Global().set_level(LogLevel::kOff);
+  const std::vector<StormEvent> storm = GovernorStorm();
+  for (const bool governed : {false, true}) {
+    Kernel kernel(GovernorStormOptions(governed));
+    ASSERT_TRUE(kernel.LoadGuardrails(kGovernorStormSpec).ok());
+    for (size_t i = 0; i < storm.size(); ++i) {
+      StageStormEvent(kernel, storm[i]);
+      kernel.Callout("hot_path");
+      ASSERT_TRUE(OneOutcomePerFiring(kernel.engine()))
+          << (governed ? "governed" : "ungoverned") << ", callout " << i;
+    }
+    const EngineStats stats = kernel.engine().stats();
+    const GovernorStats& governor = kernel.engine().governor().stats();
+    EXPECT_EQ(stats.function_firings, 8 * storm.size());  // eight hooked monitors
+    if (governed) {
+      EXPECT_GT(governor.sheds_besteffort, 0u);
+      EXPECT_GT(governor.sheds_standard, 0u);
+      EXPECT_GT(governor.static_applies, 0u);
+      EXPECT_GT(governor.static_suppressed, 0u);
+    } else {
+      EXPECT_EQ(stats.evaluations, stats.function_firings);
+    }
+  }
+  Logger::Global().set_level(level);
+}
+
+// A supervised breaker cycle (quarantine, skips, probes, reinstatement),
+// then a probation deploy that regresses and is rolled back when its window
+// ends: the firing that finds the regression is a supervisor skip.
+TEST_F(EngineTest, EverySupervisedFiringEndsInOneOutcome) {
+  ChaosEngine chaos(7);
+  engine_.SetChaos(&chaos);
+  Load(R"(
+    guardrail cycle {
+      trigger: { TIMER(1s, 1s) },
+      rule: { LOAD_OR(x, 0) <= 100 },
+      action: { REPORT("corrective") },
+      health: { quarantine = 3, probe_every = 4, reinstate = 2 }
+    }
+    chaos { site vm.budget_exhaust { mode = schedule, nth = {0, 1, 2} } }
+  )");
+  for (int s = 1; s <= 14; ++s) {
+    engine_.AdvanceTo(Seconds(s));
+    ASSERT_TRUE(OneOutcomePerFiring(engine_)) << "t = " << s << " s";
+  }
+  EXPECT_EQ(engine_.supervisor().Find("cycle")->reinstatements, 1u);
+  // v2 faults on every evaluation (nil <= 10) but stays under its
+  // quarantine bar; only the regression check at the window's end sees it.
+  Load(R"(
+    guardrail cycle {
+      trigger: { TIMER(1s, 1s) },
+      rule: { LOAD(never_set) <= 10 },
+      action: { REPORT("v2") },
+      health: { quarantine = 1000, probation = 5s }
+    }
+  )");
+  for (int s = 15; s <= 24; ++s) {
+    engine_.AdvanceTo(Seconds(s));
+    ASSERT_TRUE(OneOutcomePerFiring(engine_)) << "t = " << s << " s";
+  }
+  const SupervisorStats& supervisor = engine_.supervisor().stats();
+  EXPECT_EQ(supervisor.quarantines, 1u);
+  EXPECT_EQ(supervisor.reinstatements, 1u);
+  EXPECT_EQ(supervisor.rollbacks, 1u);
+  EXPECT_EQ(engine_.stats().timer_firings, 24u);
+}
+
+// The records `engine` filed from sequence `from` on.
+std::vector<ReportRecord> RecordsSince(Engine& engine, uint64_t from) {
+  std::vector<ReportRecord> out;
+  engine.reporter().ForEachRecordSince(
+      from, [&](const ReportRecord& record) { out.push_back(record); });
+  for (size_t i = 1; i < out.size(); ++i) {
+    EXPECT_LT(out[i - 1].sequence, out[i].sequence);
+  }
+  return out;
+}
+
+// One supervised evaluation that blows its step budget with quarantine = 1:
+// the rule's error, then the quarantine record, then what the corrective
+// default itself filed (src/actions/report.h).
+TEST_F(EngineTest, ProtocolReportOrderOfAQuarantine) {
+  Load(R"(
+    guardrail runaway {
+      trigger: { TIMER(1s, 1s) },
+      rule: { LOAD_OR(x, 0) <= 100 },
+      action: { REPORT("corrective") },
+      health: { budget_steps = 1, quarantine = 1 }
+    }
+  )");
+  engine_.AdvanceTo(Seconds(1));
+  const std::vector<ReportRecord> records = RecordsSince(engine_, 0);
+  ASSERT_EQ(records.size(), 3u);
+  for (const ReportRecord& record : records) {
+    EXPECT_EQ(record.kind, ReportKind::kMonitorError) << record.ToString();
+    EXPECT_EQ(record.guardrail, "runaway");
+  }
+  EXPECT_NE(records[0].message.find("'runaway.rule' exceeded its runtime budget"),
+            std::string::npos)
+      << records[0].message;
+  EXPECT_EQ(records[1].message, "quarantined by supervisor; applying corrective default");
+  // The default runs under the same one-step cap, so it files its own abort.
+  EXPECT_NE(records[2].message.find("'runaway.action' exceeded its runtime budget"),
+            std::string::npos)
+      << records[2].message;
+  EXPECT_EQ(engine_.supervisor().stats().quarantines, 1u);
+}
+
+// A critical monitor entering fail-static: the fail-static record, then its
+// corrective action's REPORT payload, and no evaluation.
+TEST(EngineProtocolTest, ProtocolReportOrderOfAFailStaticDefault) {
+  EngineOptions options;
+  options.governor.enabled = true;
+  options.governor.pressure_up = 10.0;  // evaluations per simulated second
+  options.governor.pressure_down = 1.0;
+  options.governor.dwell_up = 1;
+  options.governor.alpha = 1.0;
+  FeatureStore store;
+  PolicyRegistry registry;
+  Engine engine(&store, &registry, nullptr, options);
+  ASSERT_TRUE(engine
+                  .LoadSource(R"(
+    guardrail gate {
+      trigger: { FUNCTION(fn) },
+      rule: { true },
+      action: { SAVE(safe_mode, true); REPORT("safe mode") },
+      meta: { severity = critical, criticality = critical }
+    }
+  )")
+                  .ok());
+  SimTime t = 0;
+  uint64_t from = 0;
+  uint64_t evaluations = 0;
+  for (int i = 0; i < 16 && engine.governor().stats().static_applies == 0; ++i) {
+    from = engine.reporter().total_reports();
+    evaluations = engine.stats().evaluations;
+    t += Microseconds(1);
+    engine.OnFunctionCall("fn", t);
+  }
+  ASSERT_EQ(engine.governor().stats().static_applies, 1u);
+  const std::vector<ReportRecord> records = RecordsSince(engine, from);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, ReportKind::kMonitorError);
+  EXPECT_EQ(records[0].message, "overload governor fail-static: applying corrective default");
+  EXPECT_EQ(records[1].kind, ReportKind::kActionPayload);
+  EXPECT_EQ(records[1].payload, std::vector<Value>{Value("safe mode")});
+  for (const ReportRecord& record : records) {
+    EXPECT_EQ(record.guardrail, "gate");
+    EXPECT_EQ(record.severity, Severity::kCritical);
+  }
+  EXPECT_EQ(store.LoadOr("safe_mode", Value(false)), Value(true));
+  EXPECT_EQ(engine.stats().evaluations, evaluations);  // pinned, not evaluated
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// The E12 overload-governor storm, shared by governor_test (ladder gates)
-// and timing_test (storm-phase p99): eight FUNCTION monitors over the three
-// criticality tiers, the governor options, and the seeded callout storm
-// (calm 100 ms, storm 50 ms at 80k callouts/s, calm tail 200 ms).
+// The E12 overload-governor storm, shared by governor_test (ladder gates),
+// timing_test (storm-phase p99) and engine_test (one outcome per trigger
+// firing): eight FUNCTION monitors over the three criticality tiers, the
+// governor options, and the seeded callout storm (calm 100 ms, storm 50 ms
+// at 80k callouts/s, calm tail 200 ms).
 
 #ifndef TESTS_GOVERNOR_STORM_H_
 #define TESTS_GOVERNOR_STORM_H_
