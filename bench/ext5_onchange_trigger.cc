@@ -52,10 +52,6 @@ void DetectionLatency() {
       FeatureStore store;
       PolicyRegistry registry;
       Engine engine(&store, &registry);
-      store.SetWriteObserver(
-          [&engine](const StoreWriteInfo& info, const std::string& key) {
-        engine.OnStoreWrite(info, key);
-      });
       std::string spec;
       if (std::string(mode) == "TIMER(1s)") {
         spec = TimerSpec(Seconds(1));
@@ -96,10 +92,6 @@ void Overhead() {
     FeatureStore store;
     PolicyRegistry registry;
     Engine engine(&store, &registry);
-    store.SetWriteObserver(
-        [&engine](const StoreWriteInfo& info, const std::string& key) {
-        engine.OnStoreWrite(info, key);
-      });
     (void)engine.LoadSource(c.onchange ? kChangeSpec : TimerSpec(c.interval));
     store.Save("metric", Value(1));
 

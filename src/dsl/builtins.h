@@ -56,6 +56,41 @@ enum class HelperId : uint16_t {
   kDeprioritize = 67,  // DEPRIORITIZE({tasks}, {priorities})
 };
 
+// The keyed helpers: those whose first argument is a feature-store key.
+// Engine::Load binds a constant key of one of these to its store slot
+// (kCallKeyed), and the verifier refuses a keyed call of any other helper.
+constexpr bool IsStoreHelper(HelperId id) {
+  switch (id) {
+    case HelperId::kLoad:
+    case HelperId::kLoadOr:
+    case HelperId::kSave:
+    case HelperId::kIncr:
+    case HelperId::kExists:
+    case HelperId::kObserve:
+      return true;
+    default:
+      return false;
+  }
+}
+constexpr bool IsAggregateHelper(HelperId id) {
+  switch (id) {
+    case HelperId::kCount:
+    case HelperId::kSum:
+    case HelperId::kMean:
+    case HelperId::kMinAgg:
+    case HelperId::kMaxAgg:
+    case HelperId::kStdDev:
+    case HelperId::kRate:
+    case HelperId::kNewest:
+    case HelperId::kOldest:
+    case HelperId::kQuantile:
+      return true;
+    default:
+      return false;
+  }
+}
+constexpr bool IsKeyedHelper(HelperId id) { return IsStoreHelper(id) || IsAggregateHelper(id); }
+
 // How the compiler treats each argument position.
 enum class ArgMode {
   kValue,     // ordinary expression, evaluated to a Value

@@ -355,39 +355,44 @@ void AppendImagePatch(std::string_view base, std::string_view image, std::string
   w.PatchU32(count_at, runs);
 }
 
-Result<std::string> ApplyImagePatch(std::string_view base, std::string_view patch) {
-  if (base.empty()) {
+Status ApplyImagePatch(std::string_view patch, std::string* image) {
+  if (image->empty()) {
     return FailedPreconditionError("image patch has no base image");
   }
-  ByteReader r(patch);
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t length, r.U32());
-  if (length != base.size()) {
-    return InvalidArgumentError("image patch is for a " + std::to_string(length) +
-                                "-byte image, the base image has " +
-                                std::to_string(base.size()) + " bytes");
-  }
-  OSGUARD_ASSIGN_OR_RETURN(uint32_t runs, r.U32());
-  if (runs > r.remaining() / kPatchRunHeaderSize) {
-    return CountError("patch run", runs, r.offset());
-  }
-  std::string image(base);
-  for (uint32_t i = 0; i < runs; ++i) {
-    OSGUARD_ASSIGN_OR_RETURN(uint32_t offset, r.U32());
-    OSGUARD_ASSIGN_OR_RETURN(uint32_t len, r.U32());
-    if (offset > image.size() || len > image.size() - offset) {
-      return OutOfRangeError("image patch run " + std::to_string(i) + " (" +
-                             std::to_string(len) + " bytes at offset " +
-                             std::to_string(offset) + ") runs past the end of the " +
-                             std::to_string(image.size()) + "-byte image");
+  // Two walks through the same checks: the first writes nothing, so a patch
+  // refused anywhere leaves the image as it was.
+  for (const bool write : {false, true}) {
+    ByteReader r(patch);
+    OSGUARD_ASSIGN_OR_RETURN(uint32_t length, r.U32());
+    if (length != image->size()) {
+      return InvalidArgumentError("image patch is for a " + std::to_string(length) +
+                                  "-byte image, the base image has " +
+                                  std::to_string(image->size()) + " bytes");
     }
-    OSGUARD_ASSIGN_OR_RETURN(std::string_view bytes, r.Bytes(len));
-    std::copy(bytes.begin(), bytes.end(), image.begin() + offset);
+    OSGUARD_ASSIGN_OR_RETURN(uint32_t runs, r.U32());
+    if (runs > r.remaining() / kPatchRunHeaderSize) {
+      return CountError("patch run", runs, r.offset());
+    }
+    for (uint32_t i = 0; i < runs; ++i) {
+      OSGUARD_ASSIGN_OR_RETURN(uint32_t offset, r.U32());
+      OSGUARD_ASSIGN_OR_RETURN(uint32_t len, r.U32());
+      if (offset > image->size() || len > image->size() - offset) {
+        return OutOfRangeError("image patch run " + std::to_string(i) + " (" +
+                               std::to_string(len) + " bytes at offset " +
+                               std::to_string(offset) + ") runs past the end of the " +
+                               std::to_string(image->size()) + "-byte image");
+      }
+      OSGUARD_ASSIGN_OR_RETURN(std::string_view bytes, r.Bytes(len));
+      if (write) {
+        std::copy(bytes.begin(), bytes.end(), image->begin() + offset);
+      }
+    }
+    if (!r.done()) {
+      return InvalidArgumentError("trailing garbage: " + std::to_string(r.remaining()) +
+                                  " bytes past the image patch");
+    }
   }
-  if (!r.done()) {
-    return InvalidArgumentError("trailing garbage: " + std::to_string(r.remaining()) +
-                                " bytes past the image patch");
-  }
-  return image;
+  return OkStatus();
 }
 
 Result<JournalFrame> DecodeFramePayload(std::string_view payload) {
@@ -531,7 +536,6 @@ Result<Snapshot> DecodeSnapshot(std::string_view data) {
 PersistManager::PersistManager(PersistOptions options) : options_(std::move(options)) {}
 
 PersistManager::~PersistManager() {
-  AttachStore(nullptr);
   if (journal_ != nullptr) {
     std::fclose(journal_);
   }
@@ -554,36 +558,27 @@ void PersistManager::Configure(Duration snapshot_interval, uint64_t journal_budg
   options_.journal_budget = journal_budget;
 }
 
-void PersistManager::AttachStore(FeatureStore* store) {
-  if (store_ != nullptr && store_ != store) {
-    store_->SetMutationObserver(nullptr);
+void PersistManager::Record(const StoreMutation& m, const std::string& key) {
+  StoreOp op;
+  op.kind = m.kind;
+  op.key = key;
+  switch (m.kind) {
+    case StoreMutation::Kind::kSave:
+      op.value = *m.value;
+      break;
+    case StoreMutation::Kind::kObserve:
+      op.time = m.time;
+      op.sample = m.sample;
+      break;
+    case StoreMutation::Kind::kErase:
+      op.reclaim = m.reclaim;
+      break;
+    case StoreMutation::Kind::kSetSeriesOptions:
+      op.max_samples = static_cast<uint64_t>(m.options.max_samples);
+      op.max_age = m.options.max_age;
+      break;
   }
-  store_ = store;
-  if (store_ == nullptr) {
-    return;
-  }
-  store_->SetMutationObserver([this](const StoreMutation& m, const std::string& key) {
-    StoreOp op;
-    op.kind = m.kind;
-    op.key = key;
-    switch (m.kind) {
-      case StoreMutation::Kind::kSave:
-        op.value = m.value;
-        break;
-      case StoreMutation::Kind::kObserve:
-        op.time = m.time;
-        op.sample = m.sample;
-        break;
-      case StoreMutation::Kind::kErase:
-        op.reclaim = m.reclaim;
-        break;
-      case StoreMutation::Kind::kSetSeriesOptions:
-        op.max_samples = static_cast<uint64_t>(m.options.max_samples);
-        op.max_age = m.options.max_age;
-        break;
-    }
-    pending_ops_.push_back(std::move(op));
-  });
+  pending_ops_.push_back(std::move(op));
 }
 
 std::string PersistManager::JournalPath() const { return options_.dir + "/journal.wal"; }
@@ -841,10 +836,10 @@ Result<RecoveredState> PersistManager::LoadForRecovery() {
 
   uint64_t expected = out.base.seq + 1;
   size_t keep_bytes = 0;  // journal prefix that stays on disk
-  // Each patch applies to the image before it, starting from the base's.
-  // Reserved, so `image` can point into the last frame kept.
+  // One image, the base's, takes each frame's image in turn: a patch
+  // applies to it in place, a full image replaces it.
+  out.image = std::move(out.base.image);
   out.frames.reserve(scan.frames.size());
-  std::string_view image = out.base.image;
   for (size_t i = 0; i < scan.frames.size(); ++i) {
     JournalFrame& frame = scan.frames[i];
     if (frame.seq <= out.base.seq) {
@@ -856,26 +851,25 @@ Result<RecoveredState> PersistManager::LoadForRecovery() {
       damage = "sequence gap (frame " + std::to_string(frame.seq) + ", expected " +
                std::to_string(expected) + ")";
     } else if (frame.image_kind == ImageKind::kPatch) {
-      Result<std::string> rebuilt = ApplyImagePatch(image, frame.image);
-      if (rebuilt.ok()) {
-        frame.image = std::move(*rebuilt);
-        frame.image_kind = ImageKind::kFull;
-      } else {
+      const Status applied = ApplyImagePatch(frame.image, &out.image);
+      if (!applied.ok()) {
         damage = "frame " + std::to_string(frame.seq) + " cannot apply its image patch: " +
-                 rebuilt.status().message();
+                 applied.message();
       }
+    } else {
+      out.image = std::move(frame.image);
     }
     if (!damage.empty()) {
       info.frames_discarded += scan.frames.size() - i;
       info.detail += JournalPath() + ": " + damage + "; ";
       break;
     }
+    frame.image.clear();  // folded into out.image
     out.frames.push_back(std::move(frame));
-    image = out.frames.back().image;
     keep_bytes = scan.frame_ends[i];
     ++expected;
   }
-  last_image_.assign(image);
+  last_image_.assign(out.image);
 
   // Drop the invalid tail (and any post-gap or unpatchable frames) so future
   // appends start at a clean frame boundary.

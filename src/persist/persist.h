@@ -74,8 +74,9 @@ enum class ImageKind : uint8_t { kFull = 0, kPatch = 1 };
 // One committed callout boundary. `report_delta` and `image` are engine-
 // encoded blobs (see Engine::EncodeImage); persist frames, checksums, and
 // transports them without interpreting a byte. A kPatch frame's `image`
-// holds the patch bytes (AppendImagePatch); the frames LoadForRecovery
-// returns are all rebuilt to kFull.
+// holds the patch bytes (AppendImagePatch). LoadForRecovery folds every
+// frame's image into RecoveredState::image, so the frames it returns carry
+// none.
 struct JournalFrame {
   uint64_t seq = 0;
   SimTime now = 0;
@@ -108,10 +109,12 @@ void AppendFrame(const JournalFrame& frame, std::string* out);
 // a run header separate them.
 void AppendImagePatch(std::string_view base, std::string_view image, std::string* out);
 
-// Rebuilds an image from the one before it and a patch. A patch that cannot
-// apply is refused: one with no base image, one for an image of another
-// length, a run past the end of the image or of the patch, trailing bytes.
-Result<std::string> ApplyImagePatch(std::string_view base, std::string_view patch);
+// Turns `image` into the image after it by applying `patch` in place. A
+// patch that cannot apply is refused: one with no base image, one for an
+// image of another length, a run past the end of the image or of the
+// patch, trailing bytes. Every run is checked before any byte is written,
+// so a refused patch leaves `image` as it was.
+Status ApplyImagePatch(std::string_view patch, std::string* image);
 
 // Decodes a frame payload (the bytes the CRC covers). Errors carry byte
 // offsets.
@@ -176,9 +179,12 @@ struct RecoveryInfo {
 };
 
 struct RecoveredState {
-  Snapshot base;                    // seq 0 + empty on cold start
-  std::vector<JournalFrame> frames; // contiguous suffix to replay, oldest first,
-                                    // each with its full image
+  Snapshot base;                    // seq 0 + empty on cold start; its image
+                                    // is moved into `image`
+  std::vector<JournalFrame> frames; // contiguous suffix to replay, oldest
+                                    // first; their images are in `image`
+  std::string image;                // the last committed image: the base's,
+                                    // patched by every frame in order
   RecoveryInfo info;
 };
 
@@ -200,9 +206,10 @@ class PersistManager {
   // Applies a spec-level `persist { interval, journal_budget }` block.
   void Configure(Duration snapshot_interval, uint64_t journal_budget);
 
-  // Installs the mutation tap on `store` (null detaches): every committed
-  // store mutation is buffered as a pending StoreOp for the next frame.
-  void AttachStore(FeatureStore* store);
+  // Buffers a committed store mutation as a pending StoreOp for the next
+  // frame. The engine the manager is attached to (Engine::SetPersist) calls
+  // it from the store's observer for every mutation.
+  void Record(const StoreMutation& m, const std::string& key);
 
   // Marks engine-side state (monitor stats, breaker, governor...) changed since
   // the last commit. Store mutations mark dirty implicitly.
@@ -243,11 +250,11 @@ class PersistManager {
   // snapshot (falling back to the previous one), scans the journal for the
   // contiguous valid suffix, truncates the journal file to its usable
   // prefix, and primes the manager to continue appending at
-  // last_seq + 1. Patch frames are rebuilt in sequence order from the
-  // base snapshot's image; a patch that cannot apply ends the usable
-  // suffix like a CRC mismatch. Never fails on damaged input — damage
-  // degrades the result and is described in RecoveryInfo. Errors are real
-  // I/O problems (unreadable directory) only.
+  // last_seq + 1. The frames' images are applied in sequence order to one
+  // copy of the base snapshot's image, in place; a patch that cannot apply
+  // ends the usable suffix like a CRC mismatch. Never fails on damaged
+  // input — damage degrades the result and is described in RecoveryInfo.
+  // Errors are real I/O problems (unreadable directory) only.
   Result<RecoveredState> LoadForRecovery();
 
  private:
@@ -259,7 +266,6 @@ class PersistManager {
   void PruneSnapshots();
 
   PersistOptions options_;
-  FeatureStore* store_ = nullptr;
   ChaosEngine* chaos_ = nullptr;
   ChaosSiteId torn_site_ = kInvalidChaosSite;
   ChaosSiteId crc_site_ = kInvalidChaosSite;

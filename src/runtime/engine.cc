@@ -18,32 +18,6 @@ int64_t WallNowNs() {
       .count();
 }
 
-// Helpers whose first argument is a feature-store key — candidates for the
-// kCall -> kCallKeyed slot-id rewrite.
-bool IsKeyedHelper(HelperId id) {
-  switch (id) {
-    case HelperId::kLoad:
-    case HelperId::kLoadOr:
-    case HelperId::kSave:
-    case HelperId::kIncr:
-    case HelperId::kExists:
-    case HelperId::kObserve:
-    case HelperId::kCount:
-    case HelperId::kSum:
-    case HelperId::kMean:
-    case HelperId::kMinAgg:
-    case HelperId::kMaxAgg:
-    case HelperId::kStdDev:
-    case HelperId::kRate:
-    case HelperId::kNewest:
-    case HelperId::kOldest:
-    case HelperId::kQuantile:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Destination register of an instruction, or -1 if it writes none.
 int DefRegOf(const Insn& insn) {
   switch (insn.op) {
@@ -181,7 +155,11 @@ Engine::Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_
   governor_.SetBytesProbe([store] { return store->approx_bytes(); });
   pending_changes_.reserve(64);
   drain_batch_.reserve(64);
+  store_->SetObserver(
+      [this](const StoreMutation& m, const std::string& key) { OnStoreMutation(m, key); });
 }
+
+Engine::~Engine() { store_->SetObserver(nullptr); }
 
 void Engine::ArmTimers(Monitor& monitor) {
   for (size_t i = 0; i < monitor.guardrail.triggers.size(); ++i) {
@@ -364,20 +342,44 @@ Status Engine::Unload(const std::string& name) {
   if (it == monitors_.end()) {
     return NotFoundError("no guardrail named '" + name + "'");
   }
-  // The dead monitor's counter keys lose their pins and are handed to the
-  // retention manager: with a retention block they age out via the
-  // "monitor." namespace TTL instead of leaking. (Adoption is explicit —
-  // the write observer only tracks slots as they are written, and nothing
-  // writes an unloaded monitor's counters again.)
-  if (it->second->uptime_key != kInvalidKeyId) {
-    store_->Unpin(it->second->uptime_key);
-    retention_.AdoptKey(it->second->uptime_key, now_);
-  }
+  const KeyId uptime_key = it->second->uptime_key;
   monitors_.erase(it);  // queued timer entries die via generation mismatch
   supervisor_.OnUnload(name);
   RebuildFunctionIndex();
+  // The dead monitor's counter key loses its pin and is handed to the
+  // retention manager: with a retention block it ages out via the
+  // "monitor." namespace TTL instead of leaking. (Adoption is explicit —
+  // retention only tracks slots as they are written, and nothing writes an
+  // unloaded monitor's counters again.) A pin is a flag, not a count, so
+  // the key stays pinned while a loaded monitor still reads it.
+  if (uptime_key != kInvalidKeyId && !SlotBound(uptime_key)) {
+    store_->Unpin(uptime_key);
+    retention_.AdoptKey(uptime_key, now_);
+  }
   MarkDirty();
   return OkStatus();
+}
+
+bool Engine::SlotBound(KeyId id) const {
+  if (id < watch_hooks_.size() && !watch_hooks_[id].empty()) {
+    return true;
+  }
+  const auto binds = [id](const Program& program) {
+    return std::any_of(program.insns.begin(), program.insns.end(), [id](const Insn& insn) {
+      return insn.op == Op::kCallKeyed && static_cast<KeyId>(insn.aux) == id;
+    });
+  };
+  for (const auto& [name, monitor] : monitors_) {
+    const CompiledGuardrail* versions[] = {&monitor->guardrail,
+                                           monitor->rollback_snapshot.get()};
+    for (const CompiledGuardrail* guardrail : versions) {
+      if (guardrail != nullptr && (binds(guardrail->rule) || binds(guardrail->action) ||
+                                   binds(guardrail->on_satisfy))) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 Status Engine::SetEnabled(const std::string& name, bool enabled) {
@@ -484,21 +486,33 @@ void Engine::OnFunctionCall(std::string_view function, SimTime t) {
   EndBoundary();  // after the loop: `it` is dead past this point
 }
 
-void Engine::OnStoreWrite(KeyId id) {
+void Engine::OnStoreMutation(const StoreMutation& m, const std::string& key) {
+  if (restoring_) {
+    return;
+  }
+  if (persist_ != nullptr) {
+    persist_->Record(m, key);
+  }
+  if (!m.is_write()) {
+    return;
+  }
+  if (retention_.enabled()) {
+    retention_.OnWrite(m, key, now_);
+  }
   if (watch_hook_count_ == 0) {
     return;  // hot path when no ONCHANGE guardrail is loaded
   }
-  if (id >= watch_hooks_.size() || watch_hooks_[id].empty()) {
+  if (m.id >= watch_hooks_.size() || watch_hooks_[m.id].empty()) {
     return;
   }
   if (evaluating_) {
     // Write performed by a running monitor program: defer (see header).
-    pending_changes_.push_back(id);
+    pending_changes_.push_back(m.id);
     return;
   }
   // In place: nothing under Evaluate rebuilds watch_hooks_ (rollbacks wait
   // for ApplyPendingRollbacks below).
-  for (Monitor* monitor : watch_hooks_[id]) {
+  for (Monitor* monitor : watch_hooks_[m.id]) {
     if (monitor->enabled) {
       ++stats_.change_firings;
       Evaluate(*monitor, now_);
@@ -506,13 +520,6 @@ void Engine::OnStoreWrite(KeyId id) {
   }
   DrainPendingChanges();
   ApplyPendingRollbacks();
-}
-
-void Engine::OnStoreWrite(const StoreWriteInfo& info, const std::string& key) {
-  if (retention_.enabled()) {
-    retention_.OnWrite(info, key, now_);
-  }
-  OnStoreWrite(info.id);
 }
 
 void Engine::DrainPendingChanges() {
@@ -794,7 +801,6 @@ constexpr uint32_t kImageVersion = 5;
 void Engine::SetPersist(PersistManager* persist) {
   persist_ = persist;
   if (persist_ != nullptr) {
-    persist_->AttachStore(store_);
     last_report_mark_ = reporter_.total_reports();
   }
 }
@@ -1029,13 +1035,12 @@ Result<RecoveryInfo> Engine::Restore(PersistManager& persist) {
   // Replay must not re-journal its own writes or fire ONCHANGE monitors:
   // the recovered state already reflects every evaluation those writes
   // caused in the original run.
-  store_->SetObserversSuppressed(true);
+  restoring_ = true;
   store_->RestoreSlots(state.base.store);
   Status status = OkStatus();
   if (!state.base.report_ring.empty()) {
     status = ApplyReportBlob(state.base.report_ring);
   }
-  std::string_view final_image = state.base.image;
   for (const JournalFrame& frame : state.frames) {
     if (!status.ok()) {
       break;
@@ -1068,17 +1073,14 @@ Result<RecoveryInfo> Engine::Restore(PersistManager& persist) {
     if (!frame.report_delta.empty()) {
       status = ApplyReportBlob(frame.report_delta);
     }
-    if (!frame.image.empty()) {
-      final_image = frame.image;
-    }
   }
-  if (status.ok() && !final_image.empty()) {
-    status = ApplyImage(final_image);
+  if (status.ok() && !state.image.empty()) {
+    status = ApplyImage(state.image);
   }
-  store_->SetObserversSuppressed(false);
+  restoring_ = false;
   OSGUARD_RETURN_IF_ERROR(Annotate(status, "warm restart failed"));
-  // Replay ran with observers suppressed, so the retention manager saw none
-  // of the writes. Rebuild its membership and stamps from the restored store
+  // The observer ignored the replay, so the retention manager saw none of
+  // the writes. Rebuild its membership and stamps from the restored store
   // (deterministic: both sides of a differential restore the same slots).
   retention_.ResyncAfterRestore(now_);
   last_report_mark_ = reporter_.total_reports();

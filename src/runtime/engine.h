@@ -150,9 +150,16 @@ struct EngineOptions {
 
 class Engine {
  public:
-  // `store` and `registry` are borrowed; `task_control` may be null.
+  // `store` and `registry` are borrowed; `task_control` may be null. The
+  // engine installs itself as the store's observer (FeatureStore::
+  // SetObserver), so every committed mutation reaches it with no wiring:
+  // it is journaled to the attached persist manager, and a write then
+  // stamps retention's last-write clock and fires the ONCHANGE triggers
+  // watching its key. One engine per store: the destructor clears the
+  // observer, so destroy an engine before building the next on its store.
   Engine(FeatureStore* store, PolicyRegistry* registry, TaskControl* task_control = nullptr,
          EngineOptions options = {});
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -209,16 +216,6 @@ class Engine {
   // triggers registered for it.
   void OnFunctionCall(std::string_view function, SimTime t);
 
-  // Write-observer entry (kernel wiring): the store wrote `key` (interned as
-  // `info.id`). Stamps the retention manager's last-write clock, then fires
-  // the ONCHANGE triggers watching the key at the engine's current time.
-  // Writes performed *by monitor programs* (actions SAVE-ing state) are
-  // deferred until the running evaluation finishes and are processed with a
-  // bounded cascade budget, so two ONCHANGE guardrails whose actions touch
-  // each other's keys cannot loop the engine (§6's feedback-loop hazard,
-  // contained at the trigger layer).
-  void OnStoreWrite(const StoreWriteInfo& info, const std::string& key);
-
   // --- Introspection ---
 
   SimTime now() const { return now_; }
@@ -252,9 +249,10 @@ class Engine {
   // --- Crash consistency (osguard::persist) ---
 
   // Attaches the persist manager (borrowed; null detaches). From here on the
-  // engine journals its state transitions at callout boundaries: every
-  // AdvanceTo / OnFunctionCall that changed state commits one frame, and a
-  // compacted snapshot is rotated in when the manager says one is due.
+  // engine records every store mutation with it and journals its state
+  // transitions at callout boundaries: every AdvanceTo / OnFunctionCall
+  // that changed state commits one frame, and a compacted snapshot is
+  // rotated in when the manager says one is due.
   void SetPersist(PersistManager* persist);
 
   // Warm restart: recovers engine state from `persist`'s directory. Call on
@@ -345,6 +343,10 @@ class Engine {
   // A fresh monitor with the next generation, carrying over the protocol
   // clocks and uptime export of `previous` (a replace's or rollback's).
   std::unique_ptr<Monitor> MakeMonitor(CompiledGuardrail guardrail, const Monitor* previous);
+  // Whether a loaded monitor caches slot `id`: an ONCHANGE trigger watches
+  // it, or a keyed call in one of its programs (or in the pre-deploy
+  // version a probation rollback would restore) has it baked in.
+  bool SlotBound(KeyId id) const;
   void ArmTimers(Monitor& monitor);
   void RebuildFunctionIndex();
   // RunProtocol inside the re-entrancy guard on ONCHANGE evaluations.
@@ -361,9 +363,16 @@ class Engine {
   Result<Value> Execute(Monitor& monitor, const Program& program, SimTime t, int64_t& wall_ns);
   void RunActions(Monitor& monitor, const Program& program, SimTime t);
   void MarkDirty();  // the next boundary must commit a journal frame
-  // ONCHANGE dispatch for a written slot. The hot path: the write observer
-  // hands the interned id straight through, so dispatch is an array index.
-  void OnStoreWrite(KeyId id);
+  // The store's observer. Records the mutation with the persist manager,
+  // then for a write stamps retention's last-write clock and fires the
+  // ONCHANGE triggers watching the key at the engine's current time: the
+  // store hands the interned id through, so dispatch is an array index.
+  // Writes performed *by monitor programs* (actions SAVE-ing state) are
+  // deferred until the running evaluation finishes and are processed with a
+  // bounded cascade budget, so two ONCHANGE guardrails whose actions touch
+  // each other's keys cannot loop the engine (§6's feedback-loop hazard,
+  // contained at the trigger layer). Ignored while Restore replays.
+  void OnStoreMutation(const StoreMutation& m, const std::string& key);
   void DrainPendingChanges();
   // Rollbacks are queued during evaluation and applied at callout
   // boundaries, where no Monitor pointers or trigger references are live.
@@ -454,6 +463,9 @@ class Engine {
   size_t watch_hook_count_ = 0;  // total hooked monitors; 0 = fast bail-out
   bool evaluating_ = false;
   bool draining_ = false;
+  // Restore is replaying journaled mutations: the recovered state already
+  // reflects every evaluation they caused, so the observer ignores them.
+  bool restoring_ = false;
   std::vector<KeyId> pending_changes_;
   std::vector<KeyId> drain_batch_;  // swap buffer; keeps capacity across drains
   ChaosEngine* chaos_ = nullptr;

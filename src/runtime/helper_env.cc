@@ -46,38 +46,6 @@ inline AggKind AggKindForHelper(HelperId id) {
   }
 }
 
-bool IsStoreHelper(HelperId id) {
-  switch (id) {
-    case HelperId::kLoad:
-    case HelperId::kLoadOr:
-    case HelperId::kSave:
-    case HelperId::kIncr:
-    case HelperId::kExists:
-    case HelperId::kObserve:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsAggregateHelper(HelperId id) {
-  switch (id) {
-    case HelperId::kCount:
-    case HelperId::kSum:
-    case HelperId::kMean:
-    case HelperId::kMinAgg:
-    case HelperId::kMaxAgg:
-    case HelperId::kStdDev:
-    case HelperId::kRate:
-    case HelperId::kNewest:
-    case HelperId::kOldest:
-    case HelperId::kQuantile:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 template <typename Key>
@@ -136,18 +104,13 @@ Result<Value> MonitorHelperEnv::AggregateHelper(HelperId id, Key key,
 
 Result<Value> MonitorHelperEnv::CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
                                                 std::span<const Value> rest) {
-  // Single injection point per helper call: the fallbacks below go to the
-  // unchecked bodies, so a fallback never draws a second chaos decision.
+  // Single injection point per helper call: the fallback below goes to the
+  // unchecked bodies, so it never draws a second chaos decision. The
+  // verifier admits keyed calls of keyed helpers only (IsKeyedHelper).
   if (chaos_ != nullptr && chaos_->ShouldInject(helper_fail_site_, envelope_.now)) {
     return ExecutionError("injected helper failure (chaos site runtime.helper_fail)");
   }
   const bool store_helper = IsStoreHelper(id);
-  if (!store_helper && !IsAggregateHelper(id)) {
-    std::vector<Value> args;  // not a keyed helper: the plain call
-    args.push_back(key);
-    args.insert(args.end(), rest.begin(), rest.end());
-    return CallHelperUnchecked(id, args);
-  }
   if (slot < store_->key_count()) {
     const KeyId key_id = slot;
     return store_helper ? StoreHelper(id, key_id, rest) : AggregateHelper(id, key_id, rest);

@@ -54,10 +54,11 @@ class MonitorHelperEnv : public HelperContext {
 
   Result<Value> CallHelper(HelperId id, std::span<const Value> args) override;
 
-  // kCallKeyed fast path: store/aggregate helpers dispatch on the pre-resolved
-  // slot id, skipping the string hash probe entirely. Slots the store doesn't
-  // know about (a fuzzed or stale program) fall back to the string path on
-  // the constant key, so the hint is purely an optimization.
+  // kCallKeyed fast path: store/aggregate helpers (the only ones the
+  // verifier admits in a keyed call) dispatch on the pre-resolved slot id,
+  // skipping the string hash probe entirely. Slots the store doesn't know
+  // about (a fuzzed or stale program) fall back to the string path on the
+  // constant key, so the hint is purely an optimization.
   Result<Value> CallHelperKeyed(HelperId id, uint32_t slot, const Value& key,
                                 std::span<const Value> rest) override;
 

@@ -161,30 +161,30 @@ void RetentionManager::Untrack(KeyId id, Tracked& t) {
   t.bytes = 0;
 }
 
-void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& key,
+void RetentionManager::OnWrite(const StoreMutation& write, const std::string& key,
                                SimTime now) {
   if (!options_.enabled) {
     return;
   }
-  if (info.id >= tracked_.size()) {
-    tracked_.resize(info.id + 1);
+  if (write.id >= tracked_.size()) {
+    tracked_.resize(write.id + 1);
   }
-  Tracked& t = tracked_[info.id];
-  if (info.pinned) {
+  Tracked& t = tracked_[write.id];
+  if (write.pinned) {
     // Pinned keys are lifecycle-exempt; drop any tracking acquired before
     // the owner pinned the id.
     if (t.valid) {
-      Untrack(info.id, t);
+      Untrack(write.id, t);
     }
     return;
   }
-  if (!t.valid || t.generation != info.generation) {
+  if (!t.valid || t.generation != write.generation) {
     // New tenant (first write, or the slot was reclaimed and recycled).
     if (t.valid) {
-      Untrack(info.id, t);
+      Untrack(write.id, t);
     }
     const int32_t ns = Classify(key);
-    t.generation = info.generation;
+    t.generation = write.generation;
     if (ns < 0) {
       t.valid = false;
       t.ns = -1;
@@ -196,14 +196,14 @@ void RetentionManager::OnWrite(const StoreWriteInfo& info, const std::string& ke
     t.ns = ns;
     t.bytes = 0;
     ns_keys_[ns] += 1;
-    LinkNewest(info.id, t);
-  } else if (write_order_[t.ns].newest != info.id) {
+    LinkNewest(write.id, t);
+  } else if (write_order_[t.ns].newest != write.id) {
     Unlink(t);
-    LinkNewest(info.id, t);
+    LinkNewest(write.id, t);
   }
   t.last_write = now;
-  ns_bytes_[t.ns] += info.approx_bytes - t.bytes;
-  t.bytes = info.approx_bytes;
+  ns_bytes_[t.ns] += write.approx_bytes - t.bytes;
+  t.bytes = write.approx_bytes;
 }
 
 bool RetentionManager::TryReclaim(KeyId id, Tracked& t, bool quota) {

@@ -9,7 +9,8 @@
 // mechanism: generation-tagged slots, a free list, Pin/Reclaim):
 //
 //   * last-write stamps  — every store write is stamped with simulated time
-//                          via the engine's write observer (O(1), no lock).
+//                          by the engine, the store's observer (O(1), no
+//                          lock).
 //   * namespaces         — the spec's `retention { namespace "prefix" {..} }`
 //                          block declares per-prefix key budgets (max_keys)
 //                          and idle TTLs; keys are classified on first write
@@ -98,19 +99,19 @@ class RetentionManager {
   const RetentionOptions& options() const { return options_; }
   const RetentionStats& stats() const { return stats_; }
 
-  // Write-observer hook, O(1): stamps last-write time, classifies new slot
+  // A store write (Save, Increment or Observe; the engine calls it from the
+  // store's observer), O(1): stamps last-write time, classifies new slot
   // tenants into namespaces, and maintains per-namespace key/byte gauges.
-  void OnWrite(const StoreWriteInfo& info, const std::string& key, SimTime now);
+  void OnWrite(const StoreMutation& write, const std::string& key, SimTime now);
 
   // Callout boundary: chaos sampling, incremental TTL scan, quota
   // enforcement, telemetry publish. The only place reclamation happens.
   void RunAtBoundary(SimTime now);
 
   // Places an already-live, unpinned slot under governance (stamped with
-  // `now`). The write observer only tracks slots as they are written, so a
-  // key whose owner just Unpinned it (monitor unload) would otherwise be
-  // invisible to the TTL scan forever. No-op for pinned, dead, or ungoverned
-  // slots.
+  // `now`). OnWrite only tracks slots as they are written, so a key whose
+  // owner just Unpinned it (monitor unload) would otherwise be invisible to
+  // the TTL scan forever. No-op for pinned, dead, or ungoverned slots.
   void AdoptKey(KeyId id, SimTime now);
 
   // Eagerly reclaims one governed slot with the boundary walk's bookkeeping

@@ -35,6 +35,14 @@ constexpr const char* kGlobalKeyNames[] = {
     kAgentCtlThrottleWindowMs,
 };
 
+// Window for the published per-session rate (agent.rate.current).
+constexpr Duration kRateWindow = Seconds(1);
+// Retention for the per-session call series: enough for rate windows and
+// throttle windows, bounded so a million sessions cannot eat the host.
+constexpr SeriesOptions kSessionSeries{.max_samples = 1024, .max_age = Seconds(30)};
+// Retention for the global call stream.
+constexpr SeriesOptions kStreamSeries{.max_samples = 65536, .max_age = Seconds(60)};
+
 // Suffixes of AgentGovernor::SessionKey, in enum order.
 constexpr const char* kSessionSuffixes[] = {"calls", "seen", "taint", "file",
                                             "net",   "exec", "killed"};
@@ -165,11 +173,11 @@ AgentAdmitVerdict AgentGovernor::Process(const agent::ToolCallEvent& event,
   // sentinels: the events counter for the global stream, the per-session
   // "seen" bit for the session series.
   if (!store.Contains(ReadId(kEvents))) {
-    store.SetSeriesOptions(kAgentKeyCallsStream, options_.stream_series);
+    store.SetSeriesOptions(kAgentKeyCallsStream, kStreamSeries);
   }
   store.Increment(WriteId(kEvents));
   if (!store.Contains(SessionId(kSeen, false))) {
-    store.SetSeriesOptions(session_keys_.Key(kSessionSuffixes[kCalls]), options_.session_series);
+    store.SetSeriesOptions(session_keys_.Key(kSessionSuffixes[kCalls]), kSessionSeries);
     store.Save(SessionId(kSeen, true), Value(true));
     store.Increment(WriteId(kSessions));
   }
@@ -185,7 +193,7 @@ AgentAdmitVerdict AgentGovernor::Process(const agent::ToolCallEvent& event,
   // Windowed per-session rate: session id first, then the count, so the
   // ONCHANGE watcher of agent.rate.current reads a consistent pair.
   const double in_window =
-      store.Aggregate(calls, AggKind::kCount, options_.rate_window, now).value_or(0.0);
+      store.Aggregate(calls, AggKind::kCount, kRateWindow, now).value_or(0.0);
   store.Save(WriteId(kRateSession), Value(static_cast<int64_t>(event.session)));
   store.Save(WriteId(kRateCurrent), Value(in_window));
   // Taint tracking (the "no network send after reading secrets" property).

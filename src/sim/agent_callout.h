@@ -90,16 +90,6 @@ inline constexpr char kAgentCalloutFunction[] = "agent.tool_call";
 // Ghost-session derivation for agent.dup_session (see chaos.h).
 inline constexpr uint64_t kAgentGhostSessionXor = 0x8000000000000000ull;
 
-struct AgentGovernorOptions {
-  // Window for the published per-session rate (agent.rate.current).
-  Duration rate_window = Seconds(1);
-  // Retention for the per-session call series: enough for rate windows and
-  // throttle windows, bounded so a million sessions cannot eat the host.
-  SeriesOptions session_series{.max_samples = 1024, .max_age = Seconds(30)};
-  // Retention for the global call stream.
-  SeriesOptions stream_series{.max_samples = 65536, .max_age = Seconds(60)};
-};
-
 // The live slots of the keys the governor writes for one session: calls,
 // seen, taint, file, net, exec and killed.
 struct AgentSessionSlots {
@@ -112,19 +102,13 @@ struct AgentSessionSlots {
 // state, event, now).
 class AgentGovernor {
  public:
-  explicit AgentGovernor(FeatureStore* store, AgentGovernorOptions options = {})
-      : store_(store), options_(options) {
-    ForgetKeyIds();
-  }
+  explicit AgentGovernor(FeatureStore* store) : store_(store) { ForgetKeyIds(); }
 
   // Registers the chaos sites (null detaches). Site ids are stable for the
   // chaos engine's lifetime, so re-attaching after Kernel::Reboot is cheap.
   void SetChaos(ChaosEngine* chaos);
   ChaosSiteId drop_site() const { return drop_site_; }
   ChaosSiteId dup_site() const { return dup_site_; }
-
-  const AgentGovernorOptions& options() const { return options_; }
-  void set_options(const AgentGovernorOptions& options) { options_ = options; }
 
   // When set (the kernel sets it iff the loaded specs carry a retention
   // block), the first kill of a session eagerly reclaims its per-session
@@ -202,7 +186,6 @@ class AgentGovernor {
   AgentAdmitVerdict Admit(const agent::ToolCallEvent& event, SimTime now);
 
   FeatureStore* store_;
-  AgentGovernorOptions options_;
   ChaosEngine* chaos_ = nullptr;
   ChaosSiteId drop_site_ = kInvalidChaosSite;
   ChaosSiteId dup_site_ = kInvalidChaosSite;

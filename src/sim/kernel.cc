@@ -12,12 +12,10 @@ Kernel::Kernel(EngineOptions engine_options) : engine_options_(engine_options) {
 }
 
 void Kernel::BuildEngine() {
+  // The old engine goes first: its destructor clears the store's observer,
+  // which the new engine's constructor installs.
+  engine_.reset();
   engine_ = std::make_unique<Engine>(&store_, &registry_, &task_control_shim_, engine_options_);
-  // Route store writes to the engine: the retention manager stamps the
-  // slot's last-write clock, then ONCHANGE triggers fire.
-  store_.SetWriteObserver([this](const StoreWriteInfo& info, const std::string& key) {
-    engine_->OnStoreWrite(info, key);
-  });
   // The overload governor's queue-depth signal is the simulated event queue:
   // a deterministic function of simulated state, so governed differential
   // runs replay bit-identically.

@@ -10,7 +10,9 @@
 //                   FUNCTION-triggered monitors fire at the right spot.
 //
 // Subsystems (block layer, scheduler, memory) receive a Kernel& and use its
-// store/registry/queue; they never talk to the engine directly.
+// store/registry/queue; they never talk to the engine directly. They need
+// not: the engine is the store's observer, so every store write reaches its
+// journal, retention stamps and ONCHANGE triggers.
 
 #ifndef SRC_SIM_KERNEL_H_
 #define SRC_SIM_KERNEL_H_
@@ -154,8 +156,9 @@ class Kernel {
     }
   };
 
-  // Builds a fresh engine wired to this kernel's store/registry/task-control
-  // and re-attaches chaos + persist. Shared by the constructor and ColdBoot().
+  // Destroys the engine, then builds a fresh one on this kernel's
+  // store/registry/task-control and re-attaches chaos + persist. Shared by
+  // the constructor and ColdBoot().
   void BuildEngine();
 
   // Cold boot: an empty store, a fresh engine, every remembered spec loaded

@@ -60,19 +60,20 @@ void FeatureStore::CheckOwner() const {
   }
 }
 
-void FeatureStore::SetWriteObserver(WriteObserver observer) {
+void FeatureStore::SetObserver(StoreObserver observer) {
   CheckOwner();
   observer_ = std::move(observer);
 }
 
-void FeatureStore::SetMutationObserver(MutationObserver observer) {
-  CheckOwner();
-  mutation_observer_ = std::move(observer);
-}
-
-void FeatureStore::SetObserversSuppressed(bool suppressed) {
-  CheckOwner();
-  observers_suppressed_ = suppressed;
+void FeatureStore::Notify(StoreMutation& m, const std::string& key) const {
+  if (!observer_) {
+    return;
+  }
+  const Slot& slot = slots_[m.id];
+  m.generation = slot.generation;
+  m.approx_bytes = slot.bytes;
+  m.pinned = slot.pinned;
+  observer_(m, key);
 }
 
 // --- Slot table ---
@@ -243,13 +244,11 @@ Status FeatureStore::ReclaimKeyId(KeyId id) {
   ++slot.generation;
   free_slots_.push_back(id);
   RefreshBytes(slot);
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kErase;
-    m.id = id;
-    m.reclaim = true;
-    mutation_observer_(m, name);
-  }
+  StoreMutation m;
+  m.kind = StoreMutation::Kind::kErase;
+  m.id = id;
+  m.reclaim = true;
+  Notify(m, name);
   return OkStatus();
 }
 
@@ -303,18 +302,14 @@ uint64_t FeatureStore::SlotApproxBytes(KeyId id) const {
 
 // --- Scalars ---
 
-// Journals a committed Save or Increment as a kSave of the slot's new scalar
-// (Increment's post-increment value, so replay needs no read-modify-write),
-// then fires the write observer.
+// A committed Save or Increment is a kSave of the slot's new scalar
+// (Increment's post-increment value, so replay needs no read-modify-write).
 void FeatureStore::NotifySave(KeyId id) const {
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kSave;
-    m.id = id;
-    m.value = slots_[id].scalar;
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
+  StoreMutation m;
+  m.kind = StoreMutation::Kind::kSave;
+  m.id = id;
+  m.value = &slots_[id].scalar;
+  Notify(m, slots_[id].key);
 }
 
 void FeatureStore::Save(std::string_view key, Value value) {
@@ -378,12 +373,10 @@ Status FeatureStore::Erase(std::string_view key) {
   slots_[id].has_scalar = false;
   slots_[id].scalar = Value();
   RefreshBytes(slots_[id]);
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kErase;
-    m.id = id;
-    NotifyMutation(m);
-  }
+  StoreMutation m;
+  m.kind = StoreMutation::Kind::kErase;
+  m.id = id;
+  Notify(m, slots_[id].key);
   return OkStatus();
 }
 
@@ -472,15 +465,12 @@ void FeatureStore::Observe(KeyId id, SimTime now, double sample) {
   }
   Append(*slot.series, now, sample);
   RefreshBytes(slot);
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kObserve;
-    m.id = id;
-    m.time = now;
-    m.sample = sample;
-    NotifyMutation(m);
-  }
-  NotifyWrite(id);
+  StoreMutation m;
+  m.kind = StoreMutation::Kind::kObserve;
+  m.id = id;
+  m.time = now;
+  m.sample = sample;
+  Notify(m, slot.key);
 }
 
 void FeatureStore::SetSeriesOptions(std::string_view key, SeriesOptions options) {
@@ -495,13 +485,11 @@ void FeatureStore::SetSeriesOptions(std::string_view key, SeriesOptions options)
     Evict(series, series.samples.back().time);
   }
   RefreshBytes(slot);
-  if (WantMutations()) {
-    StoreMutation m;
-    m.kind = StoreMutation::Kind::kSetSeriesOptions;
-    m.id = id;
-    m.options = options;
-    NotifyMutation(m);
-  }
+  StoreMutation m;
+  m.kind = StoreMutation::Kind::kSetSeriesOptions;
+  m.id = id;
+  m.options = options;
+  Notify(m, slot.key);
 }
 
 namespace {

@@ -24,6 +24,12 @@
 //     query when the cutoff did not move back, so a series queried with one
 //     window pays amortized O(1); any other query bisects (O(log n)).
 //
+// Observation: the store has one observer (SetObserver), called once after
+// every committed mutation with the mutation, the facts of its slot and the
+// key. The engine built on the store installs it and is its only consumer:
+// it journals the mutation, and for a write stamps retention and fires the
+// ONCHANGE triggers watching the key.
+//
 // Threading: one thread drives a Kernel (or an Engine and the store it
 // borrows) and everything they own, so the store takes no lock. The thread
 // that constructs a store owns it, and any other thread that reads or writes
@@ -89,29 +95,13 @@ struct SeriesOptions {
   Duration max_age = Seconds(300);
 };
 
-// Slot facts riding along with every write notification, read from the
-// committed slot so consumers (ONCHANGE dispatch, retention stamping) need
-// not query the store again.
-struct StoreWriteInfo {
-  KeyId id = kInvalidKeyId;
-  uint32_t generation = 0;   // slot tenant generation at commit time
-  uint64_t approx_bytes = 0; // slot's approximate footprint after the write
-  bool pinned = false;       // lifecycle-exempt (cached-id contract)
-};
-
-// Invoked after a key is written (Save / Increment / Observe) and the write
-// has committed. Used by the engine's ONCHANGE triggers (dependency-driven
-// checking, the paper's §6 idea) and by the retention manager's last-write
-// stamping. The id is the key's interned slot so the consumer can dispatch
-// without re-hashing; the string reference stays valid for the lifetime of
-// the store.
-using WriteObserver = std::function<void(const StoreWriteInfo& info, const std::string& key)>;
-
-// A committed store mutation, as observed by the persistence layer
-// (osguard::persist journals these and replays them through the public API
-// on recovery). Which fields are meaningful depends on `kind`:
-//   kSave             -> value (Increment reports its post-increment scalar
-//                        as a kSave, so replay needs no read-modify-write)
+// A committed store mutation and the facts of the slot it left behind, as
+// the store's observer sees it. Which fields are meaningful depends on
+// `kind`:
+//   kSave             -> value, the committed scalar (Increment reports its
+//                        post-increment scalar as a kSave, so a journal
+//                        replay needs no read-modify-write). It points into
+//                        the slot: copy it to keep it past the call.
 //   kObserve          -> time, sample
 //   kErase            -> key only; fired only when the erase succeeded.
 //                        `reclaim` distinguishes a full slot reclamation
@@ -119,20 +109,35 @@ using WriteObserver = std::function<void(const StoreWriteInfo& info, const std::
 //                        scalar erase, so journal replay reproduces the
 //                        free-list and generation state bit-identically.
 //   kSetSeriesOptions -> options
+// The slot facts (generation, approx_bytes, pinned) are read from the
+// committed slot for every kind, so the observer need not query the store
+// again to dispatch ONCHANGE or stamp retention.
 struct StoreMutation {
   enum class Kind : uint8_t { kSave = 0, kObserve = 1, kErase = 2, kSetSeriesOptions = 3 };
   Kind kind = Kind::kSave;
   KeyId id = kInvalidKeyId;
-  Value value;
+  uint32_t generation = 0;    // slot tenant generation after the mutation
+  uint64_t approx_bytes = 0;  // slot's approximate footprint after the mutation
+  bool pinned = false;        // lifecycle-exempt (cached-id contract)
+  const Value* value = nullptr;
   SimTime time = 0;
   double sample = 0.0;
   SeriesOptions options;
   bool reclaim = false;
+
+  // Save, Increment and Observe: the writes that ONCHANGE triggers and
+  // retention's last-write stamps follow. Erases, reclamations and series
+  // options are journaled only.
+  bool is_write() const { return kind == Kind::kSave || kind == Kind::kObserve; }
 };
 
-// Invoked after a mutation commits, before the WriteObserver for the same
-// write. The key reference is stable for the lifetime of the store.
-using MutationObserver = std::function<void(const StoreMutation& m, const std::string& key)>;
+// The store's one observer: invoked once per committed mutation, after it
+// commits, so it may freely read and write the store. The engine installs
+// it (Engine's constructor) to journal, stamp retention and fire ONCHANGE
+// triggers (dependency-driven checking, the paper's §6 idea). The key
+// reference stays valid for the lifetime of the store; for a reclamation it
+// names the slot's last tenant.
+using StoreObserver = std::function<void(const StoreMutation& m, const std::string& key)>;
 
 // Full value dump of one slot — everything needed to reconstruct the slot
 // bit-identically, including the series' incremental window state (prefix
@@ -182,21 +187,10 @@ class FeatureStore {
   FeatureStore(const FeatureStore&) = delete;
   FeatureStore& operator=(const FeatureStore&) = delete;
 
-  // Registers the single write observer (nullptr to clear). The observer is
-  // called after the write commits, so it may freely read and write the
-  // store.
-  void SetWriteObserver(WriteObserver observer);
-
-  // Registers the single mutation observer (nullptr to clear). Fired for
-  // every committed mutation — Save/Increment/Observe like the write
-  // observer, plus successful Erase and SetSeriesOptions — before the write
-  // observer. This is the persistence layer's journal tap.
-  void SetMutationObserver(MutationObserver observer);
-
-  // While suppressed, neither observer fires. Recovery replays journaled
-  // mutations through the public API; suppression keeps the replay from
-  // re-journaling itself or re-firing ONCHANGE triggers mid-restore.
-  void SetObserversSuppressed(bool suppressed);
+  // Registers the store's one observer (nullptr to clear). The engine
+  // built on the store owns it: its constructor installs it and its
+  // destructor clears it.
+  void SetObserver(StoreObserver observer);
 
   // --- Key interning ---
 
@@ -237,10 +231,10 @@ class FeatureStore {
   // Frees the slot: drops scalar and series state, removes the key from the
   // intern index, bumps the generation, and pushes the slot onto the free
   // list for recycling. Refuses pinned slots (kFailedPrecondition) and
-  // missing/already-freed keys (kNotFound). Fires the mutation observer as a
+  // missing/already-freed keys (kNotFound). Notifies the observer of a
   // kErase with reclaim = true (journaled as an ordinary erase frame); like
-  // Erase, it does not fire the write observer — reclamation never triggers
-  // ONCHANGE cascades.
+  // Erase, it is not a write — reclamation never triggers ONCHANGE
+  // cascades.
   Status ReclaimKey(std::string_view key);
   Status ReclaimKeyId(KeyId id);
 
@@ -341,7 +335,7 @@ class FeatureStore {
 
   // Snapshot of every slot in interning order — including freed slots, whose
   // dump carries the generation map and free-list rank — with full
-  // incremental series state. Observers do not fire.
+  // incremental series state. The observer does not fire.
   std::vector<StoreSlotDump> DumpSlots() const;
 
   // Reinstates a DumpSlots() snapshot positionally: dump index i describes
@@ -351,7 +345,7 @@ class FeatureStore {
   // slots are freed (unless the current slot is pinned — a pinned slot's
   // owner re-interned it before the restore) and the free list is rebuilt in
   // the dumped LIFO order. Slots already interned past the dump are left
-  // untouched. Observers do not fire.
+  // untouched. The observer does not fire.
   void RestoreSlots(const std::vector<StoreSlotDump>& dump);
 
  private:
@@ -407,7 +401,7 @@ class FeatureStore {
   // Slots in fixed chunks of 2^kChunkShift, indexed by shift and mask. A
   // chunk is allocated once and never moves, so a slot keeps its address for
   // as long as its id is in the table: KeyName() references and the
-  // observers' key strings stay valid across interning. Indexing goes
+  // observer's key strings stay valid across interning. Indexing goes
   // through std::vector and std::array operator[], which
   // -D_GLIBCXX_ASSERTIONS bounds-checks; an assert covers the unused tail of
   // the last chunk, whose slots are default-constructed.
@@ -460,27 +454,11 @@ class FeatureStore {
   // Whether a tagged read of (id, gen) may see the slot; counts a stale hit
   // when the generation moved on.
   bool TagIsCurrent(KeyId id, uint32_t gen) const;
+  // Fills in the slot facts of `m.id` and fires the observer, if any.
+  // `key` is the slot's key, or for a reclamation its last tenant's.
+  void Notify(StoreMutation& m, const std::string& key) const;
+  // Notifies a committed Save or Increment: a kSave of the slot's scalar.
   void NotifySave(KeyId id) const;
-  void NotifyWrite(KeyId id) const {
-    if (observer_ && !observers_suppressed_) {
-      const Slot& slot = slots_[id];
-      StoreWriteInfo info;
-      info.id = id;
-      info.generation = slot.generation;
-      info.approx_bytes = slot.bytes;
-      info.pinned = slot.pinned;
-      observer_(info, slot.key);
-    }
-  }
-  void NotifyMutation(const StoreMutation& m) const {
-    if (mutation_observer_ && !observers_suppressed_) {
-      mutation_observer_(m, slots_[m.id].key);
-    }
-  }
-  // Whether write paths should bother building a StoreMutation at all.
-  bool WantMutations() const {
-    return mutation_observer_ != nullptr && !observers_suppressed_;
-  }
 
   const void* owner_;  // the owning thread's token (feature_store.cc)
   SlotTable slots_;
@@ -491,9 +469,7 @@ class FeatureStore {
   std::vector<KeyId> free_slots_;
   uint64_t approx_bytes_ = 0;  // incremental total of Slot::bytes
   mutable uint64_t stale_hits_ = 0;
-  WriteObserver observer_;
-  MutationObserver mutation_observer_;
-  bool observers_suppressed_ = false;
+  StoreObserver observer_;
 };
 
 }  // namespace osguard

@@ -250,9 +250,14 @@ Status Verify(const Program& program, const VerifyOptions& options) {
         // The slot id (aux) is bound to a concrete store at load time; the
         // verifier only requires it to be non-negative — a stale or
         // out-of-range slot degrades to the string-keyed slow path at run
-        // time, never to a fault.
+        // time, never to a fault. Only a keyed helper takes a key.
         if (insn.aux < 0) {
           return VerifierError("program '" + program.name + "': negative store slot" + At(pc));
+        }
+        if (!IsKeyedHelper(KeyedCallHelper(insn))) {
+          return VerifierError("program '" + program.name + "': keyed call of helper " +
+                               std::to_string(static_cast<int>(KeyedCallHelper(insn))) +
+                               ", which takes no store key" + At(pc));
         }
         if (insn.c < 1 || KeyedCallKey(insn) >= program.consts.size() ||
             program.consts[KeyedCallKey(insn)].IfString() == nullptr) {

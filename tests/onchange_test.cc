@@ -14,10 +14,6 @@ class OnChangeTest : public ::testing::Test {
  protected:
   OnChangeTest() : engine_(&store_, &registry_) {
     Logger::Global().set_level(LogLevel::kOff);
-    store_.SetWriteObserver(
-        [this](const StoreWriteInfo& info, const std::string& key) {
-          engine_.OnStoreWrite(info, key);
-        });
   }
 
   void Load(const std::string& source) {
@@ -176,6 +172,63 @@ TEST_F(OnChangeTest, KernelWiringWorksEndToEnd) {
   kernel.store().Save("ra.last_decision", Value(100000));
   kernel.store().Save("ra.last_decision", Value(8));
   EXPECT_EQ(kernel.store().LoadOr("oob_detections", Value(0)).NumericOr(0), 1.0);
+}
+
+// The engine is its store's observer from construction: on a bare store,
+// with nothing routed by hand, a write fires the ONCHANGE monitor watching
+// the key, and retention stamps the write, so the key ages out at its TTL.
+TEST_F(OnChangeTest, BareEngineFiresOnChangeAndStampsRetention) {
+  FeatureStore store;
+  PolicyRegistry registry;
+  Engine engine(&store, &registry);
+  ASSERT_TRUE(engine.LoadSource(std::string(kWatcher) + R"(
+    retention { namespace "tmp." { idle_ttl = 1s } }
+  )").ok());
+  store.Save("watched_key", Value(50));
+  EXPECT_EQ(engine.stats().change_firings, 1u);
+  EXPECT_EQ(store.LoadOr("fires", Value(0)).NumericOr(0), 1.0);
+
+  engine.AdvanceTo(Milliseconds(500));
+  store.Save("tmp.idle", Value(1));  // stamped at 500 ms
+  engine.AdvanceTo(Milliseconds(1400));
+  EXPECT_TRUE(store.Contains("tmp.idle"));  // idle 900 ms
+  engine.AdvanceTo(Milliseconds(1600));
+  EXPECT_FALSE(store.Contains("tmp.idle"));  // idle 1.1 s
+  EXPECT_EQ(engine.retention().stats().reclaimed_idle, 1u);
+}
+
+// Destroying an engine detaches it from the store: a later write reaches
+// nothing (under ASan, a dangling observer would be a use after free), and
+// the next engine built on the store takes the hook over.
+TEST_F(OnChangeTest, DestroyedEngineDetachesFromTheStore) {
+  FeatureStore store;
+  PolicyRegistry registry;
+  {
+    Engine engine(&store, &registry);
+    ASSERT_TRUE(engine.LoadSource(kWatcher).ok());
+    store.Save("watched_key", Value(50));
+  }
+  EXPECT_EQ(store.LoadOr("fires", Value(0)).NumericOr(0), 1.0);
+  store.Save("watched_key", Value(60));
+  store.Observe("watched_key", Seconds(1), 1.0);
+  ASSERT_TRUE(store.Erase("watched_key").ok());
+  EXPECT_EQ(store.LoadOr("fires", Value(0)).NumericOr(0), 1.0);
+
+  Engine next(&store, &registry);
+  ASSERT_TRUE(next.LoadSource(kWatcher).ok());
+  store.Save("watched_key", Value(70));
+  EXPECT_EQ(next.stats().change_firings, 1u);
+  EXPECT_EQ(store.LoadOr("fires", Value(0)).NumericOr(0), 2.0);
+}
+
+// A reboot replaces the kernel's engine; the new one owns the hook.
+TEST_F(OnChangeTest, RebootedKernelStillFiresOnChange) {
+  Kernel kernel;
+  ASSERT_TRUE(kernel.LoadGuardrails(kWatcher).ok());
+  ASSERT_TRUE(kernel.Reboot().ok());
+  kernel.store().Save("watched_key", Value(50));
+  EXPECT_EQ(kernel.engine().stats().change_firings, 1u);
+  EXPECT_EQ(kernel.store().LoadOr("fires", Value(0)).NumericOr(0), 1.0);
 }
 
 TEST_F(OnChangeTest, DetectionLatencyBeatsTimerPolling) {

@@ -390,9 +390,8 @@ TEST(PersistGolden, GoldenFilesReencodeByteIdentically) {
   for (const JournalFrame& frame : scan.frames) {
     if (frame.image_kind == ImageKind::kPatch) {
       patch = true;
-      auto rebuilt = ApplyImagePatch(image, frame.image);
-      ASSERT_TRUE(rebuilt.ok()) << "frame " << frame.seq << ": " << rebuilt.status().ToString();
-      image = std::move(*rebuilt);
+      const Status applied = ApplyImagePatch(frame.image, &image);
+      ASSERT_TRUE(applied.ok()) << "frame " << frame.seq << ": " << applied.ToString();
     } else {
       full = true;
       full_after_resize = full_after_resize || frame.image.size() != image.size();
@@ -511,9 +510,10 @@ TEST(PersistPatch, PatchesRebuildTheImageAndMergeShortGaps) {
       image[at] = static_cast<char>(image[at] ^ rng.UniformInt(1, 255));
     }
     const std::string patch = DiffImages(base, image);
-    auto rebuilt = ApplyImagePatch(base, patch);
-    ASSERT_TRUE(rebuilt.ok()) << "round " << round << ": " << rebuilt.status().ToString();
-    ASSERT_TRUE(*rebuilt == image) << "round " << round;
+    std::string rebuilt = base;
+    const Status applied = ApplyImagePatch(patch, &rebuilt);
+    ASSERT_TRUE(applied.ok()) << "round " << round << ": " << applied.ToString();
+    ASSERT_TRUE(rebuilt == image) << "round " << round;
     // Each run starts and ends at a changed byte, and runs are at least a
     // run header (8 bytes) apart.
     size_t end = 0;
@@ -555,11 +555,16 @@ TEST(PersistPatch, PatchesThatCannotApplyAreRefused) {
   std::string image = base;
   image[5] = 'X';
   const std::string patch = DiffImages(base, image);
-  ASSERT_TRUE(ApplyImagePatch(base, patch).ok());
+  std::string applied = base;
+  ASSERT_TRUE(ApplyImagePatch(patch, &applied).ok());
+  EXPECT_EQ(applied, image);
 
+  // The refusal, if any; a refused patch writes no byte.
   auto refusal = [](std::string_view with, std::string_view bytes) {
-    auto result = ApplyImagePatch(with, bytes);
-    return result.ok() ? std::string("applied") : result.status().message();
+    std::string target(with);
+    const Status status = ApplyImagePatch(bytes, &target);
+    EXPECT_TRUE(status.ok() || target == with) << status.message();
+    return status.ok() ? std::string("applied") : status.message();
   };
   EXPECT_EQ(refusal("", patch), "image patch has no base image");
   EXPECT_EQ(refusal(std::string_view(base).substr(0, 19), patch),
@@ -582,8 +587,9 @@ TEST(PersistPatch, PatchesThatCannotApplyAreRefused) {
   }
 }
 
-// One self-contained engine run: store + engine + persist manager over `dir`,
-// wired like a kernel, so store writes reach the engine's write observer.
+// One self-contained engine run: store + engine + persist manager over `dir`.
+// The engine observes its store, so store writes are journaled and reach
+// its ONCHANGE triggers as in a kernel.
 struct DiffRun {
   FeatureStore store;
   PolicyRegistry registry;
@@ -597,10 +603,6 @@ std::unique_ptr<DiffRun> StartEngineRun(const fs::path& dir, const char* spec,
   auto run = std::make_unique<DiffRun>();
   run->engine =
       std::make_unique<Engine>(&run->store, &run->registry, nullptr, engine_options);
-  run->store.SetWriteObserver(
-      [engine = run->engine.get()](const StoreWriteInfo& info, const std::string& key) {
-        engine->OnStoreWrite(info, key);
-      });
   PersistOptions options;
   options.dir = dir.string();
   run->persist = std::make_unique<PersistManager>(options);
@@ -1233,9 +1235,11 @@ void CommitImage(PersistManager& persist, SimTime now, const std::string& image)
 // The manager journals an image as a patch against the last committed one,
 // and in full when there is none, when its length changed, or when the
 // patch would not be smaller. A snapshot's image is the base of the next
-// patch. Recovery rebuilds every frame's image from the snapshot's.
+// patch. Recovery rebuilds the image each frame committed: from the journal
+// cut at that frame's end, it recovers exactly that image.
 TEST(PersistRecovery, PatchFramesRebuildEveryCommittedImage) {
-  const fs::path dir = FreshTestDir("patch-frames");
+  const fs::path root = FreshTestDir("patch-frames");
+  const fs::path dir = root / "journaled";
   PersistOptions options;
   options.dir = dir.string();
   options.snapshot_interval = 0;
@@ -1281,15 +1285,23 @@ TEST(PersistRecovery, PatchFramesRebuildEveryCommittedImage) {
   EXPECT_EQ(kinds, (std::vector<ImageKind>{ImageKind::kPatch, ImageKind::kFull,
                                            ImageKind::kFull, ImageKind::kPatch}));
 
+  for (size_t i = 0; i < scan.frames.size(); ++i) {
+    const fs::path cut = root / ("cut-" + std::to_string(i));
+    fs::copy(dir, cut);
+    fs::resize_file(cut / "journal.wal", scan.frame_ends[i]);
+    PersistOptions cut_options = options;
+    cut_options.dir = cut.string();
+    auto recovered = PersistManager(cut_options).LoadForRecovery();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->base.seq, 3u);
+    EXPECT_EQ(recovered->frames.size(), i + 1);
+    EXPECT_TRUE(recovered->image == committed[3 + i]) << "frame " << 4 + i;
+  }
   PersistManager persist(options);
   auto recovered = persist.LoadForRecovery();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->base.seq, 3u);
   ASSERT_EQ(recovered->frames.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(recovered->frames[i].image_kind, ImageKind::kFull);
-    EXPECT_TRUE(recovered->frames[i].image == committed[3 + i]) << "frame " << 4 + i;
-  }
+  EXPECT_TRUE(recovered->image == committed.back());
   // The manager continues from the rebuilt final image.
   ASSERT_TRUE(persist.Open().ok());
   committed.push_back(Nudged(committed.back(), 40));
@@ -1299,7 +1311,7 @@ TEST(PersistRecovery, PatchFramesRebuildEveryCommittedImage) {
   ASSERT_EQ(again->frames.size(), 5u);
   EXPECT_EQ(ScanJournal(ReadFile(dir / "journal.wal")).frames.back().image_kind,
             ImageKind::kPatch);
-  EXPECT_TRUE(again->frames.back().image == committed.back());
+  EXPECT_TRUE(again->image == committed.back());
 }
 
 // A patch that cannot apply is damage, like a CRC mismatch. Over a journal
@@ -1378,6 +1390,10 @@ TEST(PersistRecovery, PatchThatCannotApplyEndsTheUsableSuffix) {
               std::string::npos)
         << info.detail;
     EXPECT_EQ(fs::file_size(dir / "journal.wal"), ends[1]);
+    // The refused patch wrote nothing: the image is the second frame's.
+    const std::string second =
+        frames[1].image_kind == ImageKind::kFull ? frames[1].image : SteppedImage(2);
+    EXPECT_TRUE(recovered->image == second);
 
     // The sequence continues at 3, on top of the second frame's image.
     ASSERT_TRUE(persist.Open().ok());
@@ -1388,7 +1404,7 @@ TEST(PersistRecovery, PatchThatCannotApplyEndsTheUsableSuffix) {
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->info.last_seq, 3u) << again->info.detail;
     ASSERT_EQ(again->frames.size(), 3u);
-    EXPECT_TRUE(again->frames.back().image == next);
+    EXPECT_TRUE(again->image == next);
   }
 }
 

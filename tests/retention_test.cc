@@ -123,10 +123,11 @@ struct BareRetention {
   explicit BareRetention(RetentionOptions options) {
     options.enabled = true;
     manager.Configure(options, &store);
-    store.SetWriteObserver(
-        [this](const StoreWriteInfo& info, const std::string& key) {
-          manager.OnWrite(info, key, now);
-        });
+    store.SetObserver([this](const StoreMutation& m, const std::string& key) {
+      if (m.is_write()) {
+        manager.OnWrite(m, key, now);
+      }
+    });
   }
 };
 
@@ -431,17 +432,17 @@ struct ReferenceSweep {
   uint64_t cursor = 0;
   RetentionStats stats;
 
-  void OnWrite(const StoreWriteInfo& info, const std::string& key, SimTime now) {
-    if (info.id >= slots.size()) {
-      slots.resize(info.id + 1);
+  void OnWrite(const StoreMutation& write, const std::string& key, SimTime now) {
+    if (write.id >= slots.size()) {
+      slots.resize(write.id + 1);
     }
-    Slot& slot = slots[info.id];
-    if (info.pinned) {
+    Slot& slot = slots[write.id];
+    if (write.pinned) {
       slot.tracked = false;
       return;
     }
-    if (!slot.tracked || slot.generation != info.generation) {
-      slot.generation = info.generation;
+    if (!slot.tracked || slot.generation != write.generation) {
+      slot.generation = write.generation;
       slot.ns = -1;
       size_t longest = 0;
       for (size_t i = 0; i < namespaces.size(); ++i) {
@@ -498,13 +499,12 @@ TEST_F(RetentionTest, TtlSweepMatchesAReferenceWalkOver1000Seeds) {
     reference.namespaces = options.namespaces;
     reference.chunk = options.scan_chunk;
     SimTime now = 0;
-    store.SetWriteObserver([&](const StoreWriteInfo& info, const std::string& key) {
-      manager.OnWrite(info, key, now);
-      reference.OnWrite(info, key, now);
-    });
     std::vector<KeyId> reclaimed;
-    store.SetMutationObserver([&reclaimed](const StoreMutation& m, const std::string&) {
-      if (m.kind == StoreMutation::Kind::kErase && m.reclaim) {
+    store.SetObserver([&](const StoreMutation& m, const std::string& key) {
+      if (m.is_write()) {
+        manager.OnWrite(m, key, now);
+        reference.OnWrite(m, key, now);
+      } else if (m.kind == StoreMutation::Kind::kErase && m.reclaim) {
         reclaimed.push_back(m.id);
       }
     });
@@ -628,6 +628,36 @@ TEST_F(RetentionTest, UnloadedMonitorCountersAgeOut) {
   ASSERT_TRUE(kernel.engine().Unload("beat").ok());
   kernel.Run(Seconds(700) + Seconds(601));
   EXPECT_FALSE(kernel.store().Contains("monitor.beat.uptime_evals"));
+}
+
+// A pin is a flag, not a count. Unloading a monitor must not unpin its
+// counter while another loaded monitor's keyed call has the slot baked in:
+// retention would reclaim the slot, the store would recycle it for another
+// key, and the reader would see that key's value.
+TEST_F(RetentionTest, UnloadKeepsACounterAnotherMonitorReadsPinned) {
+  Kernel kernel;
+  ASSERT_TRUE(kernel.LoadGuardrails(R"(
+    retention { namespace "monitor." { idle_ttl = 1s } }
+    guardrail a { trigger: { TIMER(10ms, 10ms) }, rule: { true }, action: { REPORT() } }
+    guardrail b {
+      trigger: { TIMER(10ms, 10ms) },
+      rule: { LOAD_OR(monitor.a.uptime_evals, 0) < 1000 },
+      action: { REPORT() }
+    }
+  )").ok());
+  kernel.Run(Milliseconds(100));
+  const KeyId counter = kernel.store().FindKey("monitor.a.uptime_evals");
+  ASSERT_NE(counter, kInvalidKeyId);
+  ASSERT_TRUE(kernel.engine().Unload("a").ok());
+  EXPECT_TRUE(kernel.store().IsPinned(counter));
+
+  kernel.Run(Seconds(3));
+  EXPECT_TRUE(kernel.store().IsLive(counter));
+  kernel.store().Save("tmp.fresh", Value(5000));
+  EXPECT_NE(kernel.store().FindKey("tmp.fresh"), counter);
+  kernel.Run(Seconds(4));
+  EXPECT_EQ(kernel.engine().StatsFor("b")->violations, 0u);
+  EXPECT_EQ(kernel.store().LoadOr(counter, Value(0)).NumericOr(0), 10.0);
 }
 
 agent::ToolCallEvent Call(SimTime at, uint64_t session, agent::ToolClass tool) {

@@ -375,7 +375,7 @@ TEST(StoreLifecycleTest, SlotApproxBytesUsesFixedPrices) {
 }
 
 TEST(StoreLifecycleTest, SlotAddressesSurviveGrowthRecycleAndTrim) {
-  // KeyName() references and a write observer's key reference point into
+  // KeyName() references and the observer's key reference point into
   // the slot itself, so a slot must never move while its id is in the
   // table: not when the table grows (here from inside the observer), not
   // when another slot is recycled, and not when Clear() trims the tail.
@@ -385,8 +385,8 @@ TEST(StoreLifecycleTest, SlotAddressesSurviveGrowthRecycleAndTrim) {
   const std::string* name = &store.KeyName(held);
   const std::string* observed = nullptr;
   int observer_interns = 0;
-  store.SetWriteObserver([&](const StoreWriteInfo& info, const std::string& key) {
-    if (info.id != held) {
+  store.SetObserver([&](const StoreMutation& m, const std::string& key) {
+    if (m.id != held) {
       return;
     }
     observed = &key;

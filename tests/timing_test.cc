@@ -328,13 +328,10 @@ persist { interval = 250ms, journal_budget = 65536 }
 
 constexpr Duration kStepWindow = Milliseconds(50);
 
-// An engine journaling into `dir`, with the store's writes routed to it.
+// An engine journaling into `dir`; it observes the store's writes itself.
 struct JournaledRun {
   explicit JournaledRun(const fs::path& dir) {
     engine = std::make_unique<Engine>(&store, &registry);
-    store.SetWriteObserver([e = engine.get()](const StoreWriteInfo& info, const std::string& key) {
-      e->OnStoreWrite(info, key);
-    });
     PersistOptions popts;
     popts.dir = dir.string();
     persist = std::make_unique<PersistManager>(popts);

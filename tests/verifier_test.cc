@@ -1,6 +1,8 @@
 // Verifier tests: every rejection class, plus acceptance of well-formed
 // programs. These are the safety arguments for loading monitors in-kernel.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/dsl/parser.h"
@@ -191,6 +193,34 @@ TEST(VerifierTest, MutatingHelperRejectedInRuleMode) {
   program.insns.push_back(Insn{Op::kRet, 0, 0, 0, 0});
   EXPECT_FALSE(Verify(program, VerifyOptions{.allow_actions = false}).ok());
   EXPECT_TRUE(Verify(program, VerifyOptions{.allow_actions = true}).ok());
+}
+
+// kCallKeyed exists for the keyed helpers alone (IsKeyedHelper): only
+// Engine::Load creates it, for them, and the keyed dispatch serves only
+// them. A keyed call of any other helper is refused, whatever else holds.
+TEST(VerifierTest, KeyedCallOfAHelperThatTakesNoKeyRejected) {
+  for (const Builtin& builtin : AllBuiltins()) {
+    const int argc = std::max(builtin.min_args, 1);
+    Program program;
+    program.name = "keyed";
+    program.register_count = argc;
+    program.consts.push_back(Value("key"));
+    program.consts.push_back(Value(1));
+    for (int r = 1; r < argc; ++r) {
+      program.insns.push_back(Insn{Op::kLoadConst, static_cast<uint8_t>(r), 0, 0, 1});
+    }
+    Insn call{Op::kCallKeyed, 0, 0, static_cast<uint8_t>(argc), KeyedCallImm(builtin.id, 0)};
+    program.insns.push_back(call);
+    program.insns.push_back(Insn{Op::kRet, 0, 0, 0, 0});
+    const Status status = Verify(program, VerifyOptions{.allow_actions = true});
+    if (IsKeyedHelper(builtin.id)) {
+      EXPECT_TRUE(status.ok()) << builtin.name << ": " << status.message();
+    } else {
+      EXPECT_EQ(status.code(), ErrorCode::kVerifierError) << builtin.name;
+      EXPECT_NE(status.message().find("takes no store key"), std::string::npos)
+          << builtin.name << ": " << status.message();
+    }
+  }
 }
 
 TEST(VerifierTest, MakeListWindowChecked) {
